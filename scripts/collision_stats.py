@@ -8,9 +8,8 @@ against their late-time means, plus the fluctuation suppression factor.
 
 import argparse
 
+from pcx import ChainConfig, SpectralEngine, site_series
 from pcx.analysis import equilibrium_stats, nearest_peak, peak_ratio
-from pcx.chain import ChainConfig, SpectralEngine
-from pcx.horizon import site_series
 
 
 def main():

@@ -8,14 +8,15 @@ with its scan statistics.
 
 from .analysis import (
     EquilibriumStats,
+    SiteSeries,
     SpacetimeGrid,
     equilibrium_stats,
     nearest_peak,
     peak_ratio,
-    series_from_scan,
+    site_series,
     spacetime_scan,
 )
-from .bethe import BetheEngine, BetheRoot, BetheState, bethe_evolve, bethe_state, enumerate_roots, solve_theta
+from .bethe import BetheEngine, BetheRoot, BetheState, bethe_state, enumerate_roots, solve_theta
 from .chain import (
     ChainConfig,
     SpectralDecomposition,
@@ -31,12 +32,9 @@ from .fullspace import full_space_oracle
 from .horizon import (
     HorizonSpec,
     PairClassification,
-    SiteSeries,
-    amplitudes_b,
     classify_pairs,
     rho_a_predictive,
     rho_a_site,
-    site_series,
     two_level_entropy_bits,
 )
 from .predictive import (

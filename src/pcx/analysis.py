@@ -1,23 +1,27 @@
-"""Spacetime grids, equilibrium statistics and collision-peak ratios."""
+"""Observables of the two-flip dynamics: site series, spacetime grids,
+equilibrium statistics and collision-peak ratios."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainConfig, pair_index
+from .chain import ChainConfig, focus_indices, pair_index
 from .errors import ConfigError, PeakNotFoundError, StatsError
-from .horizon import (
-    HorizonSpec,
-    SiteSeries,
-    classify_pairs,
-    time_grid,
-    two_level_entropy_bits,
-)
+from .horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
 
 MIN_WINDOW_SAMPLES = 100
+
+
+@dataclass(frozen=True)
+class SiteSeries:
+    """Entropy and complexity of one site sampled on a uniform time grid."""
+
+    j: int
+    times: np.ndarray
+    entropy: np.ndarray
+    complexity: dict  # r_h -> array of bits
 
 
 @dataclass(frozen=True)
@@ -33,9 +37,6 @@ class SpacetimeGrid:
     def label(self) -> str:
         return self.kind if self.r_h is None else f"{self.kind}_rh{self.r_h}"
 
-    def site_row(self, j: int) -> np.ndarray:
-        return self.values[j - 1]
-
 
 @dataclass(frozen=True)
 class EquilibriumStats:
@@ -47,60 +48,66 @@ class EquilibriumStats:
     window: tuple[float, float]
 
 
-def spacetime_scan(cfg: ChainConfig, flips: tuple[int, int], r_h_list,
-                   dt: float, t_max: float, engine, threads: int = 1) -> list[SpacetimeGrid]:
-    """One entropy grid plus one complexity grid per horizon radius.
+def time_grid(dt: float, t_max: float) -> np.ndarray:
+    """The grid {0, dt, ..., t_max}; dt must divide t_max."""
+    if not (np.isfinite(dt) and np.isfinite(t_max) and dt > 0 and t_max > 0):
+        raise ConfigError(f"dt and tmax must be finite and positive, got dt={dt} tmax={t_max}")
+    n_steps = t_max / dt
+    if not np.isfinite(n_steps) or abs(round(n_steps) * dt - t_max) > 1e-9 * t_max:
+        raise ConfigError(f"dt={dt} does not divide tmax={t_max}")
+    return np.arange(int(round(n_steps)) + 1) * dt
 
-    Every (site, time) cell is computed independently with a fixed
-    reduction order, so results are bit-identical for any thread count.
+
+def _observables(cfg: ChainConfig, engine, flips: tuple[int, int], sites, r_h_list,
+                 times: np.ndarray) -> tuple[np.ndarray, dict]:
+    """S and C(r_h) in bits, arrays of shape (len(sites), len(times)).
+
+    Each time step takes one engine.pair_amplitudes call.  S comes from
+    p_down, the probability that the site is flipped; C adds
+    |<down|rho'_A|up>| = sqrt(m_out * m_focus) from the same probabilities,
+    so no phase is evaluated.  Sums run in a fixed order per site, so a
+    site's values do not depend on which other sites share the call.
     """
-    if cfg.dim > 4000:
-        raise ConfigError(f"sector dimension {cfg.dim} exceeds the dense-eigensolver budget")
+    if engine.cfg != cfg:
+        raise ConfigError(f"engine was built for {engine.cfg}, not {cfg}")
+    n1, n2 = sorted(flips)
+    pair_index(n1, n2, cfg.N)  # validates the flip pair
+    focus = np.stack([focus_indices(j, cfg.N) for j in sites])
+    gathers = {}
+    for r in r_h_list:
+        classes = [classify_pairs(HorizonSpec(j=j, r_h=r, N=cfg.N)) for j in sites]
+        gathers[r] = (np.stack([c.type_i for c in classes]),
+                      np.stack([c.focus_out for c in classes]))
+    p_down = np.empty((len(sites), len(times)))
+    offdiag = {r: np.empty_like(p_down) for r in gathers}
+    for k, t in enumerate(times):
+        prob = np.abs(engine.pair_amplitudes(n1, n2, float(t))) ** 2
+        p_down[:, k] = prob[focus].sum(axis=1)
+        for r, (type_i, focus_out) in gathers.items():
+            offdiag[r][:, k] = np.sqrt(prob[type_i].sum(axis=1) * prob[focus_out].sum(axis=1))
+    entropy = two_level_entropy_bits(p_down)
+    return entropy, {r: two_level_entropy_bits(p_down, m) for r, m in offdiag.items()}
+
+
+def site_series(cfg: ChainConfig, flips: tuple[int, int], j: int, r_h_list,
+                dt: float, t_max: float, engine) -> SiteSeries:
+    """S and C(r_h) for one site over {0, dt, ..., t_max}; equals row j of the scan."""
+    times = time_grid(dt, t_max)
+    entropy, complexity = _observables(cfg, engine, flips, (j,), r_h_list, times)
+    return SiteSeries(j=j, times=times, entropy=entropy[0],
+                      complexity={r: c[0] for r, c in complexity.items()})
+
+
+def spacetime_scan(cfg: ChainConfig, flips: tuple[int, int], r_h_list,
+                   dt: float, t_max: float, engine) -> list[SpacetimeGrid]:
+    """One entropy grid plus one complexity grid per horizon radius."""
     r_h_list = tuple(r_h_list)
     times = time_grid(dt, t_max)
-    N = cfg.N
-    n1, n2 = min(flips), max(flips)
-    pair_index(n1, n2, N)  # validates the flip pair
-    focus_idx = {
-        j: np.array([pair_index(min(j, n), max(j, n), N) for n in range(1, N + 1) if n != j])
-        for j in range(1, N + 1)
-    }
-    classifications = {
-        (j, r): classify_pairs(HorizonSpec(j=j, r_h=r, N=N))
-        for j in range(1, N + 1) for r in r_h_list
-    }
-    s_values = np.empty((N, len(times)))
-    c_values = {r: np.empty((N, len(times))) for r in r_h_list}
-
-    def fill(k: int):
-        b = engine.pair_amplitudes(n1, n2, float(times[k]))
-        prob = np.abs(b) ** 2
-        for j in range(1, N + 1):
-            p_down = float(prob[focus_idx[j]].sum())
-            s_values[j - 1, k] = two_level_entropy_bits(p_down)
-            for r in r_h_list:
-                cls = classifications[(j, r)]
-                mag = np.sqrt(prob[cls.type_i].sum() * prob[cls.focus_out].sum())
-                c_values[r][j - 1, k] = two_level_entropy_bits(p_down, mag)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(times))))
-    else:
-        for k in range(len(times)):
-            fill(k)
-
-    grids = [SpacetimeGrid(kind="S", r_h=None, times=times, values=s_values)]
+    entropy, complexity = _observables(cfg, engine, flips, range(1, cfg.N + 1), r_h_list, times)
+    grids = [SpacetimeGrid(kind="S", r_h=None, times=times, values=entropy)]
     for r in r_h_list:
-        grids.append(SpacetimeGrid(kind="C", r_h=r, times=times, values=c_values[r]))
+        grids.append(SpacetimeGrid(kind="C", r_h=r, times=times, values=complexity[r]))
     return grids
-
-
-def series_from_scan(grids: list[SpacetimeGrid], j: int) -> SiteSeries:
-    """Site row view of a scan, matching site_series output exactly."""
-    s_grid = next(g for g in grids if g.kind == "S")
-    complexity = {g.r_h: g.site_row(j) for g in grids if g.kind == "C"}
-    return SiteSeries(j=j, times=s_grid.times, entropy=s_grid.site_row(j), complexity=complexity)
 
 
 def equilibrium_stats(times: np.ndarray, values: np.ndarray,

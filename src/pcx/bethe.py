@@ -26,7 +26,7 @@ from math import comb, pi
 
 import numpy as np
 
-from .chain import ChainConfig, all_pairs, pair_index
+from .chain import ChainConfig, all_pairs, check_sector_size, pair_index
 from .errors import DegenerateRootError, SolverError
 
 NEWTON_TOL = 1e-12
@@ -290,6 +290,7 @@ class BetheEngine:
     name = "bethe"
 
     def __init__(self, cfg: ChainConfig, validate: bool = True):
+        check_sector_size(cfg)
         self.cfg = cfg
         self.roots = enumerate_roots(cfg)
         self.states = [bethe_state(r, cfg) for r in self.roots]
@@ -346,7 +347,3 @@ class BetheEngine:
         psi0[pair_index(n1, n2, self.cfg.N)] = 1.0
         return self.evolve(psi0, t)
 
-
-def bethe_evolve(n1: int, n2: int, t: float, engine: BetheEngine) -> np.ndarray:
-    """Evolution of |n1,n2> expanded over the Bethe basis."""
-    return engine.pair_amplitudes(n1, n2, t)

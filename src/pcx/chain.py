@@ -9,7 +9,7 @@ evolution phases never involve the extensive baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -29,8 +29,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.N < 4:
             raise ConfigError(f"chain needs at least 4 sites, got N={self.N}")
-        if self.J == 0:
-            raise ConfigError("coupling J must be nonzero")
+        if not isfinite(self.J) or self.J == 0:
+            raise ConfigError(f"coupling J must be finite and nonzero, got J={self.J}")
 
     @property
     def dim(self) -> int:
@@ -43,6 +43,20 @@ class ChainConfig:
         return -self.J * self.N / 4.0
 
 
+# Largest two-flip sector the dense engines build; each holds several
+# dim x dim matrices, 128 MB apiece in float64 at this size.
+MAX_SECTOR_DIM = 4000
+
+
+def check_sector_size(cfg: ChainConfig):
+    """Refuse a sector too large for the dense engines, before anything is built."""
+    if cfg.dim > MAX_SECTOR_DIM:
+        raise ConfigError(
+            f"sector dimension {cfg.dim} (N={cfg.N}) exceeds the dense-eigensolver budget "
+            f"of {MAX_SECTOR_DIM}"
+        )
+
+
 def circular_distance(a: int, b: int, N: int) -> int:
     d = abs(a - b) % N
     return min(d, N - d)
@@ -53,6 +67,11 @@ def pair_index(n1: int, n2: int, N: int) -> int:
     if not (1 <= n1 < n2 <= N):
         raise ConfigError(f"invalid pair ({n1}, {n2}) for N={N}: need 1 <= n1 < n2 <= N")
     return (n1 - 1) * N - n1 * (n1 - 1) // 2 + (n2 - n1 - 1)
+
+
+def focus_indices(j: int, N: int) -> np.ndarray:
+    """Flat indices of the N-1 pairs that contain site j, ordered by the other site."""
+    return np.array([pair_index(min(j, n), max(j, n), N) for n in range(1, N + 1) if n != j])
 
 
 def pair_unindex(flat: int, N: int) -> tuple[int, int]:
@@ -178,6 +197,7 @@ class SpectralEngine:
     name = "spectral"
 
     def __init__(self, cfg: ChainConfig):
+        check_sector_size(cfg)
         self.cfg = cfg
         self.hamiltonian = sector_hamiltonian(cfg)
         self.spectral = SpectralDecomposition.from_hamiltonian(self.hamiltonian)

@@ -13,17 +13,16 @@ failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, io
+from .analysis import site_series
 from .bethe import BetheEngine, dispersion
 from .chain import ChainConfig, SpectralEngine
 from .errors import ConfigError, PeakNotFoundError, SolverError, StatsError
-from .horizon import site_series
 from .predictive import worked_qubit_qutrit_example
 
 PEAK_HINT = 9.0
@@ -54,24 +53,6 @@ def _parse_float_pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _check_threads(threads: int, source: str) -> int:
-    if threads < 1:
-        raise ConfigError(f"{source} must be an integer >= 1, got {threads}")
-    return threads
-
-
-def _default_threads() -> int:
-    """Thread count from PCX_THREADS; 1 when it is unset or empty."""
-    env = os.environ.get("PCX_THREADS", "")
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        raise ConfigError(f"PCX_THREADS must be an integer >= 1, got {env!r}") from None
-    return _check_threads(threads, "PCX_THREADS")
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--sites", type=int, default=32, metavar="N", help="number of chain sites")
     p.add_argument("--coupling", type=float, default=1.0, metavar="J", help="exchange coupling")
@@ -85,8 +66,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--eq-window", type=_parse_float_pair, default=None, metavar="t0,t1",
                    help="equilibrium window (default: second half of the run)")
     p.add_argument("--out", default=".", metavar="DIR", help="output directory")
-    p.add_argument("--threads", type=int, default=None, metavar="k",
-                   help="worker threads for scan, an integer >= 1 (default: PCX_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,8 +107,7 @@ def _validate_run(args, cfg: ChainConfig):
     for r in args.horizon:
         if r < 1 or 2 * r + 1 >= cfg.N:
             raise ConfigError(f"horizon radius {r} degenerate for N={cfg.N}")
-    if args.dt <= 0 or args.tmax <= 0:
-        raise ConfigError("dt and tmax must be positive")
+    analysis.time_grid(args.dt, args.tmax)
     if args.eq_window is not None:
         t0, t1 = args.eq_window
         if not (0.0 <= t0 <= t1 <= args.tmax):
@@ -152,8 +130,6 @@ def _run_header(args, cfg: ChainConfig) -> list[str]:
 
 def cmd_spectrum(args) -> int:
     cfg = _chain_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spectral = SpectralEngine(cfg)
     footer = []
     if args.engine == "bethe":
@@ -173,6 +149,8 @@ def cmd_spectrum(args) -> int:
         footer.append("class_counts=" + " ".join(f"{k}:{v}" for k, v in sorted(counts.items())))
     else:
         rows = [(i, e, "", "") for i, e in enumerate(np.sort(spectral.spectral.eigenvalues))]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     io.write_csv(
         out / "spectrum.csv",
         ("index", "energy", "class", "dispersion_residual"),
@@ -217,9 +195,9 @@ def cmd_series(args) -> int:
         raise ConfigError("series needs --site")
     if not (1 <= args.site <= cfg.N):
         raise ConfigError(f"site {args.site} outside chain of {cfg.N} sites")
+    engine = _make_engine(cfg, args.engine)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    engine = _make_engine(cfg, args.engine)
     series = site_series(cfg, args.flips, args.site, args.horizon, args.dt, args.tmax, engine)
     radii = sorted(series.complexity)
     columns = ["t", "S_bits"] + [f"C_bits_rh{r}" for r in radii]
@@ -238,13 +216,10 @@ def cmd_series(args) -> int:
 def cmd_scan(args) -> int:
     cfg = _chain_config(args)
     _validate_run(args, cfg)
-    threads = (_default_threads() if args.threads is None
-               else _check_threads(args.threads, "--threads"))
+    engine = _make_engine(cfg, args.engine)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    engine = _make_engine(cfg, args.engine)
-    grids = analysis.spacetime_scan(cfg, args.flips, args.horizon, args.dt, args.tmax,
-                                    engine, threads=threads)
+    grids = analysis.spacetime_scan(cfg, args.flips, args.horizon, args.dt, args.tmax, engine)
 
     def rows():
         for grid in grids:

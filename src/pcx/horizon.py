@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .chain import ChainConfig, all_pairs, circular_distance, pair_index
+from .chain import all_pairs, circular_distance, focus_indices
 from .errors import ConfigError
 from .predictive import (
     DEGENERATE_PHASE_TOL,
@@ -157,18 +157,9 @@ def classify_pairs(spec: HorizonSpec) -> PairClassification:
     return cls
 
 
-def amplitudes_b(n1p: int, n2p: int, t: float, engine) -> np.ndarray:
-    """Pair-basis amplitudes of the state evolved from flips (n1p, n2p)."""
-    if engine.dim != engine.cfg.dim:
-        raise ValueError("engine dimension is inconsistent with its configuration")
-    pair_index(n1p, n2p, engine.cfg.N)  # validates the pair
-    return engine.pair_amplitudes(n1p, n2p, t)
-
-
 def focus_probability(b: np.ndarray, j: int, N: int) -> float:
     """Probability that the focal site is flipped: sum over pairs containing j."""
-    idx = [pair_index(min(j, n), max(j, n), N) for n in range(1, N + 1) if n != j]
-    return float(np.sum(np.abs(b[idx]) ** 2))
+    return float(np.sum(np.abs(b[focus_indices(j, N)]) ** 2))
 
 
 def rho_a_site(b: np.ndarray, j: int, N: int) -> np.ndarray:
@@ -206,51 +197,17 @@ def rho_a_predictive(b: np.ndarray, spec: HorizonSpec, cls: PairClassification) 
     return rho
 
 
-def two_level_entropy_bits(p_down: float, offdiag_abs: float = 0.0) -> float:
-    """Entropy of a 2x2 density matrix from its diagonal and |off-diagonal|."""
-    half_gap = np.sqrt(0.25 * (2.0 * p_down - 1.0) ** 2 + offdiag_abs**2)
-    lams = np.clip(np.array([0.5 + half_gap, 0.5 - half_gap]), 0.0, 1.0)
-    positive = lams[lams > 0]
-    return float(-(positive * np.log2(positive)).sum()) + 0.0
+def two_level_entropy_bits(p_down, offdiag_abs=0.0):
+    """Entropy of a 2x2 density matrix from its diagonal and |off-diagonal|.
 
-
-@dataclass(frozen=True)
-class SiteSeries:
-    """Entropy and complexity of one site sampled on a uniform time grid."""
-
-    j: int
-    times: np.ndarray
-    entropy: np.ndarray
-    complexity: dict  # r_h -> array of bits
-
-
-def time_grid(dt: float, t_max: float) -> np.ndarray:
-    if dt <= 0 or t_max <= 0:
-        raise ConfigError("dt and t_max must be positive")
-    n_steps = int(round(t_max / dt))
-    return np.arange(n_steps + 1) * dt
-
-
-def site_series(cfg: ChainConfig, flips: tuple[int, int], j: int, r_h_list,
-                dt: float, t_max: float, engine) -> SiteSeries:
-    """S and C(r_h) for one site over {0, dt, ..., t_max}.
-
-    Uses the magnitude-only off-diagonal, so no phases are evaluated.
+    Takes scalars or arrays of matching shape; a scalar call returns a float.
     """
-    times = time_grid(dt, t_max)
-    classifications = {r: classify_pairs(HorizonSpec(j=j, r_h=r, N=cfg.N)) for r in r_h_list}
-    focus_idx = [pair_index(min(j, n), max(j, n), cfg.N) for n in range(1, cfg.N + 1) if n != j]
-    s_bits = np.empty(len(times))
-    c_bits = {r: np.empty(len(times)) for r in r_h_list}
-    for k, t in enumerate(times):
-        b = amplitudes_b(flips[0], flips[1], float(t), engine)
-        prob = np.abs(b) ** 2
-        p_down = float(prob[focus_idx].sum())
-        s_bits[k] = two_level_entropy_bits(p_down)
-        for r, cls in classifications.items():
-            mag = np.sqrt(prob[cls.type_i].sum() * prob[cls.focus_out].sum())
-            c_bits[r][k] = two_level_entropy_bits(p_down, mag)
-    return SiteSeries(j=j, times=times, entropy=s_bits, complexity=c_bits)
+    half_gap = np.sqrt(0.25 * (2.0 * np.asarray(p_down, dtype=float) - 1.0) ** 2
+                       + np.asarray(offdiag_abs, dtype=float) ** 2)
+    lams = np.clip(np.stack([0.5 + half_gap, 0.5 - half_gap]), 0.0, 1.0)
+    positive = lams > 0
+    terms = np.where(positive, lams * np.log2(np.where(positive, lams, 1.0)), 0.0)
+    return -(terms[0] + terms[1]) + 0.0
 
 
 def exterior_state_and_partition(b: np.ndarray, spec: HorizonSpec):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pcx.analysis import spacetime_scan
+import pcx
+from pcx.analysis import site_series, spacetime_scan
 from pcx.chain import ChainConfig, SpectralEngine
-from pcx.horizon import site_series
 
 RECIPE_FLIPS = (10, 25)
 RECIPE_SITE = 17
@@ -51,3 +56,22 @@ def recipe_scan(cfg32, engine32):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture(scope="session")
+def run_cli():
+    """Runs ``python -m pcx`` in a child process on the source tree under test.
+
+    The directory holding the imported pcx package goes first on the
+    child's PYTHONPATH, so the child runs the same code as this process
+    and never another install.
+    """
+    pcx_root = str(Path(pcx.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pcx_root, env.get("PYTHONPATH")) if p)
+
+    def run(args):
+        return subprocess.run([sys.executable, "-m", "pcx", *args],
+                              capture_output=True, text=True, env=env)
+
+    return run

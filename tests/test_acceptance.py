@@ -20,7 +20,6 @@ from pcx.cli import main
 from pcx.fullspace import full_space_oracle
 from pcx.horizon import (
     HorizonSpec,
-    amplitudes_b,
     classify_pairs,
     exterior_state_and_partition,
     rho_a_predictive,
@@ -140,7 +139,7 @@ def test_criterion_7_bethe_backend_parity(cfg32, engine32, bethe_engine32):
 
 
 def test_criterion_8_structural_invariants(cfg32, engine32):
-    b = amplitudes_b(10, 25, 9.0, engine32)
+    b = engine32.pair_amplitudes(10, 25, 9.0)
     plain = rho_a_site(b, 17, 32)
     off_plain = abs(plain[0, 1])
     spec = HorizonSpec(j=17, r_h=2, N=32)
@@ -198,15 +197,18 @@ def test_criterion_9_worked_example_regression():
            ok)
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, run_cli):
     args = ["scan", "--sites", "12", "--flips", "3,7", "--horizon", "1,2",
             "--dt", "0.5", "--tmax", "12"]
     payloads = []
-    for name, threads in (("r1", "1"), ("r2", "4"), ("r3", "1")):
+    for name in ("r1", "r2", "r3"):
         out = tmp_path / name
-        assert main(args + ["--out", str(out), "--threads", threads]) == 0
+        if name == "r2":  # a fresh interpreter
+            assert run_cli(args + ["--out", str(out)]).returncode == 0
+        else:
+            assert main(args + ["--out", str(out)]) == 0
         payloads.append((out / "scan.csv").read_bytes())
     identical = payloads[0] == payloads[1] == payloads[2]
     report("AC-10 determinism",
-           f"scan.csv byte-identical across threads 1/4 and reruns: {identical}",
+           f"scan.csv byte-identical across reruns in this and a fresh process: {identical}",
            identical)

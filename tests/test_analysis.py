@@ -5,12 +5,12 @@ from pcx.analysis import (
     equilibrium_stats,
     nearest_peak,
     peak_ratio,
-    series_from_scan,
+    site_series,
     spacetime_scan,
 )
+from pcx.bethe import BetheEngine
 from pcx.chain import ChainConfig, SpectralEngine
-from pcx.errors import PeakNotFoundError, StatsError
-from pcx.horizon import site_series
+from pcx.errors import ConfigError, PeakNotFoundError, StatsError
 
 
 @pytest.fixture(scope="module")
@@ -38,18 +38,15 @@ class TestSpacetimeScan:
             assert np.array_equal(grid.values[:, 0], np.zeros(10))
 
     def test_row_matches_site_series(self, small_scan):
+        """One-site calls reproduce the all-site scan bit for bit."""
         cfg, engine, grids = small_scan
-        direct = site_series(cfg, (2, 7), 4, (1, 2), 0.5, 20.0, engine)
-        via_scan = series_from_scan(grids, 4)
-        assert np.array_equal(direct.entropy, via_scan.entropy)
-        for r in (1, 2):
-            assert np.array_equal(direct.complexity[r], via_scan.complexity[r])
-
-    def test_thread_count_invariance(self, small_scan):
-        cfg, engine, grids = small_scan
-        threaded = spacetime_scan(cfg, (2, 7), (1, 2), 0.5, 20.0, engine, threads=4)
-        for a, b in zip(grids, threaded):
-            assert np.array_equal(a.values, b.values)
+        s_grid, c1_grid, c2_grid = grids
+        for j in range(1, cfg.N + 1):
+            direct = site_series(cfg, (2, 7), j, (1, 2), 0.5, 20.0, engine)
+            assert np.array_equal(direct.times, s_grid.times)
+            assert np.array_equal(direct.entropy, s_grid.values[j - 1])
+            assert np.array_equal(direct.complexity[1], c1_grid.values[j - 1])
+            assert np.array_equal(direct.complexity[2], c2_grid.values[j - 1])
 
     def test_repeat_run_bit_identical(self, small_scan):
         cfg, engine, grids = small_scan
@@ -58,10 +55,22 @@ class TestSpacetimeScan:
             assert np.array_equal(a.values, b.values)
 
     def test_resource_guard(self):
-        from pcx.errors import ConfigError
+        """A sector too large for the dense engines is refused before it is built."""
+        for engine_cls in (SpectralEngine, BetheEngine):
+            with pytest.raises(ConfigError, match="budget"):
+                engine_cls(ChainConfig(N=95))
 
-        with pytest.raises(ConfigError, match="budget"):
-            spacetime_scan(ChainConfig(N=95), (1, 40), (1,), 0.5, 10.0, engine=None)
+    @pytest.mark.parametrize("dt,t_max", [(np.inf, 10.0), (np.nan, 10.0), (0.5, np.inf),
+                                          (0.4, 1.0), (0.0, 10.0)])
+    def test_bad_time_grid_rejected(self, small_scan, dt, t_max):
+        cfg, engine, _ = small_scan
+        with pytest.raises(ConfigError, match="dt"):
+            spacetime_scan(cfg, (2, 7), (1,), dt, t_max, engine)
+
+    def test_engine_for_another_chain_rejected(self, small_scan, engine8):
+        cfg, _, _ = small_scan
+        with pytest.raises(ConfigError, match="engine"):
+            spacetime_scan(cfg, (2, 7), (1,), 0.5, 2.0, engine8)
 
     def test_beams_emanate_from_flips(self, recipe_scan):
         """Entropy lights up first near the flipped sites."""

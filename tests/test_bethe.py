@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pcx.bethe import (
-    bethe_evolve,
     bethe_state,
     dispersion,
     enumerate_roots,
@@ -177,12 +176,12 @@ class TestCompleteness:
 
 class TestBetheEvolve:
     def test_t0_resolution_of_identity(self, cfg32, bethe_engine32):
-        psi = bethe_evolve(10, 25, 0.0, bethe_engine32)
+        psi = bethe_engine32.pair_amplitudes(10, 25, 0.0)
         assert np.allclose(psi, basis_state(cfg32, 10, 25), atol=1e-10)
 
     def test_matches_spectral_at_reference_point(self, engine32, bethe_engine32):
         u = engine32.pair_amplitudes(10, 25, 9.0)
-        v = bethe_evolve(10, 25, 9.0, bethe_engine32)
+        v = bethe_engine32.pair_amplitudes(10, 25, 9.0)
         assert np.linalg.norm(u - v) < 1e-6
 
     def test_backend_equivalence_random(self, engine32, bethe_engine32, rng):

@@ -65,6 +65,11 @@ class TestChainConfig:
         with pytest.raises(ConfigError):
             ChainConfig(N=8, J=0.0)
 
+    @pytest.mark.parametrize("J", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coupling_rejected(self, J):
+        with pytest.raises(ConfigError, match="finite"):
+            ChainConfig(N=8, J=J)
+
 
 class TestSectorHamiltonian:
     def test_real_symmetric(self):

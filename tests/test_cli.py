@@ -1,36 +1,9 @@
-import inspect
-import os
-import subprocess
-import sys
 from math import comb
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import pcx
-from pcx import cli
 from pcx.cli import main
-
-# Directory that holds the imported pcx package (src/ in a checkout).
-PCX_ROOT = Path(pcx.__file__).resolve().parent.parent
-
-
-def run_cli(args, env=None):
-    """Run ``python -m pcx`` in a child process on the source tree under test.
-
-    ``env`` is laid over the current environment, and the directory holding
-    the imported pcx package goes first on the child's PYTHONPATH, so the
-    child runs the same code as this process and never another install.
-    """
-    child_env = {**os.environ, **(env or {})}
-    child_env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PCX_ROOT), child_env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, "-m", "pcx", *args],
-        capture_output=True, text=True, env=child_env,
-    )
 
 
 def read_csv(path):
@@ -182,12 +155,11 @@ SMALL_SCAN = ["scan", "--sites", "10", "--flips", "2,6", "--horizon", "1",
 
 
 class TestDeterminism:
-    def test_byte_identical_across_threads_and_runs(self, tmp_path):
-        args = SMALL_SCAN
+    def test_byte_identical_across_runs(self, tmp_path):
         outs = []
-        for name, threads in (("a", "1"), ("b", "4"), ("c", "1")):
+        for name in ("a", "b", "c"):
             out = tmp_path / name
-            assert main(args + ["--out", str(out), "--threads", threads]) == 0
+            assert main(SMALL_SCAN + ["--out", str(out)]) == 0
             outs.append(out)
         ref_csv = (outs[0] / "scan.csv").read_bytes()
         ref_pgm = (outs[0] / "scan_S.pgm").read_bytes()
@@ -195,50 +167,31 @@ class TestDeterminism:
             assert (out / "scan.csv").read_bytes() == ref_csv
             assert (out / "scan_S.pgm").read_bytes() == ref_pgm
 
-    def test_env_var_thread_fallback(self, tmp_path, monkeypatch):
-        args = SMALL_SCAN
-        env_out, ref_out = tmp_path / "env", tmp_path / "ref"
-        result = run_cli(args + ["--out", str(env_out)], env={"PCX_THREADS": "3"})
-        assert result.returncode == 0, result.stderr
-        assert main(args + ["--out", str(ref_out), "--threads", "1"]) == 0
-        for name in ("scan.csv", "scan_S.pgm"):
-            assert (env_out / name).read_bytes() == (ref_out / name).read_bytes()
 
-        real_scan = cli.analysis.spacetime_scan
-        seen = []
+class TestConfigErrors:
+    """Bad run inputs exit 2 with one error line and write nothing."""
 
-        def recording_scan(*a, **kw):
-            bound = inspect.signature(real_scan).bind(*a, **kw)
-            bound.apply_defaults()
-            seen.append(bound.arguments["threads"])
-            return real_scan(*a, **kw)
-
-        monkeypatch.setattr(cli.analysis, "spacetime_scan", recording_scan)
-        monkeypatch.setenv("PCX_THREADS", "3")
-        assert main(args + ["--out", str(tmp_path / "env_in")]) == 0
-        assert main(args + ["--out", str(tmp_path / "flag"), "--threads", "1"]) == 0
-        assert seen == [3, 1]
-
-
-class TestThreadValidation:
     def assert_config_error(self, capsys, out):
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "threads" in err.lower()
+        assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_bad_threads_flag_exit_2(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.delenv("PCX_THREADS", raising=False)
+    @pytest.mark.parametrize("bad", [
+        ["--coupling", "nan"],
+        ["--dt", "inf"],
+        ["--dt", "nan"],
+        ["--dt", "0.4", "--tmax", "1.0"],
+    ], ids=["coupling-nan", "dt-inf", "dt-nan", "dt-not-dividing-tmax"])
+    def test_bad_run_input_exit_2(self, tmp_path, capsys, bad):
         out = tmp_path / "out"
-        assert main(SMALL_SCAN + ["--out", str(out), "--threads", value]) == 2
+        assert main(["series", "--sites", "12", "--flips", "3,7", "--site", "5",
+                     "--horizon", "1", "--out", str(out), *bad]) == 2
         self.assert_config_error(capsys, out)
 
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
-    def test_bad_threads_env_exit_2(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("PCX_THREADS", value)
+    def test_sector_too_large_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(SMALL_SCAN + ["--out", str(out)]) == 2
+        assert main(["spectrum", "--sites", "95", "--out", str(out)]) == 2
         self.assert_config_error(capsys, out)
 
 
@@ -265,12 +218,12 @@ class TestExampleCommand:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    def test_module_invocation(self, run_cli):
         result = run_cli(["example"])
         assert result.returncode == 0
         assert "predictive complexity" in result.stdout
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, run_cli):
         result = run_cli(["series", "--sites", "not-a-number"])
         assert result.returncode == 2
 

@@ -2,18 +2,19 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pcx.analysis import site_series
 from pcx.chain import ChainConfig, SpectralEngine, pair_index, pair_permutation
 from pcx.errors import ConfigError
 from pcx.horizon import (
     HorizonSpec,
-    amplitudes_b,
     classify_pairs,
     exterior_state_and_partition,
     predictive_offdiag,
     rho_a_predictive,
     rho_a_site,
-    site_series,
     two_level_entropy_bits,
 )
 from pcx.predictive import (
@@ -97,44 +98,44 @@ class TestClassifyPairs:
 
 class TestAmplitudes:
     def test_t0_is_point_mass(self, engine8):
-        b = amplitudes_b(2, 5, 0.0, engine8)
+        b = engine8.pair_amplitudes(2, 5, 0.0)
         expected = np.zeros(engine8.dim, dtype=complex)
         expected[pair_index(2, 5, 8)] = 1.0
         assert np.array_equal(b, expected)
 
     def test_normalized(self, engine32):
-        b = amplitudes_b(10, 25, 7.7, engine32)
+        b = engine32.pair_amplitudes(10, 25, 7.7)
         assert abs(np.sum(np.abs(b) ** 2) - 1.0) < 1e-10
 
     def test_reflection_symmetry(self, engine32):
         """Flips (10, 25) are symmetric under the reflection fixing their midpoint."""
         N = 32
         reflect = pair_permutation(N, lambda s: (35 - s - 1) % N + 1)
-        b = amplitudes_b(10, 25, 6.0, engine32)
+        b = engine32.pair_amplitudes(10, 25, 6.0)
         assert np.max(np.abs(b[reflect] - b)) < 1e-10
 
     def test_matches_full_space_oracle(self, engine8):
         from pcx.fullspace import full_space_oracle
 
-        b = amplitudes_b(1, 4, 2.0, engine8)
+        b = engine8.pair_amplitudes(1, 4, 2.0)
         oracle = full_space_oracle(engine8.cfg, 1, 4, 2.0)
         assert np.max(np.abs(b - oracle)) < 1e-10
 
 
 class TestRhoSite:
     def test_t0_unflipped_site(self, engine8):
-        b = amplitudes_b(2, 5, 0.0, engine8)
+        b = engine8.pair_amplitudes(2, 5, 0.0)
         rho = rho_a_site(b, 7, 8)
         assert np.allclose(rho, np.diag([0.0, 1.0]), atol=1e-14)
         assert two_level_entropy_bits(rho[0, 0].real) == 0.0
 
     def test_t0_flipped_site(self, engine8):
-        b = amplitudes_b(2, 5, 0.0, engine8)
+        b = engine8.pair_amplitudes(2, 5, 0.0)
         rho = rho_a_site(b, 2, 8)
         assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_trace_one_generic_time(self, engine32):
-        b = amplitudes_b(10, 25, 13.4, engine32)
+        b = engine32.pair_amplitudes(10, 25, 13.4)
         rho = rho_a_site(b, 17, 32)
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0
@@ -144,7 +145,7 @@ class TestRhoPredictive:
     def test_diagonal_matches_site(self, engine32):
         spec = HorizonSpec(j=17, r_h=2, N=32)
         cls = classify_pairs(spec)
-        b = amplitudes_b(10, 25, 9.0, engine32)
+        b = engine32.pair_amplitudes(10, 25, 9.0)
         plain = rho_a_site(b, 17, 32)
         primed = rho_a_predictive(b, spec, cls)
         assert primed[0, 0] == plain[0, 0]
@@ -153,7 +154,7 @@ class TestRhoPredictive:
     def test_t0_far_site_product_state(self, engine32):
         spec = HorizonSpec(j=17, r_h=1, N=32)
         cls = classify_pairs(spec)
-        b = amplitudes_b(10, 25, 0.0, engine32)
+        b = engine32.pair_amplitudes(10, 25, 0.0)
         rho = rho_a_predictive(b, spec, cls)
         assert rho[0, 1] == 0.0
         assert von_neumann_entropy(rho) == 0.0
@@ -161,7 +162,7 @@ class TestRhoPredictive:
     def test_offdiagonal_nonzero_at_collision(self, engine32):
         spec = HorizonSpec(j=17, r_h=1, N=32)
         cls = classify_pairs(spec)
-        b = amplitudes_b(10, 25, 9.0, engine32)
+        b = engine32.pair_amplitudes(10, 25, 9.0)
         assert abs(rho_a_predictive(b, spec, cls)[0, 1]) > 1e-3
 
     @pytest.mark.parametrize("N", [6, 8])
@@ -175,7 +176,7 @@ class TestRhoPredictive:
                 spec = HorizonSpec(j=j, r_h=r_h, N=N)
                 cls = classify_pairs(spec)
                 for t in (0.0, 0.5, 2.0, 5.0):
-                    b = amplitudes_b(1, 3, t, engine)
+                    b = engine.pair_amplitudes(1, 3, t)
                     fast = rho_a_predictive(b, spec, cls)
                     state, part = exterior_state_and_partition(b, spec)
                     oracle = predictive_reduced_density(state, part)
@@ -191,7 +192,7 @@ class TestRhoPredictive:
         """Spot check at N=32, site 17, the collision time."""
         spec = HorizonSpec(j=17, r_h=2, N=32)
         cls = classify_pairs(spec)
-        b = amplitudes_b(10, 25, 9.0, engine32)
+        b = engine32.pair_amplitudes(10, 25, 9.0)
         fast = rho_a_predictive(b, spec, cls)
         state, part = exterior_state_and_partition(b, spec)
         oracle = predictive_reduced_density(state, part)
@@ -204,7 +205,7 @@ class TestRhoPredictive:
         engine = SpectralEngine(cfg)
         spec = HorizonSpec(j=2, r_h=2, N=6)
         cls = classify_pairs(spec)
-        b = amplitudes_b(1, 3, 1.7, engine)
+        b = engine.pair_amplitudes(1, 3, 1.7)
         fast = rho_a_predictive(b, spec, cls)
         state, part = exterior_state_and_partition(b, spec)
         oracle = predictive_reduced_density(state, part)
@@ -214,7 +215,7 @@ class TestRhoPredictive:
         """|off-diagonal| alone fixes the complexity."""
         spec = HorizonSpec(j=17, r_h=2, N=32)
         cls = classify_pairs(spec)
-        b = amplitudes_b(10, 25, 9.0, engine32)
+        b = engine32.pair_amplitudes(10, 25, 9.0)
         rho = rho_a_predictive(b, spec, cls)
         with_phase = von_neumann_entropy(rho)
         p_down = rho[0, 0].real
@@ -225,7 +226,7 @@ class TestRhoPredictive:
         spec_a = HorizonSpec(j=17, r_h=2, N=32)
         spec_b = HorizonSpec(j=18, r_h=2, N=32)
         cls = classify_pairs(spec_a)
-        b = amplitudes_b(10, 25, 1.0, engine32)
+        b = engine32.pair_amplitudes(10, 25, 1.0)
         with pytest.raises(ValueError):
             rho_a_predictive(b, spec_b, cls)
 
@@ -263,7 +264,7 @@ class TestSiteSeries:
         cls = classify_pairs(spec)
         series = site_series(cfg32, (10, 25), 17, (1,), 0.5, 3.0, engine32)
         for k, t in enumerate(series.times):
-            b = amplitudes_b(10, 25, float(t), engine32)
+            b = engine32.pair_amplitudes(10, 25, float(t))
             rho = rho_a_predictive(b, spec, cls)
             assert abs(series.complexity[1][k] - von_neumann_entropy(rho)) < 1e-12
 
@@ -278,6 +279,22 @@ class TestTwoLevelEntropy:
 
     def test_offdiagonal_lowers_entropy(self):
         assert two_level_entropy_bits(0.5, 0.25) < two_level_entropy_bits(0.5)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+    def test_offdiagonal_never_raises_entropy(self, p, u, pairs):
+        """C <= S on the chain: an off-diagonal |c| <= sqrt(p(1-p)) only lowers the entropy.
+
+        Near p = 1/2 a tiny c can raise the rounded result by an ulp or two.
+        """
+        rounding = 4 * np.finfo(float).eps
+        c = u * np.sqrt(p * (1.0 - p))
+        assert two_level_entropy_bits(p, c) <= two_level_entropy_bits(p) + rounding
+        ps = np.array([q for q, _ in pairs])
+        cs = np.array([v for _, v in pairs]) * np.sqrt(ps * (1.0 - ps))
+        with_c, without_c = two_level_entropy_bits(ps, cs), two_level_entropy_bits(ps)
+        assert with_c.shape == without_c.shape == ps.shape
+        assert np.all(with_c <= without_c + rounding)
 
     def test_matches_general_eigensolver(self, rng):
         for _ in range(25):
