@@ -22,7 +22,6 @@ from .chain import (
     SpectralDecomposition,
     SpectralEngine,
     basis_state,
-    evolve,
     pair_index,
     pair_unindex,
     sector_hamiltonian,

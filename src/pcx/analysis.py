@@ -12,6 +12,9 @@ from .errors import ConfigError, PeakNotFoundError, StatsError
 from .horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
 
 MIN_WINDOW_SAMPLES = 100
+# Largest time grid a run may ask for; every grid-sized array holds one
+# value per (site, time) cell, so this bounds memory before anything is built.
+MAX_TIME_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,25 @@ def time_grid(dt: float, t_max: float) -> np.ndarray:
     if not (np.isfinite(dt) and np.isfinite(t_max) and dt > 0 and t_max > 0):
         raise ConfigError(f"dt and tmax must be finite and positive, got dt={dt} tmax={t_max}")
     n_steps = t_max / dt
-    if not np.isfinite(n_steps) or abs(round(n_steps) * dt - t_max) > 1e-9 * t_max:
+    if not np.isfinite(n_steps) or round(n_steps) >= MAX_TIME_POINTS:
+        raise ConfigError(f"dt={dt} gives more than {MAX_TIME_POINTS} time points up to "
+                          f"tmax={t_max}")
+    if abs(round(n_steps) * dt - t_max) > 1e-9 * t_max:
         raise ConfigError(f"dt={dt} does not divide tmax={t_max}")
     return np.arange(int(round(n_steps)) + 1) * dt
+
+
+def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_max: float,
+              site: int | None = None) -> np.ndarray:
+    """Check one run's flip pair, horizon radii, focal site and times; return the time grid."""
+    pair_index(*flips, cfg.N)
+    if site is not None and not 1 <= site <= cfg.N:
+        raise ConfigError(f"site {site} outside chain of {cfg.N} sites")
+    for r in r_h_list:
+        HorizonSpec(j=1, r_h=r, N=cfg.N)
+    if len(set(r_h_list)) != len(r_h_list):
+        raise ConfigError(f"horizon radii {tuple(r_h_list)} repeat a radius")
+    return time_grid(dt, t_max)
 
 
 def _observables(cfg: ChainConfig, engine, flips: tuple[int, int], sites, r_h_list,
@@ -70,8 +89,7 @@ def _observables(cfg: ChainConfig, engine, flips: tuple[int, int], sites, r_h_li
     """
     if engine.cfg != cfg:
         raise ConfigError(f"engine was built for {engine.cfg}, not {cfg}")
-    n1, n2 = sorted(flips)
-    pair_index(n1, n2, cfg.N)  # validates the flip pair
+    n1, n2 = flips
     focus = np.stack([focus_indices(j, cfg.N) for j in sites])
     gathers = {}
     for r in r_h_list:
@@ -92,7 +110,8 @@ def _observables(cfg: ChainConfig, engine, flips: tuple[int, int], sites, r_h_li
 def site_series(cfg: ChainConfig, flips: tuple[int, int], j: int, r_h_list,
                 dt: float, t_max: float, engine) -> SiteSeries:
     """S and C(r_h) for one site over {0, dt, ..., t_max}; equals row j of the scan."""
-    times = time_grid(dt, t_max)
+    r_h_list = tuple(r_h_list)
+    times = check_run(cfg, flips, r_h_list, dt, t_max, site=j)
     entropy, complexity = _observables(cfg, engine, flips, (j,), r_h_list, times)
     return SiteSeries(j=j, times=times, entropy=entropy[0],
                       complexity={r: c[0] for r, c in complexity.items()})
@@ -102,7 +121,7 @@ def spacetime_scan(cfg: ChainConfig, flips: tuple[int, int], r_h_list,
                    dt: float, t_max: float, engine) -> list[SpacetimeGrid]:
     """One entropy grid plus one complexity grid per horizon radius."""
     r_h_list = tuple(r_h_list)
-    times = time_grid(dt, t_max)
+    times = check_run(cfg, flips, r_h_list, dt, t_max)
     entropy, complexity = _observables(cfg, engine, flips, range(1, cfg.N + 1), r_h_list, times)
     grids = [SpacetimeGrid(kind="S", r_h=None, times=times, values=entropy)]
     for r in r_h_list:

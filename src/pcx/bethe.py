@@ -26,7 +26,13 @@ from math import comb, pi
 
 import numpy as np
 
-from .chain import ChainConfig, all_pairs, check_sector_size, pair_index
+from .chain import (
+    ChainConfig,
+    Propagator,
+    SpectralDecomposition,
+    all_pairs,
+    check_sector_size,
+)
 from .errors import DegenerateRootError, SolverError
 
 NEWTON_TOL = 1e-12
@@ -279,71 +285,28 @@ def bethe_state(root: BetheRoot, cfg: ChainConfig) -> BetheState:
     return BetheState(root=root, amplitudes=raw / norm, norm_constant=float(1.0 / norm))
 
 
-class BetheEngine:
+class BetheEngine(Propagator):
     """Evolution backend built on the full set of Bethe eigenstates.
 
-    Exactly degenerate clusters (same momentum class mod N, same energy)
-    are orthonormalized internally so the expansion of an initial state is
-    exact; the raw Bethe wavefunctions stay available in .states.
+    The raw wavefunctions form the columns of A.  One eigh of A^dagger A
+    gives its smallest singular value, which must stay clear of zero for
+    the set to be complete, and the symmetric (Loewdin) orthonormalization
+    A (A^dagger A)^{-1/2}, which removes the ~1e-7 non-unitarity the
+    regularized momentum-pi state leaves in A.
     """
 
     name = "bethe"
 
-    def __init__(self, cfg: ChainConfig, validate: bool = True):
+    def __init__(self, cfg: ChainConfig):
         check_sector_size(cfg)
         self.cfg = cfg
         self.roots = enumerate_roots(cfg)
-        self.states = [bethe_state(r, cfg) for r in self.roots]
-        A = np.column_stack([s.amplitudes for s in self.states])
-        self.energies = np.array([r.energy for r in self.roots])
-        if validate:
-            smin = np.linalg.svd(A, compute_uv=False)[-1]
-            if smin < 1e-6:
-                raise SolverError(f"Bethe basis is numerically incomplete (min singular value {smin:.3e})")
-        self.basis = self._loewdin(self._orthonormalize_clusters(A))
-
-    def _orthonormalize_clusters(self, A: np.ndarray) -> np.ndarray:
-        keys = [(r.momentum_class % self.cfg.N, r.energy) for r in self.roots]
-        order = sorted(range(len(keys)), key=lambda i: (keys[i][0], keys[i][1], i))
-        Q = A.copy()
-        start = 0
-        while start < len(order):
-            stop = start + 1
-            while (
-                stop < len(order)
-                and keys[order[stop]][0] == keys[order[start]][0]
-                and abs(keys[order[stop]][1] - keys[order[start]][1]) < 1e-8
-            ):
-                stop += 1
-            if stop - start > 1:
-                cols = [order[i] for i in range(start, stop)]
-                q, _ = np.linalg.qr(A[:, cols])
-                Q[:, cols] = q
-            start = stop
-        return Q
-
-    @staticmethod
-    def _loewdin(Q: np.ndarray) -> np.ndarray:
-        """Symmetric orthogonalization; removes the ~1e-7 non-unitarity the
-        regularized singular state leaves in the raw basis."""
-        w, U = np.linalg.eigh(Q.conj().T @ Q)
-        return Q @ (U * (1.0 / np.sqrt(w))) @ U.conj().T
-
-    @property
-    def dim(self) -> int:
-        return self.cfg.dim
-
-    def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        psi0 = np.asarray(psi0, dtype=np.complex128)
-        if psi0.shape != (self.dim,):
-            raise ValueError(f"state shape {psi0.shape} does not match sector dimension {self.dim}")
-        if t == 0:
-            return psi0.copy()
-        coeffs = self.basis.conj().T @ psi0
-        return self.basis @ (np.exp(-1j * self.energies * t) * coeffs)
-
-    def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
-        psi0 = np.zeros(self.dim, dtype=np.complex128)
-        psi0[pair_index(n1, n2, self.cfg.N)] = 1.0
-        return self.evolve(psi0, t)
-
+        A = np.column_stack([bethe_state(r, cfg).amplitudes for r in self.roots])
+        w, U = np.linalg.eigh(A.conj().T @ A)
+        smin = np.sqrt(max(w[0], 0.0))
+        if not smin >= 1e-6:
+            raise SolverError(f"Bethe basis is numerically incomplete (min singular value {smin:.3e})")
+        self.spectral = SpectralDecomposition(
+            eigenvalues=np.array([r.energy for r in self.roots]),
+            eigenvectors=A @ (U * (1.0 / np.sqrt(w))) @ U.conj().T,
+        )

@@ -1,9 +1,10 @@
 """Two-magnon sector of the periodic isotropic Heisenberg chain.
 
 Pair-basis indexing, the sector Hamiltonian relative to the ferromagnetic
-energy, its spectral decomposition, and exact time evolution.  All sector
-energies are stored relative to the all-up reference energy -J*N/4 so
-evolution phases never involve the extensive baseline.
+energy, its spectral decomposition, and the one propagator every engine
+uses for exact time evolution.  All sector energies are stored relative
+to the all-up reference energy -J*N/4 so evolution phases never involve
+the extensive baseline.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def sector_hamiltonian(cfg: ChainConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of the sector Hamiltonian (energies relative to e0)."""
+    """Eigenvalues (relative to e0) and orthonormal eigenvectors, real or complex."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -162,22 +163,6 @@ class SpectralDecomposition:
     def from_hamiltonian(cls, H: np.ndarray) -> "SpectralDecomposition":
         evals, evecs = np.linalg.eigh(H)
         return cls(eigenvalues=evals, eigenvectors=evecs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-
-def evolve(psi0: np.ndarray, t: float, spec: SpectralDecomposition) -> np.ndarray:
-    """e^{-iHt} psi0 in the sector, via the spectral decomposition."""
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    if psi0.shape != (spec.dim,):
-        raise ValueError(f"state shape {psi0.shape} does not match sector dimension {spec.dim}")
-    if t == 0:
-        return psi0.copy()
-    V = spec.eigenvectors
-    coeffs = V.T @ psi0
-    return V @ (np.exp(-1j * spec.eigenvalues * t) * coeffs)
 
 
 def state_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -191,7 +176,43 @@ def state_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(1.0, residual))
 
 
-class SpectralEngine:
+class Propagator:
+    """Exact evolution b(t) = V e^{-iEt} V^dagger b(0) from an orthonormal eigenbasis.
+
+    Engines only build cfg and spectral; both propagate through these methods.
+    """
+
+    cfg: ChainConfig
+    spectral: SpectralDecomposition
+
+    @property
+    def dim(self) -> int:
+        return self.cfg.dim
+
+    def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
+        """e^{-iHt} psi0 in the sector."""
+        psi0 = np.asarray(psi0, dtype=np.complex128)
+        if psi0.shape != (self.dim,):
+            raise ValueError(f"state shape {psi0.shape} does not match sector dimension {self.dim}")
+        if t == 0:
+            return psi0.copy()
+        V = self.spectral.eigenvectors
+        return V @ (np.exp(-1j * self.spectral.eigenvalues * t) * (V.conj().T @ psi0))
+
+    def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
+        """Amplitudes <m1,m2| e^{-iHt} |n1,n2> over the whole pair basis.
+
+        Equals evolve(basis_state(cfg, n1, n2), t); V^dagger |n1,n2> is one
+        conjugated row of V, so no matrix-vector product is spent on it.
+        """
+        if t == 0:
+            return basis_state(self.cfg, n1, n2)
+        V = self.spectral.eigenvectors
+        w = V[pair_index(n1, n2, self.cfg.N)].conj()
+        return V @ (np.exp(-1j * self.spectral.eigenvalues * t) * w)
+
+
+class SpectralEngine(Propagator):
     """Evolution backend built on one dense symmetric diagonalization."""
 
     name = "spectral"
@@ -201,18 +222,3 @@ class SpectralEngine:
         self.cfg = cfg
         self.hamiltonian = sector_hamiltonian(cfg)
         self.spectral = SpectralDecomposition.from_hamiltonian(self.hamiltonian)
-
-    @property
-    def dim(self) -> int:
-        return self.cfg.dim
-
-    def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        return evolve(psi0, t, self.spectral)
-
-    def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
-        """Amplitudes <m1,m2| e^{-iHt} |n1,n2> over the whole pair basis."""
-        if t == 0:
-            return basis_state(self.cfg, n1, n2)
-        V = self.spectral.eigenvectors
-        w = V[pair_index(n1, n2, self.cfg.N)]
-        return V @ (np.exp(-1j * self.spectral.eigenvalues * t) * w)

@@ -101,13 +101,11 @@ def _chain_config(args) -> ChainConfig:
 
 
 def _validate_run(args, cfg: ChainConfig):
-    n1, n2 = args.flips
-    if not (1 <= n1 < n2 <= cfg.N):
-        raise ConfigError(f"flips {args.flips} invalid: need 1 <= a < b <= {cfg.N}")
-    for r in args.horizon:
-        if r < 1 or 2 * r + 1 >= cfg.N:
-            raise ConfigError(f"horizon radius {r} degenerate for N={cfg.N}")
-    analysis.time_grid(args.dt, args.tmax)
+    """The library's run check plus --site and --eq-window, before anything is built."""
+    site = getattr(args, "site", None)
+    if args.command == "series" and site is None:
+        raise ConfigError("series needs --site")
+    analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax, site)
     if args.eq_window is not None:
         t0, t1 = args.eq_window
         if not (0.0 <= t0 <= t1 <= args.tmax):
@@ -191,10 +189,6 @@ def _series_footer(args, series, window) -> list[str]:
 def cmd_series(args) -> int:
     cfg = _chain_config(args)
     _validate_run(args, cfg)
-    if args.site is None:
-        raise ConfigError("series needs --site")
-    if not (1 <= args.site <= cfg.N):
-        raise ConfigError(f"site {args.site} outside chain of {cfg.N} sites")
     engine = _make_engine(cfg, args.engine)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -89,26 +89,6 @@ class PairClassification:
     def n_type_i(self) -> int:
         return len(self.type_i)
 
-    @property
-    def n_per_type_ii(self) -> int:
-        return self.spec.N - (2 * self.spec.r_h + 1)
-
-    def label_of(self, flat: int) -> str:
-        """'I', 'II(s)' or 'III' for exterior pairs; 'A-out'/'A-in' for
-        pairs containing the focal site."""
-        if flat in self.type_i:
-            return "I"
-        for s, idx in self.type_ii:
-            if flat in idx:
-                return f"II({s})"
-        if flat in self.type_iii:
-            return "III"
-        if flat in self.focus_out:
-            return "A-out"
-        if flat in self.focus_in:
-            return "A-in"
-        raise ConfigError(f"pair index {flat} outside the classification")
-
     def validate(self):
         N, r_h = self.spec.N, self.spec.r_h
         n_out = N - (2 * r_h + 1)
@@ -157,14 +137,9 @@ def classify_pairs(spec: HorizonSpec) -> PairClassification:
     return cls
 
 
-def focus_probability(b: np.ndarray, j: int, N: int) -> float:
-    """Probability that the focal site is flipped: sum over pairs containing j."""
-    return float(np.sum(np.abs(b[focus_indices(j, N)]) ** 2))
-
-
 def rho_a_site(b: np.ndarray, j: int, N: int) -> np.ndarray:
     """Reduced operator of site j in the (down, up) basis; exactly diagonal."""
-    p_down = focus_probability(b, j, N)
+    p_down = float(np.sum(np.abs(b[focus_indices(j, N)]) ** 2))
     return np.array([[p_down, 0.0], [0.0, 1.0 - p_down]], dtype=np.complex128)
 
 
@@ -174,13 +149,11 @@ def _unit_phase(z: complex, mass: float) -> complex:
     return z / abs(z)
 
 
-def predictive_offdiag(b: np.ndarray, cls: PairClassification, magnitude_only: bool = False):
+def predictive_offdiag(b: np.ndarray, cls: PairClassification):
     """<down| rho'_A |up> from the outside-outside and focus-outside sums."""
     m_out = float(np.sum(np.abs(b[cls.type_i]) ** 2))
     m_focus = float(np.sum(np.abs(b[cls.focus_out]) ** 2))
     magnitude = np.sqrt(m_out * m_focus)
-    if magnitude_only:
-        return magnitude
     z_out = complex(np.sum(b[cls.type_i]))
     z_focus = complex(np.sum(b[cls.focus_out]))
     return magnitude * np.conj(_unit_phase(z_out, m_out)) * _unit_phase(z_focus, m_focus)

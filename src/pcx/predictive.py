@@ -132,15 +132,6 @@ class EquivalencePartition:
     def primed_dim(self) -> int:
         return self.n_subspaces + self.remainder_dim
 
-    @property
-    def primed_basis(self) -> np.ndarray:
-        """H_B coordinates of the predictive basis [gamma_1.., remainder..]."""
-        return np.hstack([self.gammas, self.remainder])
-
-    def embed(self, primed_amplitudes: np.ndarray) -> np.ndarray:
-        """Map (dim_a, primed_dim) coefficients back into H_B coordinates."""
-        return np.asarray(primed_amplitudes) @ self.primed_basis.T
-
 
 @dataclass(frozen=True)
 class Projector:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from pcx.analysis import (
+    MAX_TIME_POINTS,
     equilibrium_stats,
     nearest_peak,
     peak_ratio,
     site_series,
     spacetime_scan,
+    time_grid,
 )
 from pcx.bethe import BetheEngine
 from pcx.chain import ChainConfig, SpectralEngine
@@ -61,11 +63,30 @@ class TestSpacetimeScan:
                 engine_cls(ChainConfig(N=95))
 
     @pytest.mark.parametrize("dt,t_max", [(np.inf, 10.0), (np.nan, 10.0), (0.5, np.inf),
-                                          (0.4, 1.0), (0.0, 10.0)])
+                                          (0.4, 1.0), (0.0, 10.0), (1e-9, 200.0)])
     def test_bad_time_grid_rejected(self, small_scan, dt, t_max):
         cfg, engine, _ = small_scan
         with pytest.raises(ConfigError, match="dt"):
             spacetime_scan(cfg, (2, 7), (1,), dt, t_max, engine)
+
+    def test_time_point_budget(self):
+        assert len(time_grid(1.0, MAX_TIME_POINTS - 1.0)) == MAX_TIME_POINTS
+        with pytest.raises(ConfigError, match="dt=1.0 gives more than"):
+            time_grid(1.0, float(MAX_TIME_POINTS))
+
+    def test_repeated_radius_rejected(self, small_scan):
+        cfg, engine, _ = small_scan
+        with pytest.raises(ConfigError, match="repeat"):
+            spacetime_scan(cfg, (2, 7), (1, 1), 0.5, 2.0, engine)
+        with pytest.raises(ConfigError, match="repeat"):
+            site_series(cfg, (2, 7), 3, (1, 2, 1), 0.5, 2.0, engine)
+
+    @pytest.mark.parametrize("flips,site", [((7, 2), 3), ((2, 7), 11)])
+    def test_bad_flips_or_site_rejected(self, small_scan, flips, site):
+        """The flip pair is checked as given, never reordered."""
+        cfg, engine, _ = small_scan
+        with pytest.raises(ConfigError):
+            site_series(cfg, flips, site, (1,), 0.5, 2.0, engine)
 
     def test_engine_for_another_chain_rejected(self, small_scan, engine8):
         cfg, _, _ = small_scan

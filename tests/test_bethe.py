@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcx.bethe import (
+    BetheEngine,
     bethe_state,
     dispersion,
     enumerate_roots,
@@ -17,6 +18,7 @@ from pcx.chain import (
     sector_hamiltonian,
     state_trace_distance,
 )
+from pcx.errors import SolverError
 
 
 @pytest.fixture(scope="module")
@@ -164,20 +166,41 @@ class TestCompleteness:
         assert smin > 1e-6
 
     def test_engine_basis_orthonormal(self, bethe_engine32):
-        Q = bethe_engine32.basis
+        Q = bethe_engine32.spectral.eigenvectors
         assert np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) < 1e-10
 
     def test_parseval_on_engine_basis(self, cfg32, bethe_engine32):
         for (n1, n2) in ((10, 25), (1, 2), (7, 23)):
             psi0 = basis_state(cfg32, n1, n2)
-            coeffs = bethe_engine32.basis.conj().T @ psi0
+            coeffs = bethe_engine32.spectral.eigenvectors.conj().T @ psi0
             assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-8
+
+    def test_duplicate_state_rejected(self, monkeypatch):
+        """A repeated wavefunction leaves the basis incomplete; the engine refuses it."""
+        import pcx.bethe
+
+        real_state = pcx.bethe.bethe_state
+        roots = enumerate_roots(ChainConfig(N=8))
+
+        def repeat_first(root, cfg):
+            return real_state(roots[0] if root == roots[1] else root, cfg)
+
+        monkeypatch.setattr(pcx.bethe, "bethe_state", repeat_first)
+        with pytest.raises(SolverError, match="incomplete"):
+            BetheEngine(ChainConfig(N=8))
 
 
 class TestBetheEvolve:
-    def test_t0_resolution_of_identity(self, cfg32, bethe_engine32):
-        psi = bethe_engine32.pair_amplitudes(10, 25, 0.0)
-        assert np.allclose(psi, basis_state(cfg32, 10, 25), atol=1e-10)
+    def test_t0_resolution_of_identity(self, cfg32, engine32, bethe_engine32):
+        for engine in (engine32, bethe_engine32):
+            psi = engine.pair_amplitudes(10, 25, 0.0)
+            assert np.array_equal(psi, basis_state(cfg32, 10, 25))
+
+    def test_pair_amplitudes_matches_evolve(self):
+        engine = BetheEngine(ChainConfig(N=12))
+        for (n1, n2, t) in ((1, 2, 7.0), (3, 9, 25.0), (5, 6, 50.0)):
+            psi = engine.evolve(basis_state(engine.cfg, n1, n2), t)
+            assert np.max(np.abs(engine.pair_amplitudes(n1, n2, t) - psi)) < 1e-14
 
     def test_matches_spectral_at_reference_point(self, engine32, bethe_engine32):
         u = engine32.pair_amplitudes(10, 25, 9.0)
@@ -198,7 +221,6 @@ class TestBetheEvolve:
             bethe_engine32.evolve(np.zeros(5, dtype=complex), 1.0)
 
     def test_backend_equivalence_smaller_ring(self):
-        from pcx.bethe import BetheEngine
         from pcx.chain import SpectralEngine
 
         cfg = ChainConfig(N=12)

@@ -9,7 +9,6 @@ from pcx.chain import (
     ChainConfig,
     all_pairs,
     basis_state,
-    evolve,
     pair_index,
     pair_permutation,
     pair_unindex,
@@ -113,12 +112,12 @@ class TestSectorHamiltonian:
 class TestEvolve:
     def test_identity_at_t0(self, engine8):
         psi0 = basis_state(engine8.cfg, 2, 5)
-        assert np.array_equal(evolve(psi0, 0.0, engine8.spectral), psi0)
+        assert np.array_equal(engine8.evolve(psi0, 0.0), psi0)
 
     def test_group_property(self, engine8):
         psi0 = basis_state(engine8.cfg, 2, 5)
-        one = evolve(evolve(psi0, 1.3, engine8.spectral), 2.1, engine8.spectral)
-        two = evolve(psi0, 3.4, engine8.spectral)
+        one = engine8.evolve(engine8.evolve(psi0, 1.3), 2.1)
+        two = engine8.evolve(psi0, 3.4)
         assert np.linalg.norm(one - two) < 1e-10
 
     def test_unitarity_and_energy_conservation(self, engine8):
@@ -126,20 +125,20 @@ class TestEvolve:
         H = engine8.hamiltonian
         e_start = np.vdot(psi0, H @ psi0).real
         for t in (0.5, 3.0, 17.0):
-            psi = evolve(psi0, t, engine8.spectral)
+            psi = engine8.evolve(psi0, t)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
             assert abs(np.vdot(psi, H @ psi).real - e_start) < 1e-10
 
     def test_shape_mismatch(self, engine8):
         with pytest.raises(ValueError, match="shape"):
-            evolve(np.zeros(7, dtype=complex), 1.0, engine8.spectral)
+            engine8.evolve(np.zeros(7, dtype=complex), 1.0)
 
     def test_translation_covariance(self, engine8):
         """Shifting the initial flips and relabeling all sites commute."""
         N = engine8.cfg.N
         shift = pair_permutation(N, lambda s: s % N + 1)
-        a = evolve(basis_state(engine8.cfg, 2, 5), 2.7, engine8.spectral)
-        b = evolve(basis_state(engine8.cfg, 3, 6), 2.7, engine8.spectral)
+        a = engine8.evolve(basis_state(engine8.cfg, 2, 5), 2.7)
+        b = engine8.evolve(basis_state(engine8.cfg, 3, 6), 2.7)
         assert np.linalg.norm(b[shift] - a) < 1e-10
 
 
@@ -174,7 +173,7 @@ class TestFullSpaceOracle:
     @pytest.mark.parametrize("flips,t", [((1, 4), 5.0), ((2, 5), 3.0)])
     def test_matches_sector_evolution(self, engine8, flips, t):
         cfg = engine8.cfg
-        psi_sector = evolve(basis_state(cfg, *flips), t, engine8.spectral)
+        psi_sector = engine8.evolve(basis_state(cfg, *flips), t)
         psi_oracle = full_space_oracle(cfg, *flips, t)
         assert state_trace_distance(psi_sector, psi_oracle) < 1e-10
         # phases agree too: both evolve with H - e0
@@ -187,7 +186,7 @@ class TestFullSpaceOracle:
 
 class TestSpectralEngine:
     def test_pair_amplitudes_matches_evolve(self, engine8):
-        psi = evolve(basis_state(engine8.cfg, 2, 7), 3.3, engine8.spectral)
+        psi = engine8.evolve(basis_state(engine8.cfg, 2, 7), 3.3)
         assert np.array_equal(engine8.pair_amplitudes(2, 7, 3.3), psi)
 
 

@@ -182,11 +182,20 @@ class TestConfigErrors:
         ["--dt", "inf"],
         ["--dt", "nan"],
         ["--dt", "0.4", "--tmax", "1.0"],
-    ], ids=["coupling-nan", "dt-inf", "dt-nan", "dt-not-dividing-tmax"])
+        ["--horizon", "1,1"],
+        ["--dt", "1e-9", "--tmax", "200"],
+    ], ids=["coupling-nan", "dt-inf", "dt-nan", "dt-not-dividing-tmax", "repeated-radius",
+            "too-many-time-points"])
     def test_bad_run_input_exit_2(self, tmp_path, capsys, bad):
         out = tmp_path / "out"
         assert main(["series", "--sites", "12", "--flips", "3,7", "--site", "5",
                      "--horizon", "1", "--out", str(out), *bad]) == 2
+        self.assert_config_error(capsys, out)
+
+    def test_scan_repeated_radius_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["scan", "--sites", "10", "--flips", "2,6", "--horizon", "1,1",
+                     "--dt", "0.5", "--tmax", "2", "--out", str(out)]) == 2
         self.assert_config_error(capsys, out)
 
     def test_sector_too_large_exit_2(self, tmp_path, capsys):

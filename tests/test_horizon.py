@@ -76,11 +76,12 @@ class TestClassifyPairs:
     def test_label_accessor(self):
         spec = HorizonSpec(j=5, r_h=1, N=10)
         cls = classify_pairs(spec)
-        assert cls.label_of(pair_index(1, 9, 10)) == "I"
-        assert cls.label_of(pair_index(4, 8, 10)) == "II(4)"
-        assert cls.label_of(pair_index(4, 6, 10)) == "III"
-        assert cls.label_of(pair_index(5, 9, 10)) == "A-out"
-        assert cls.label_of(pair_index(5, 6, 10)) == "A-in"
+        type_ii = dict(cls.type_ii)
+        assert pair_index(1, 9, 10) in cls.type_i
+        assert pair_index(4, 8, 10) in type_ii[4]
+        assert pair_index(4, 6, 10) in cls.type_iii
+        assert pair_index(5, 9, 10) in cls.focus_out
+        assert pair_index(5, 6, 10) in cls.focus_in
 
     def test_type_ii_keyed_by_inside_site(self):
         spec = HorizonSpec(j=5, r_h=1, N=10)
@@ -219,7 +220,7 @@ class TestRhoPredictive:
         rho = rho_a_predictive(b, spec, cls)
         with_phase = von_neumann_entropy(rho)
         p_down = rho[0, 0].real
-        magnitude = predictive_offdiag(b, cls, magnitude_only=True)
+        magnitude = abs(predictive_offdiag(b, cls))
         assert abs(two_level_entropy_bits(p_down, magnitude) - with_phase) < 1e-12
 
     def test_mismatched_classification_rejected(self, engine32):
