@@ -14,9 +14,9 @@ Quantum-number cells fall into three families:
     close-pair fallback near the dissolution boundary.
 
 For even N the momentum-pi cell is the singular limit v -> infinity of
-the bound branch; it is represented on the residual-flat manifold
-cos(u) cosh(v) = 1/2 with a large finite v, which reproduces the exact
-alternating adjacent-pair eigenstate and its exact energy J.
+the bound branch: its root record holds finite labels and the exact
+energy J, and its wavefunction is the closed-form alternating adjacent-pair
+state, so the Bethe basis is orthonormal as built.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .errors import DegenerateRootError, SolverError
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
-# Regularization depth for the singular momentum-pi cell: large enough that
-# the truncated tail (~e^-v) is negligible, small enough that cos(u) cosh(v)
-# keeps ~1e-8 relative accuracy in double precision.
+# Depth v of the finite (k1, k2, theta) labels recorded for the singular
+# momentum-pi cell; its wavefunction is the closed form, independent of v.
 SINGULAR_V = 17.5
+ORTHONORMALITY_TOL = 1e-10
 
 
 def _cot(z):
@@ -78,10 +78,6 @@ class BetheRoot:
     m1: int
     m2: int
 
-    @property
-    def momentum_class(self) -> int:
-        return self.m1 + self.m2
-
 
 @dataclass(frozen=True)
 class BetheState:
@@ -90,10 +86,6 @@ class BetheState:
     root: BetheRoot
     amplitudes: np.ndarray
     norm_constant: float
-
-
-def _phase_residual(k1, k2, theta) -> float:
-    return abs(2 * _cot(theta / 2) - _cot(k1 / 2) + _cot(k2 / 2))
 
 
 def _cell_function(theta, m1: int, m2: int, N: int):
@@ -190,11 +182,10 @@ def _root_from_theta(cfg: ChainConfig, theta: complex, m1: int, m2: int) -> Beth
 
 
 def _singular_pi_root(cfg: ChainConfig) -> BetheRoot:
-    """Momentum-pi bound cell for even N: v -> infinity limit, regularized.
+    """Momentum-pi bound cell for even N, the v -> infinity limit.
 
-    On the manifold cos(u) cosh(v) = 1/2 the dispersion gives exactly J and
-    every residual invariant is satisfied to ~e^{-2v}; the wavefunction it
-    generates is the alternating adjacent-pair eigenstate.
+    Labels at v = SINGULAR_V on the manifold cos(u) cosh(v) = 1/2, where the
+    dispersion gives exactly J; bethe_state builds the state in closed form.
     """
     N = cfg.N
     M = N // 2
@@ -272,13 +263,21 @@ def bethe_state(root: BetheRoot, cfg: ChainConfig) -> BetheState:
     """Normalized position-basis wavefunction of a root.
 
     Exponent magnitudes are rescaled by their maximum before
-    exponentiation so deeply bound states do not overflow.
+    exponentiation so deeply bound states do not overflow.  The even-N
+    momentum-pi cell (the only bound root with m1 + m2 = N/2) is built in
+    closed form: (-1)^n on the pair (n, n+1) and (-1)^N on (1, N).
     """
     n1s, n2s = all_pairs(cfg.N)
-    e1 = 1j * (root.k1 * n1s + root.k2 * n2s + root.theta / 2)
-    e2 = 1j * (root.k1 * n2s + root.k2 * n1s - root.theta / 2)
-    shift = max(float(np.max(e1.real)), float(np.max(e2.real)))
-    raw = np.exp(e1 - shift) + np.exp(e2 - shift)
+    if root.kind == "bound" and 2 * (root.m1 + root.m2) == cfg.N:
+        raw = np.zeros(len(n1s), dtype=np.complex128)
+        adjacent = n2s - n1s == 1
+        raw[adjacent] = (-1.0) ** n1s[adjacent]
+        raw[n2s - n1s == cfg.N - 1] = (-1.0) ** cfg.N
+    else:
+        e1 = 1j * (root.k1 * n1s + root.k2 * n2s + root.theta / 2)
+        e2 = 1j * (root.k1 * n2s + root.k2 * n1s - root.theta / 2)
+        shift = max(float(np.max(e1.real)), float(np.max(e2.real)))
+        raw = np.exp(e1 - shift) + np.exp(e2 - shift)
     norm = np.linalg.norm(raw)
     if norm < 1e-13 * np.sqrt(len(raw)):
         raise DegenerateRootError(f"cell ({root.m1},{root.m2}) gives a vanishing wavefunction")
@@ -288,11 +287,10 @@ def bethe_state(root: BetheRoot, cfg: ChainConfig) -> BetheState:
 class BetheEngine(Propagator):
     """Evolution backend built on the full set of Bethe eigenstates.
 
-    The raw wavefunctions form the columns of A.  One eigh of A^dagger A
-    gives its smallest singular value, which must stay clear of zero for
-    the set to be complete, and the symmetric (Loewdin) orthonormalization
-    A (A^dagger A)^{-1/2}, which removes the ~1e-7 non-unitarity the
-    regularized momentum-pi state leaves in A.
+    The normalized wavefunctions, the momentum-pi state in closed form,
+    form the columns of A, which is the eigenbasis as built: A is checked,
+    max|A^dagger A - I| <= ORTHONORMALITY_TOL, and never repaired.  A
+    missing or repeated state fails the check.
     """
 
     name = "bethe"
@@ -302,11 +300,9 @@ class BetheEngine(Propagator):
         self.cfg = cfg
         self.roots = enumerate_roots(cfg)
         A = np.column_stack([bethe_state(r, cfg).amplitudes for r in self.roots])
-        w, U = np.linalg.eigh(A.conj().T @ A)
-        smin = np.sqrt(max(w[0], 0.0))
-        if not smin >= 1e-6:
-            raise SolverError(f"Bethe basis is numerically incomplete (min singular value {smin:.3e})")
+        error = np.max(np.abs(A.conj().T @ A - np.eye(cfg.dim)))
+        if not error <= ORTHONORMALITY_TOL:
+            raise SolverError(f"Bethe basis is numerically incomplete (max|A^dagger A - I| = {error:.3e})")
         self.spectral = SpectralDecomposition(
-            eigenvalues=np.array([r.energy for r in self.roots]),
-            eigenvectors=A @ (U * (1.0 / np.sqrt(w))) @ U.conj().T,
+            eigenvalues=np.array([r.energy for r in self.roots]), eigenvectors=A
         )

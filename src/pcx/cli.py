@@ -53,19 +53,21 @@ def _parse_float_pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_chain(p: argparse.ArgumentParser):
     p.add_argument("--sites", type=int, default=32, metavar="N", help="number of chain sites")
     p.add_argument("--coupling", type=float, default=1.0, metavar="J", help="exchange coupling")
+    p.add_argument("--engine", choices=("spectral", "bethe"), default="spectral")
+    p.add_argument("--out", default=".", metavar="DIR", help="output directory")
+
+
+def _add_run(p: argparse.ArgumentParser):
+    _add_chain(p)
     p.add_argument("--flips", type=_parse_int_pair, default=(10, 25), metavar="a,b",
                    help="initially flipped sites")
     p.add_argument("--horizon", type=_parse_int_list, default=(1, 2, 3), metavar="r[,r...]",
                    help="horizon radii for the complexity")
     p.add_argument("--dt", type=float, default=0.2, help="time step (hbar/J)")
     p.add_argument("--tmax", type=float, default=200.0, help="final time (hbar/J)")
-    p.add_argument("--engine", choices=("spectral", "bethe"), default="spectral")
-    p.add_argument("--eq-window", type=_parse_float_pair, default=None, metavar="t0,t1",
-                   help="equilibrium window (default: second half of the run)")
-    p.add_argument("--out", default=".", metavar="DIR", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,14 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser("spectrum", help="sector eigenvalues to CSV")
-    _add_common(p_spec)
+    _add_chain(p_spec)
 
     p_series = sub.add_parser("series", help="per-site S and C time series to CSV")
-    _add_common(p_series)
+    _add_run(p_series)
     p_series.add_argument("--site", type=int, default=None, metavar="j", help="focal site")
+    p_series.add_argument("--eq-window", type=_parse_float_pair, default=None, metavar="t0,t1",
+                          help="equilibrium window (default: second half of the run)")
 
     p_scan = sub.add_parser("scan", help="spacetime grids to CSV and PGM images")
-    _add_common(p_scan)
+    _add_run(p_scan)
 
     p_ex = sub.add_parser("example", help="2x3 worked example of the predictive map")
     p_ex.add_argument("--amplitudes", default=None, metavar="a1,...,a6",
@@ -100,22 +104,14 @@ def _chain_config(args) -> ChainConfig:
     return ChainConfig(N=args.sites, J=args.coupling)
 
 
-def _validate_run(args, cfg: ChainConfig):
-    """The library's run check plus --site and --eq-window, before anything is built."""
-    site = getattr(args, "site", None)
-    if args.command == "series" and site is None:
-        raise ConfigError("series needs --site")
-    analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax, site)
-    if args.eq_window is not None:
-        t0, t1 = args.eq_window
-        if not (0.0 <= t0 <= t1 <= args.tmax):
-            raise ConfigError(f"equilibrium window {args.eq_window} outside the run [0, {args.tmax}]")
-
-
 def _eq_window(args) -> tuple[float, float]:
-    if args.eq_window is not None:
-        return args.eq_window
-    return (0.5 * args.tmax, args.tmax)
+    """--eq-window checked against the run, or the second half of the run."""
+    if args.eq_window is None:
+        return (0.5 * args.tmax, args.tmax)
+    t0, t1 = args.eq_window
+    if not (0.0 <= t0 <= t1 <= args.tmax):
+        raise ConfigError(f"equilibrium window {args.eq_window} outside the run [0, {args.tmax}]")
+    return args.eq_window
 
 
 def _run_header(args, cfg: ChainConfig) -> list[str]:
@@ -188,7 +184,10 @@ def _series_footer(args, series, window) -> list[str]:
 
 def cmd_series(args) -> int:
     cfg = _chain_config(args)
-    _validate_run(args, cfg)
+    if args.site is None:
+        raise ConfigError("series needs --site")
+    analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax, args.site)
+    window = _eq_window(args)
     engine = _make_engine(cfg, args.engine)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,14 +201,14 @@ def cmd_series(args) -> int:
     path = out / f"series_site{args.site}.csv"
     io.write_csv(path, columns, rows,
                  preamble=_run_header(args, cfg) + [f"site={args.site}"],
-                 footer=_series_footer(args, series, _eq_window(args)))
+                 footer=_series_footer(args, series, window))
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def cmd_scan(args) -> int:
     cfg = _chain_config(args)
-    _validate_run(args, cfg)
+    analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax)
     engine = _make_engine(cfg, args.engine)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,9 +237,14 @@ def _parse_amplitudes(text: str):
     if len(parts) != 6:
         raise ConfigError("need exactly six comma-separated amplitudes")
     try:
-        return tuple(complex(p) for p in parts)
+        amps = tuple(complex(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad amplitude: {exc}")
+    if not np.isfinite(amps).all():
+        raise ConfigError(f"amplitudes must be finite, got {text!r}")
+    if not any(amps):
+        raise ConfigError("amplitudes are all zero")
+    return amps
 
 
 def _format_matrix(m: np.ndarray) -> str:

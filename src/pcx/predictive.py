@@ -31,7 +31,7 @@ class BipartiteState:
         if amps.ndim != 2:
             raise ValueError("amplitudes must be a 2-D (dim_a, dim_b) array")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise NormalizationError(f"state norm {norm!r} is not 1")
 
     @property
@@ -226,13 +226,13 @@ def predictive_reduced_density(psi: BipartiteState, part: EquivalencePartition) 
 def von_neumann_entropy(rho: np.ndarray, base: str = "bits") -> float:
     """Entropy -tr(rho log rho); log base 2 by default, 'nats' optional."""
     rho = np.asarray(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-9:
         raise NormalizationError("density matrix is not Hermitian")
     trace = np.trace(rho).real
-    if abs(trace - 1.0) > 1e-9:
+    if not abs(trace - 1.0) <= 1e-9:
         raise NormalizationError(f"density matrix trace {trace!r} is not 1")
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-12:
+    if not evals.min() >= -1e-12:
         raise NormalizationError(f"density matrix has negative eigenvalue {evals.min()!r}")
     evals = np.clip(evals, 0.0, None)
     positive = evals[evals > 0]
@@ -290,6 +290,8 @@ def worked_qubit_qutrit_example(amps=None) -> dict:
     a = np.asarray(amps, dtype=np.complex128)
     if a.shape != (6,):
         raise ValueError("need exactly six amplitudes a1..a6")
+    if not np.isfinite(a).all():
+        raise NormalizationError("amplitudes must be finite")
     norm = np.linalg.norm(a)
     if norm == 0:
         raise NormalizationError("amplitudes are all zero")

@@ -5,6 +5,7 @@ import pytest
 
 from pcx.bethe import (
     BetheEngine,
+    BetheState,
     bethe_state,
     dispersion,
     enumerate_roots,
@@ -14,6 +15,7 @@ from pcx.chain import (
     ChainConfig,
     basis_state,
     circular_distance,
+    pair_index,
     pair_unindex,
     sector_hamiltonian,
     state_trace_distance,
@@ -146,17 +148,32 @@ class TestBetheState:
             bethe_state(bogus, cfg32)
 
     def test_singular_momentum_pi_state(self, cfg32, roots32, engine32):
-        """The regularized v->infinity cell is the alternating adjacent state."""
+        """The v->infinity cell is the alternating adjacent state."""
         singular = [r for r in roots32 if r.kind == "bound" and abs(r.energy - cfg32.J) < 1e-9]
         assert len(singular) == 1
         st = bethe_state(singular[0], cfg32)
         res = np.linalg.norm(engine32.hamiltonian @ st.amplitudes - cfg32.J * st.amplitudes)
         assert res < 1e-6
-        # support on adjacent pairs only (up to the regularization tail)
+        # support on adjacent pairs only
         for flat, amp in enumerate(st.amplitudes):
             n1, n2 = pair_unindex(flat, cfg32.N)
             if circular_distance(n1, n2, cfg32.N) != 1:
                 assert abs(amp) < 1e-6
+
+    @pytest.mark.parametrize("N", [12, 32])
+    def test_momentum_pi_state_closed_form(self, N):
+        """(-1)^n on (n, n+1), (-1)^N on (1, N), over sqrt(N); nothing elsewhere."""
+        cfg = ChainConfig(N=N)
+        pi_roots = [r for r in enumerate_roots(cfg) if r.kind == "bound" and 2 * (r.m1 + r.m2) == N]
+        assert len(pi_roots) == 1
+        amps = bethe_state(pi_roots[0], cfg).amplitudes
+        expected = np.zeros(cfg.dim)
+        for n in range(1, N):
+            expected[pair_index(n, n + 1, N)] = (-1) ** n
+        expected[pair_index(1, N, N)] = (-1) ** N
+        expected /= np.sqrt(N)
+        assert np.max(np.abs(amps - expected)) < 1e-15
+        assert np.all(amps[expected == 0] == 0)
 
 
 class TestCompleteness:
@@ -164,6 +181,18 @@ class TestCompleteness:
         A = np.column_stack([bethe_state(r, cfg32).amplitudes for r in roots32])
         smin = np.linalg.svd(A, compute_uv=False)[-1]
         assert smin > 1e-6
+
+    @pytest.mark.parametrize("N", [4, 6, 7, 8, 12, 32, 33])
+    def test_raw_states_orthonormal(self, N):
+        """The bethe_state columns are orthonormal as built, with no repair step."""
+        cfg = ChainConfig(N=N)
+        A = np.column_stack([bethe_state(r, cfg).amplitudes for r in enumerate_roots(cfg)])
+        assert np.max(np.abs(A.conj().T @ A - np.eye(cfg.dim))) < 1e-10
+
+    def test_engine_basis_is_raw_states(self):
+        engine = BetheEngine(ChainConfig(N=12))
+        A = np.column_stack([bethe_state(r, engine.cfg).amplitudes for r in engine.roots])
+        assert np.array_equal(engine.spectral.eigenvectors, A)
 
     def test_engine_basis_orthonormal(self, bethe_engine32):
         Q = bethe_engine32.spectral.eigenvectors
@@ -189,6 +218,24 @@ class TestCompleteness:
         with pytest.raises(SolverError, match="incomplete"):
             BetheEngine(ChainConfig(N=8))
 
+    def test_slightly_skewed_basis_rejected(self, monkeypatch):
+        """A column tilted by 1e-8 keeps full rank but is not orthonormal; the engine refuses it."""
+        import pcx.bethe
+
+        real_state = pcx.bethe.bethe_state
+        roots = enumerate_roots(ChainConfig(N=8))
+
+        def skew_second(root, cfg):
+            state = real_state(root, cfg)
+            if root != roots[1]:
+                return state
+            tilted = state.amplitudes + 1e-8 * real_state(roots[0], cfg).amplitudes
+            return BetheState(root, tilted / np.linalg.norm(tilted), state.norm_constant)
+
+        monkeypatch.setattr(pcx.bethe, "bethe_state", skew_second)
+        with pytest.raises(SolverError, match="incomplete"):
+            BetheEngine(ChainConfig(N=8))
+
 
 class TestBetheEvolve:
     def test_t0_resolution_of_identity(self, cfg32, engine32, bethe_engine32):
@@ -206,6 +253,13 @@ class TestBetheEvolve:
         u = engine32.pair_amplitudes(10, 25, 9.0)
         v = bethe_engine32.pair_amplitudes(10, 25, 9.0)
         assert np.linalg.norm(u - v) < 1e-6
+
+    def test_matches_spectral_to_rounding(self, engine32, bethe_engine32):
+        for (n1, n2) in ((10, 25), (1, 2), (7, 23)):
+            for t in (1.0, 9.0, 50.0):
+                d = state_trace_distance(engine32.pair_amplitudes(n1, n2, t),
+                                         bethe_engine32.pair_amplitudes(n1, n2, t))
+                assert d < 1e-11, (n1, n2, t)
 
     def test_backend_equivalence_random(self, engine32, bethe_engine32, rng):
         for _ in range(8):

@@ -225,6 +225,36 @@ class TestExampleCommand:
     def test_bad_amplitudes_exit_code(self):
         assert main(["example", "--amplitudes", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize("amps", ["0,0,0,0,0,0", "nan,0,0,0,0,0", "inf,0,0,0,0,0",
+                                      "1,0,0,0,0,nanj"])
+    def test_zero_or_nonfinite_amplitudes_exit_2(self, capsys, amps):
+        assert main(["example", "--amplitudes", amps]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+
+class TestDroppedOptions:
+    """Each subcommand takes only the options it reads; the rest are usage errors."""
+
+    @pytest.mark.parametrize("command, option", [
+        ("spectrum", ["--dt", "0.5"]),
+        ("spectrum", ["--flips", "7,3"]),
+        ("spectrum", ["--horizon", "9"]),
+        ("spectrum", ["--tmax", "-1"]),
+        ("spectrum", ["--eq-window", "5,1"]),
+        ("scan", ["--eq-window", "0,1"]),
+    ], ids=["spectrum-dt", "spectrum-flips", "spectrum-horizon", "spectrum-tmax",
+            "spectrum-eq-window", "scan-eq-window"])
+    def test_unread_option_exit_2(self, tmp_path, capsys, command, option):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--sites", "8", "--out", str(out), *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self, run_cli):

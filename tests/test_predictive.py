@@ -219,6 +219,10 @@ class TestEntropy:
         with pytest.raises(NormalizationError):
             von_neumann_entropy(np.diag([1.1, -0.1]))
 
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(NormalizationError):
+            von_neumann_entropy(np.full((2, 2), np.nan))
+
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
     def test_bounds(self, dim, seed):
@@ -356,6 +360,16 @@ class TestWorkedExample:
     def test_unnormalized_input_flagged(self):
         report = worked_qubit_qutrit_example((1.0, 1.0, 0.0, 1.0, 0.0, 1.0))
         assert report["renormalized"]
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_amplitude_rejected(self, bad):
+        with pytest.raises(NormalizationError):
+            worked_qubit_qutrit_example((bad, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(NormalizationError):
+            BipartiteState(np.full((2, 3), np.nan))
 
 
 class TestTraceDistance:
