@@ -1,10 +1,18 @@
 """Two-magnon sector of the periodic isotropic Heisenberg chain.
 
 Pair-basis indexing, the sector Hamiltonian relative to the ferromagnetic
-energy, its spectral decomposition, and the one propagator every engine
-uses for exact time evolution.  All sector energies are stored relative
-to the all-up reference energy -J*N/4 so evolution phases never involve
-the extensive baseline.
+energy, and exact time evolution.  All sector energies are stored
+relative to the all-up reference energy -J*N/4 so evolution phases never
+involve the extensive baseline.
+
+Flat states list the C(N, 2) pairs n1 < n2 in lexicographic order.  The
+default engine, `SpectralEngine`, also uses the (x, r) layout: a pair with
+first flip x (0-based) and clockwise distance r = 1..N-1 to the second
+flip sits at (x, r) and at (x + r mod N, N - r), with amplitude b/sqrt(2)
+in each place.  A Fourier transform over x then splits H into one small
+tridiagonal block per total momentum, reduced by the parity r -> N - r
+before it is diagonalized (see `SpectralEngine`).  `DenseEngine`
+diagonalizes the whole sector and is kept as the small-N oracle.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ class ChainConfig:
 # Largest two-flip sector the dense engines build; each holds several
 # dim x dim matrices, 128 MB apiece in float64 at this size.
 MAX_SECTOR_DIM = 4000
+# Largest eigenvector stack SpectralEngine builds, 8 N (N-1) floor(N/2)
+# bytes; N = 323 is the largest ring within it.
+MAX_BLOCK_BYTES = 128 * 2**20
 
 
 def check_sector_size(cfg: ChainConfig):
@@ -176,10 +187,18 @@ def state_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(1.0, residual))
 
 
+def _flat_state(psi0, dim: int) -> np.ndarray:
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    if psi0.shape != (dim,):
+        raise ValueError(f"state shape {psi0.shape} does not match sector dimension {dim}")
+    return psi0
+
+
 class Propagator:
     """Exact evolution b(t) = V e^{-iEt} V^dagger b(0) from an orthonormal eigenbasis.
 
-    Engines only build cfg and spectral; both propagate through these methods.
+    DenseEngine and BetheEngine only build cfg and spectral; both
+    propagate through these methods.
     """
 
     cfg: ChainConfig
@@ -191,9 +210,7 @@ class Propagator:
 
     def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} psi0 in the sector."""
-        psi0 = np.asarray(psi0, dtype=np.complex128)
-        if psi0.shape != (self.dim,):
-            raise ValueError(f"state shape {psi0.shape} does not match sector dimension {self.dim}")
+        psi0 = _flat_state(psi0, self.dim)
         if t == 0:
             return psi0.copy()
         V = self.spectral.eigenvectors
@@ -212,13 +229,130 @@ class Propagator:
         return V @ (np.exp(-1j * self.spectral.eigenvalues * t) * w)
 
 
-class SpectralEngine(Propagator):
-    """Evolution backend built on one dense symmetric diagonalization."""
+class DenseEngine(Propagator):
+    """Evolution backend built on one dense diagonalization of the whole sector.
 
-    name = "spectral"
+    The small-N oracle for SpectralEngine; refused above MAX_SECTOR_DIM.
+    """
+
+    name = "dense"
 
     def __init__(self, cfg: ChainConfig):
         check_sector_size(cfg)
         self.cfg = cfg
         self.hamiltonian = sector_hamiltonian(cfg)
         self.spectral = SpectralDecomposition.from_hamiltonian(self.hamiltonian)
+
+
+def _real_matmul(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Batched V @ w for a real stack of matrices V and a complex stack of vectors w."""
+    parts = w.view(np.float64).reshape(*w.shape, 2)  # real and imaginary parts
+    return np.ascontiguousarray(V @ parts).view(np.complex128)[..., 0]
+
+
+class SpectralEngine(Propagator):
+    """Evolution backend built on one small eigenproblem per total momentum.
+
+    On the (x, r) layout, the transform phi_K(r) = sum_x e^{-iK(x + r/2)}
+    psi(x, r) / sqrt(N), K = 2 pi k/N, gives one real symmetric
+    tridiagonal block per k acting on r = 1..N-1: diagonal 2J (J at r = 1
+    and r = N-1), hopping t_k = -J cos(K/2).  Only the states of parity
+    s = (-1)^k, phi(r) = s phi(N - r), belong to the sector.  Each block is
+    first reduced to the basis (|m> + s|N-m>)/sqrt(2), m < N/2, plus |N/2>
+    when N is even and s = +1, and only then diagonalized: for even N the
+    K = pi block has t = 0 and degenerate levels, which an eigh of the
+    unreduced block would mix across parities.  The reduced blocks hold the
+    C(N, 2) levels between them.  Their eigenvectors, mapped back onto r,
+    are stored as one real (N, N-1, floor(N/2)) stack with zero columns where
+    a block is smaller.  A time step is one batched contraction with the
+    stack, one inverse FFT over k and a gather into the flat pair order.
+
+    eigenvalues holds the C(N, 2) levels (relative to e0), grouped by k and
+    ascending within a block; momenta holds the k of each level.
+    """
+
+    name = "spectral"
+
+    def __init__(self, cfg: ChainConfig):
+        N, J = cfg.N, cfg.J
+        width = N // 2  # the largest reduced block
+        nbytes = 8 * N * (N - 1) * width
+        if nbytes > MAX_BLOCK_BYTES:
+            raise ConfigError(f"momentum blocks for N={N} need {nbytes / 2**20:.0f} MB of "
+                              f"eigenvectors, over the budget of {MAX_BLOCK_BYTES / 2**20:.0f} MB")
+        self.cfg = cfg
+        k = np.arange(N)
+        hop = -J * np.cos(np.pi * k / N)
+        n_pairs = (N - 1) // 2  # the r = m, N - m pairs with m < N/2
+        self._vectors = np.zeros((N, N - 1, width))
+        energies = np.zeros((N, width))
+        sizes = np.empty(N, dtype=np.int64)
+        for parity in (1, -1):  # even k, then odd k: one block size each
+            ks = k[(1 - parity) // 2::2]
+            middle = N % 2 == 0 and parity == 1
+            size = n_pairs + middle
+            t = hop[ks, None]
+            i = np.arange(size)
+            H = np.zeros((len(ks), size, size))
+            H[:, i, i] = 2.0 * J
+            H[:, 0, 0] = J
+            H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = t
+            if middle:  # the last pair state meets |N/2> from both sides
+                H[:, -1, -2] = H[:, -2, -1] = np.sqrt(2.0) * t[:, 0]
+            elif N % 2:  # the last pair, r = (N-1)/2 and (N+1)/2, are neighbours
+                H[:, -1, -1] += parity * t[:, 0]
+            w, U = np.linalg.eigh(H)
+            m = np.arange(n_pairs)
+            pairs = U[:, :n_pairs] / np.sqrt(2.0)
+            self._vectors[ks[:, None], m, :size] = pairs
+            self._vectors[ks[:, None], N - 2 - m, :size] = parity * pairs
+            if middle:
+                self._vectors[ks, N // 2 - 1, :size] = U[:, -1]
+            energies[ks, :size] = w
+            sizes[ks] = size
+        self._energies = energies
+        filled = np.arange(width) < sizes[:, None]
+        self.eigenvalues = energies[filled]
+        self.momenta = np.repeat(k, sizes)
+        r = np.arange(1, N)
+        # e^{iKr/2} = e^{i pi k r/N}, its argument reduced exactly first
+        self._half_phase = np.exp(1j * np.pi * (np.outer(k, r) % (2 * N)) / N)
+        n1s, n2s = all_pairs(N)
+        self._x = n1s - 1
+        self._r = n2s - n1s
+
+    def _to_pairs(self, G: np.ndarray, shift: int) -> np.ndarray:
+        """Flat amplitudes 2 ifft_k(e^{iKr/2} G)[x - shift, r] of the pairs (x, r)."""
+        F = np.fft.ifft(self._half_phase * G, axis=0)
+        return 2.0 * F[(self._x - shift) % self.cfg.N, self._r - 1]
+
+    def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
+        """e^{-iHt} psi0 in the sector."""
+        psi0 = _flat_state(psi0, self.dim)
+        if t == 0:
+            return psi0.copy()
+        N = self.cfg.N
+        layout = np.zeros((N, N - 1), dtype=np.complex128)
+        layout[self._x, self._r - 1] = psi0  # one copy of each pair, at (n1 - 1, n2 - n1)
+        phi = self._half_phase.conj() * np.fft.fft(layout, axis=0)
+        coeffs = _real_matmul(self._vectors.transpose(0, 2, 1), phi)
+        G = _real_matmul(self._vectors, np.exp(-1j * self._energies * t) * coeffs)
+        return self._to_pairs(G, 0)
+
+    def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
+        """Amplitudes <m1,m2| e^{-iHt} |n1,n2> over the whole pair basis.
+
+        Equals evolve(basis_state(cfg, n1, n2), t); the initial state
+        projects onto row r = n2 - n1 of each block, so no transform of it
+        is spent.
+        """
+        if t == 0:
+            return basis_state(self.cfg, n1, n2)
+        N = self.cfg.N
+        d = n2 - n1
+        pair_index(n1, n2, N)
+        # e^{-iKd/2}, its argument reduced exactly; the rest of the phase
+        # e^{-iK(n1-1+d/2)} of the initial pair's centre is the shift in _to_pairs
+        centre = np.exp(-1j * np.pi * (np.arange(N) * d % (2 * N)) / N)
+        w = self._vectors[:, d - 1] * np.exp(-1j * self._energies * t) * centre[:, None]
+        return self._to_pairs(_real_matmul(self._vectors, w), n1 - 1)

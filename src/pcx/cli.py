@@ -124,25 +124,24 @@ def _run_header(args, cfg: ChainConfig) -> list[str]:
 
 def cmd_spectrum(args) -> int:
     cfg = _chain_config(args)
-    spectral = SpectralEngine(cfg)
+    engine = BetheEngine(cfg) if args.engine == "bethe" else None
+    levels = np.sort(SpectralEngine(cfg).eigenvalues)
     footer = []
-    if args.engine == "bethe":
-        engine = BetheEngine(cfg)
+    if engine is None:
+        rows = [(i, e, "", "") for i, e in enumerate(levels)]
+    else:
         order = sorted(range(len(engine.roots)), key=lambda i: (engine.roots[i].energy, i))
         rows = []
         for rank, i in enumerate(order):
             r = engine.roots[i]
             residual = abs(r.energy - dispersion(cfg, r.k1, r.k2).real)
             rows.append((rank, r.energy, r.kind, residual))
-        diag = np.sort(spectral.spectral.eigenvalues)
         bethe_sorted = np.array([engine.roots[i].energy for i in order])
-        footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(np.abs(bethe_sorted - diag).max())}")
+        footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(np.abs(bethe_sorted - levels).max())}")
         counts = {}
         for r in engine.roots:
             counts[r.kind] = counts.get(r.kind, 0) + 1
         footer.append("class_counts=" + " ".join(f"{k}:{v}" for k, v in sorted(counts.items())))
-    else:
-        rows = [(i, e, "", "") for i, e in enumerate(np.sort(spectral.spectral.eigenvalues))]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_csv(
@@ -214,14 +213,15 @@ def cmd_scan(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grids = analysis.spacetime_scan(cfg, args.flips, args.horizon, args.dt, args.tmax, engine)
 
-    def rows():
+    times = io.fmt_all(grids[0].times)
+
+    def site_rows():
         for grid in grids:
             for j in range(1, cfg.N + 1):
-                row = grid.values[j - 1]
-                for k in range(len(grid.times)):
-                    yield (grid.times[k], j, grid.label, row[k])
+                cells = f",{j},{grid.label},"
+                yield "".join(f"{t}{cells}{v}\n" for t, v in zip(times, io.fmt_all(grid.values[j - 1])))
 
-    io.write_csv(out / "scan.csv", ("t", "site", "kind", "value_bits"), rows(),
+    io.write_csv(out / "scan.csv", ("t", "site", "kind", "value_bits"), site_rows(),
                  preamble=_run_header(args, cfg))
     for grid in grids:
         io.write_pgm(out / f"scan_{grid.label}.pgm", grid.values)

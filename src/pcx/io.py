@@ -12,14 +12,27 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_all(values: np.ndarray) -> list[str]:
+    """fmt of every element of a float array, in order."""
+    return [format(x, ".17g") for x in np.asarray(values, dtype=np.float64).tolist()]
+
+
 def write_csv(path, columns, rows, preamble=(), footer=()):
-    """Plain comma-separated file: '#' preamble, header row, data, '#' footer."""
+    """Plain comma-separated file: '#' preamble, header row, data, '#' footer.
+
+    Each item of rows is either a sequence of cells, written with fmt
+    (str cells as given), or a str of complete lines already formatted,
+    written as is.
+    """
     with open(path, "w", newline="\n") as fh:
         for line in preamble:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(x) if not isinstance(x, str) else x for x in row) + "\n")
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                fh.write(",".join(fmt(x) if not isinstance(x, str) else x for x in row) + "\n")
         for line in footer:
             fh.write(f"# {line}\n")
 

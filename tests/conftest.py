@@ -8,7 +8,7 @@ import pytest
 
 import pcx
 from pcx.analysis import site_series, spacetime_scan
-from pcx.chain import ChainConfig, SpectralEngine
+from pcx.chain import ChainConfig, DenseEngine, SpectralEngine
 
 RECIPE_FLIPS = (10, 25)
 RECIPE_SITE = 17
@@ -37,6 +37,18 @@ def bethe_engine32(cfg32):
 @pytest.fixture(scope="session")
 def engine8():
     return SpectralEngine(ChainConfig(N=8))
+
+
+@pytest.fixture(scope="session")
+def dense_engine8():
+    """Dense oracle: the whole N=8 sector diagonalized at once."""
+    return DenseEngine(ChainConfig(N=8))
+
+
+@pytest.fixture(scope="session")
+def dense_engine32(cfg32):
+    """Dense oracle for the reference ring."""
+    return DenseEngine(cfg32)
 
 
 @pytest.fixture(scope="session")

@@ -121,9 +121,9 @@ def test_criterion_6_small_instance_oracles(rng):
            worst_evolution < 1e-10 and worst_fast_path < 1e-10)
 
 
-def test_criterion_7_bethe_backend_parity(cfg32, engine32, bethe_engine32):
+def test_criterion_7_bethe_backend_parity(cfg32, engine32, dense_engine32, bethe_engine32):
     n_roots = len(bethe_engine32.roots)
-    diag = np.sort(engine32.spectral.eigenvalues)
+    diag = np.sort(dense_engine32.spectral.eigenvalues)
     bethe = np.sort(bethe_engine32.spectral.eigenvalues)
     mismatch = float(np.max(np.abs(diag - bethe)))
     worst = 0.0

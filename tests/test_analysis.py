@@ -11,7 +11,7 @@ from pcx.analysis import (
     time_grid,
 )
 from pcx.bethe import BetheEngine
-from pcx.chain import ChainConfig, SpectralEngine
+from pcx.chain import ChainConfig, DenseEngine, SpectralEngine
 from pcx.errors import ConfigError, PeakNotFoundError, StatsError
 
 
@@ -58,7 +58,7 @@ class TestSpacetimeScan:
 
     def test_resource_guard(self):
         """A sector too large for the dense engines is refused before it is built."""
-        for engine_cls in (SpectralEngine, BetheEngine):
+        for engine_cls in (DenseEngine, BetheEngine):
             with pytest.raises(ConfigError, match="budget"):
                 engine_cls(ChainConfig(N=95))
 

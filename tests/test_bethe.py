@@ -57,8 +57,8 @@ class TestEnumerateRoots:
     def test_count_n32(self, roots32):
         assert len(roots32) == comb(32, 2) == 496
 
-    def test_spectrum_matches_diagonalization(self, cfg32, roots32, engine32):
-        diag = np.sort(engine32.spectral.eigenvalues)
+    def test_spectrum_matches_diagonalization(self, cfg32, roots32, dense_engine32):
+        diag = np.sort(dense_engine32.spectral.eigenvalues)
         bethe = np.sort([r.energy for r in roots32])
         assert np.max(np.abs(diag - bethe)) < 1e-6
 
@@ -113,8 +113,8 @@ class TestBetheState:
             assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-10
             assert st.norm_constant > 0
 
-    def test_eigenvector_residuals(self, cfg32, roots32, engine32):
-        H = engine32.hamiltonian
+    def test_eigenvector_residuals(self, cfg32, roots32, dense_engine32):
+        H = dense_engine32.hamiltonian
         worst = 0.0
         for r in roots32:
             st = bethe_state(r, cfg32)
@@ -147,12 +147,12 @@ class TestBetheState:
         with pytest.raises(DegenerateRootError):
             bethe_state(bogus, cfg32)
 
-    def test_singular_momentum_pi_state(self, cfg32, roots32, engine32):
+    def test_singular_momentum_pi_state(self, cfg32, roots32, dense_engine32):
         """The v->infinity cell is the alternating adjacent state."""
         singular = [r for r in roots32 if r.kind == "bound" and abs(r.energy - cfg32.J) < 1e-9]
         assert len(singular) == 1
         st = bethe_state(singular[0], cfg32)
-        res = np.linalg.norm(engine32.hamiltonian @ st.amplitudes - cfg32.J * st.amplitudes)
+        res = np.linalg.norm(dense_engine32.hamiltonian @ st.amplitudes - cfg32.J * st.amplitudes)
         assert res < 1e-6
         # support on adjacent pairs only
         for flat, amp in enumerate(st.amplitudes):
@@ -286,12 +286,12 @@ class TestBetheEvolve:
 
 
 class TestLowestExcitation:
-    def test_minimum_energy_matches_dispersion_over_roots(self, cfg32, roots32, engine32):
+    def test_minimum_energy_matches_dispersion_over_roots(self, cfg32, roots32, dense_engine32):
         """Sector ground value agrees with the minimum over enumerated roots."""
-        spectrum_min = float(np.min(engine32.spectral.eigenvalues))
+        spectrum_min = float(np.min(dense_engine32.spectral.eigenvalues))
         roots_min = min(dispersion(cfg32, r.k1, r.k2).real for r in roots32)
         assert abs(spectrum_min - roots_min) < 1e-8
         # lowest nonzero excitation too
-        spectrum_next = float(np.sort(engine32.spectral.eigenvalues)[1])
+        spectrum_next = float(np.sort(dense_engine32.spectral.eigenvalues)[1])
         roots_next = sorted(r.energy for r in roots32)[1]
         assert abs(spectrum_next - roots_next) < 1e-6

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from pcx.chain import (
     ChainConfig,
+    DenseEngine,
+    SpectralEngine,
     all_pairs,
     basis_state,
     pair_index,
@@ -122,7 +124,7 @@ class TestEvolve:
 
     def test_unitarity_and_energy_conservation(self, engine8):
         psi0 = basis_state(engine8.cfg, 1, 4)
-        H = engine8.hamiltonian
+        H = sector_hamiltonian(engine8.cfg)
         e_start = np.vdot(psi0, H @ psi0).real
         for t in (0.5, 3.0, 17.0):
             psi = engine8.evolve(psi0, t)
@@ -143,12 +145,12 @@ class TestEvolve:
 
 
 class TestSpectralDecomposition:
-    def test_orthonormal_eigenvectors(self, engine8):
-        V = engine8.spectral.eigenvectors
-        assert np.max(np.abs(V.T @ V - np.eye(engine8.dim))) < 1e-10
+    def test_orthonormal_eigenvectors(self, dense_engine8):
+        V = dense_engine8.spectral.eigenvectors
+        assert np.max(np.abs(V.T @ V - np.eye(dense_engine8.dim))) < 1e-10
 
-    def test_eigen_residual(self, engine8):
-        H, spec = engine8.hamiltonian, engine8.spectral
+    def test_eigen_residual(self, dense_engine8):
+        H, spec = dense_engine8.hamiltonian, dense_engine8.spectral
         res = H @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
         assert np.max(np.abs(res)) < 1e-10
 
@@ -185,9 +187,70 @@ class TestFullSpaceOracle:
 
 
 class TestSpectralEngine:
-    def test_pair_amplitudes_matches_evolve(self, engine8):
-        psi = engine8.evolve(basis_state(engine8.cfg, 2, 7), 3.3)
-        assert np.array_equal(engine8.pair_amplitudes(2, 7, 3.3), psi)
+    def test_pair_amplitudes_matches_evolve(self, dense_engine8):
+        """The dense path picks one row of V, so both agree bit for bit."""
+        psi = dense_engine8.evolve(basis_state(dense_engine8.cfg, 2, 7), 3.3)
+        assert np.array_equal(dense_engine8.pair_amplitudes(2, 7, 3.3), psi)
+
+
+ORACLE_RINGS = (4, 5, 8, 9, 16, 31, 32, 40)
+
+
+class TestMomentumBlocks:
+    """The block engine against the dense oracle."""
+
+    @pytest.mark.parametrize("J", [1.0, -1.3])
+    @pytest.mark.parametrize("N", ORACLE_RINGS)
+    def test_matches_dense_oracle(self, N, J):
+        cfg = ChainConfig(N=N, J=J)
+        block, dense = SpectralEngine(cfg), DenseEngine(cfg)
+        E, V = dense.spectral.eigenvalues, dense.spectral.eigenvectors
+        assert np.max(np.abs(np.sort(block.eigenvalues) - E)) < 1e-12
+        n1s, n2s = all_pairs(N)
+        for t in (1.0, 9.0, 50.0):
+            # column p is DenseEngine.pair_amplitudes of pair p
+            U = V @ (np.exp(-1j * E * t)[:, None] * V.T)
+            for p in range(cfg.dim):
+                b = block.pair_amplitudes(int(n1s[p]), int(n2s[p]), t)
+                assert np.max(np.abs(b - U[:, p])) < 1e-12, (n1s[p], n2s[p], t)
+
+    @pytest.mark.parametrize("N", ORACLE_RINGS)
+    def test_level_count(self, N):
+        cfg = ChainConfig(N=N, J=1.3)
+        engine = SpectralEngine(cfg)
+        assert len(engine.eigenvalues) == len(engine.momenta) == comb(N, 2)
+        if N % 2 == 0:
+            # K = pi: no hopping, and the one level at J is the alternating adjacent pair
+            at_pi = engine.eigenvalues[engine.momenta == N // 2]
+            assert np.sum(np.abs(at_pi - cfg.J) < 1e-12) == 1
+
+    @pytest.mark.parametrize("N", [5, 8, 31, 32])
+    def test_evolve_matches_dense(self, N, rng):
+        cfg = ChainConfig(N=N, J=-1.3)
+        block, dense = SpectralEngine(cfg), DenseEngine(cfg)
+        for t in (1.0, 9.0, 50.0):
+            for _ in range(3):
+                psi = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
+                psi /= np.linalg.norm(psi)
+                assert np.max(np.abs(block.evolve(psi, t) - dense.evolve(psi, t))) < 1e-12
+
+    @pytest.mark.parametrize("N", [5, 8, 32])
+    def test_pair_amplitudes_match_evolve_to_rounding(self, N):
+        engine = SpectralEngine(ChainConfig(N=N))
+        for (n1, n2, t) in ((1, 2, 0.7), (2, N - 1, 9.0), (3, N, 50.0)):
+            psi = engine.evolve(basis_state(engine.cfg, n1, n2), t)
+            assert np.max(np.abs(engine.pair_amplitudes(n1, n2, t) - psi)) < 1e-14
+
+    def test_t0_is_exact(self):
+        engine = SpectralEngine(ChainConfig(N=9))
+        assert np.array_equal(engine.pair_amplitudes(2, 7, 0.0), basis_state(engine.cfg, 2, 7))
+
+    def test_memory_budget_checked_before_allocation(self):
+        # the stack for this ring would take about 4e14 bytes
+        with pytest.raises(ConfigError, match="budget"):
+            SpectralEngine(ChainConfig(N=100_000))
+        with pytest.raises(ConfigError, match="budget"):
+            SpectralEngine(ChainConfig(N=324))
 
 
 class TestSiteBipartition:

@@ -3,6 +3,9 @@ from math import comb
 import numpy as np
 import pytest
 
+from pcx import io
+from pcx.analysis import spacetime_scan
+from pcx.chain import ChainConfig, SpectralEngine
 from pcx.cli import main
 
 
@@ -141,6 +144,17 @@ class TestScanCommand:
         assert "0..1 bits" in text
         assert "dt=0.5" in text
 
+    def test_csv_matches_cell_by_cell_writer(self, scan_dir, tmp_path):
+        """The bulk writer gives the bytes of one formatted row per cell."""
+        cfg = ChainConfig(N=12)
+        grids = spacetime_scan(cfg, (3, 7), (2,), 0.5, 10.0, SpectralEngine(cfg))
+        rows = [(grid.times[k], j, grid.label, grid.values[j - 1, k])
+                for grid in grids for j in range(1, 13) for k in range(len(grid.times))]
+        preamble, _, _, _ = read_csv(scan_dir / "scan.csv")
+        io.write_csv(tmp_path / "scan.csv", ("t", "site", "kind", "value_bits"), rows,
+                     preamble=preamble)
+        assert (tmp_path / "scan.csv").read_bytes() == (scan_dir / "scan.csv").read_bytes()
+
     def test_pixel_quantization(self, scan_dir):
         _, _, rows, _ = read_csv(scan_dir / "scan.csv")
         s_rows = [r for r in rows if r[2] == "S"]
@@ -200,8 +214,34 @@ class TestConfigErrors:
 
     def test_sector_too_large_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["spectrum", "--sites", "95", "--out", str(out)]) == 2
+        assert main(["spectrum", "--engine", "bethe", "--sites", "95", "--out", str(out)]) == 2
         self.assert_config_error(capsys, out)
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum"],
+        ["series", "--site", "5", "--horizon", "1", "--dt", "0.5", "--tmax", "2"],
+        ["scan", "--horizon", "1", "--dt", "0.5", "--tmax", "2"],
+    ], ids=["spectrum", "series", "scan"])
+    def test_block_budget_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([*command, "--sites", "400", "--out", str(out)]) == 2
+        self.assert_config_error(capsys, out)
+
+
+class TestLargeRing:
+    """Rings whose sector the dense engines refuse run on the momentum blocks."""
+
+    def test_spectrum_128(self, tmp_path):
+        assert main(["spectrum", "--sites", "128", "--out", str(tmp_path)]) == 0
+        _, _, rows, _ = read_csv(tmp_path / "spectrum.csv")
+        assert len(rows) == comb(128, 2) == 8128
+
+    def test_series_128(self, tmp_path):
+        assert main(["series", "--sites", "128", "--site", "5", "--horizon", "1",
+                     "--dt", "0.5", "--tmax", "2", "--out", str(tmp_path)]) == 0
+        _, header, rows, _ = read_csv(tmp_path / "series_site5.csv")
+        assert header == ["t", "S_bits", "C_bits_rh1"]
+        assert len(rows) == 5
 
 
 class TestExampleCommand:
