@@ -7,14 +7,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainConfig, focus_indices, pair_index
+from .chain import ChainConfig, pair_index
 from .errors import ConfigError, PeakNotFoundError, StatsError
-from .horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
+from .horizon import HorizonSpec, two_level_entropy_bits
+from .horizon import classify_pairs  # not called here; perfbench/tracing.py patches this name
 
 MIN_WINDOW_SAMPLES = 100
 # Largest time grid a run may ask for; every grid-sized array holds one
 # value per (site, time) cell, so this bounds memory before anything is built.
 MAX_TIME_POINTS = 10**6
+# Bytes of one chunk's (T, N, N-1) probability stack in the observable
+# kernel, which batches T = CHUNK_BYTES // (8 N (N-1)) time steps (at least
+# one); this bounds the kernel's working memory at any N.
+CHUNK_BYTES = 256 * 2**10
 
 
 @dataclass(frozen=True)
@@ -77,32 +82,61 @@ def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_m
     return time_grid(dt, t_max)
 
 
+def _layout_index(N: int) -> np.ndarray:
+    """(N, N-1) flat pair index of each layout cell (x, r): sites x+1 and (x+r) mod N + 1."""
+    x = np.arange(N)[:, None]
+    a, b = x + 1, (x + np.arange(1, N)) % N + 1
+    n1, n2 = np.minimum(a, b), np.maximum(a, b)
+    return (n1 - 1) * N - n1 * (n1 - 1) // 2 + (n2 - n1 - 1)
+
+
 def _observables(cfg: ChainConfig, engine, flips: tuple[int, int], sites, r_h_list,
                  times: np.ndarray) -> tuple[np.ndarray, dict]:
     """S and C(r_h) in bits, arrays of shape (len(sites), len(times)).
 
-    Each time step takes one engine.pair_amplitudes call.  S comes from
-    p_down, the probability that the site is flipped; C adds
-    |<down|rho'_A|up>| = sqrt(m_out * m_focus) from the same probabilities,
-    so no phase is evaluated.  Sums run in a fixed order per site, so a
-    site's values do not depend on which other sites share the call.
+    Each time step takes one engine.pair_amplitudes call; the arithmetic
+    runs on chunks of T steps, T from CHUNK_BYTES.  The probabilities |b|^2
+    of a chunk are gathered into P[T, x, r] on the (x, r) layout, where
+    row j-1 lists the pairs of site j by clockwise distance r.  With W_j
+    the window of radius r_h around site j:
+    - p_down, the probability that j is flipped, is the sum of row j-1;
+    - m_focus (one flip on j, the other outside W_j) is the sum of row j-1
+      over r_h < r < N - r_h;
+    - m_out (both flips outside W_j) sums positive terms only: the i-th of
+      the L = N - 2 r_h - 1 sites outside W_j, counted clockwise, pairs with
+      the L-1-i sites after it, a cumulative sum of its row read at column
+      L-2-i (r = L-1-i).
+    S comes from p_down and C adds |<down|rho'_A|up>| = sqrt(m_out * m_focus),
+    so no phase is evaluated.  Every sum runs along one contiguous row of
+    the layout in the same order, whichever sites are asked for and however
+    the steps are chunked, so a site's values do not depend on which other
+    sites share the call.
     """
     if engine.cfg != cfg:
         raise ConfigError(f"engine was built for {engine.cfg}, not {cfg}")
+    N = cfg.N
     n1, n2 = flips
-    focus = np.stack([focus_indices(j, cfg.N) for j in sites])
-    gathers = {}
+    layout = _layout_index(N)
+    rows = np.asarray(sites) - 1
+    arcs = {}  # r_h -> flat (x, r) cells of the cumulative sums m_out reads
     for r in r_h_list:
-        classes = [classify_pairs(HorizonSpec(j=j, r_h=r, N=cfg.N)) for j in sites]
-        gathers[r] = (np.stack([c.type_i for c in classes]),
-                      np.stack([c.focus_out for c in classes]))
-    p_down = np.empty((len(sites), len(times)))
-    offdiag = {r: np.empty_like(p_down) for r in gathers}
-    for k, t in enumerate(times):
-        prob = np.abs(engine.pair_amplitudes(n1, n2, float(t))) ** 2
-        p_down[:, k] = prob[focus].sum(axis=1)
-        for r, (type_i, focus_out) in gathers.items():
-            offdiag[r][:, k] = np.sqrt(prob[type_i].sum(axis=1) * prob[focus_out].sum(axis=1))
+        i = np.arange(N - 2 * r - 2)  # every outside site but the last
+        arcs[r] = (rows[:, None] + r + 1 + i) % N * (N - 1) + N - 2 * r - 3 - i
+    n_steps = max(1, CHUNK_BYTES // (8 * N * (N - 1)))
+    p_down = np.empty((len(rows), len(times)))
+    offdiag = {r: np.empty_like(p_down) for r in arcs}
+    for k in range(0, len(times), n_steps):
+        chunk = slice(k, k + n_steps)
+        amps = np.stack([engine.pair_amplitudes(n1, n2, float(t)) for t in times[chunk]])
+        # np.take keeps every gather C-ordered, so each sum runs along a contiguous row
+        prob = np.take(amps.real ** 2 + amps.imag ** 2, layout, axis=1)
+        own = np.take(prob, rows, axis=1)
+        p_down[:, chunk] = own.sum(axis=2).T
+        cumulative = np.cumsum(prob, axis=2).reshape(len(amps), -1)
+        for r, arc in arcs.items():
+            m_focus = own[:, :, r:N - r - 1].sum(axis=2)
+            m_out = np.take(cumulative, arc, axis=1).sum(axis=2)
+            offdiag[r][:, chunk] = np.sqrt(m_out * m_focus).T
     entropy = two_level_entropy_bits(p_down)
     return entropy, {r: two_level_entropy_bits(p_down, m) for r, m in offdiag.items()}
 

@@ -218,8 +218,9 @@ def cmd_scan(args) -> int:
     def site_rows():
         for grid in grids:
             for j in range(1, cfg.N + 1):
+                # one template per row; %.17g is the formatter of io.fmt
                 cells = f",{j},{grid.label},"
-                yield "".join(f"{t}{cells}{v}\n" for t, v in zip(times, io.fmt_all(grid.values[j - 1])))
+                yield "".join(f"{t}{cells}%.17g\n" for t in times) % tuple(grid.values[j - 1].tolist())
 
     io.write_csv(out / "scan.csv", ("t", "site", "kind", "value_bits"), site_rows(),
                  preamble=_run_header(args, cfg))

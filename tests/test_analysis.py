@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import pcx.analysis
+import pcx.horizon
 from pcx.analysis import (
     MAX_TIME_POINTS,
+    _observables,
     equilibrium_stats,
     nearest_peak,
     peak_ratio,
@@ -13,6 +16,13 @@ from pcx.analysis import (
 from pcx.bethe import BetheEngine
 from pcx.chain import ChainConfig, DenseEngine, SpectralEngine
 from pcx.errors import ConfigError, PeakNotFoundError, StatsError
+from pcx.horizon import (
+    HorizonSpec,
+    classify_pairs,
+    predictive_offdiag,
+    rho_a_site,
+    two_level_entropy_bits,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +120,76 @@ class TestSpacetimeScan:
         s_contrast = s_grid.values[17 - 1, k] / s_grid.values.mean()
         c_contrast = c_grid.values[17 - 1, k] / c_grid.values.mean()
         assert c_contrast > s_contrast
+
+
+class StubEngine:
+    """The engine interface the kernel may use, and nothing else.
+
+    Each time t gets its own seeded random normalised state; every call is
+    recorded as (n1, n2, t).
+    """
+
+    __slots__ = ("cfg", "dim", "calls")
+    name = "stub"
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.dim = cfg.dim
+        self.calls = []
+
+    def pair_amplitudes(self, n1, n2, t):
+        self.calls.append((n1, n2, t))
+        rng = np.random.default_rng([self.cfg.N, round(1000 * t)])
+        b = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
+        return b / np.linalg.norm(b)
+
+
+class TestObservableKernel:
+    @pytest.mark.parametrize("N", [5, 6, 7, 8, 9, 12, 31, 32])
+    def test_matches_classify_pairs_oracle(self, N):
+        """S and C of every site and radius, including N = 2 r_h + 2 (m_out = 0)."""
+        cfg = ChainConfig(N=N)
+        engine = StubEngine(cfg)
+        times = np.array([0.0, 0.5, 1.5])
+        radii = tuple(range(1, (N - 2) // 2 + 1))  # every r_h with 2 r_h + 1 < N
+        entropy, complexity = _observables(cfg, engine, (1, 2), range(1, N + 1), radii, times)
+        states = [engine.pair_amplitudes(1, 2, float(t)) for t in times]
+        for j in range(1, N + 1):
+            p_down = np.array([rho_a_site(b, j, N)[0, 0].real for b in states])
+            assert np.abs(entropy[j - 1] - two_level_entropy_bits(p_down)).max() <= 1e-14
+            for r in radii:
+                cls = classify_pairs(HorizonSpec(j=j, r_h=r, N=N))
+                off = np.array([abs(predictive_offdiag(b, cls)) for b in states])
+                expected = two_level_entropy_bits(p_down, off)
+                assert np.abs(complexity[r][j - 1] - expected).max() <= 1e-14
+
+    def test_one_float_call_per_time_point_and_no_classify_pairs(self, monkeypatch):
+        def forbidden(spec):
+            raise AssertionError("classify_pairs called by the observable kernel")
+
+        monkeypatch.setattr(pcx.horizon, "classify_pairs", forbidden)
+        monkeypatch.setattr(pcx.analysis, "classify_pairs", forbidden)
+        cfg = ChainConfig(N=64)  # several chunks of time steps
+        engine = StubEngine(cfg)
+        grids = spacetime_scan(cfg, (9, 18), (1, 2, 3), 0.5, 10.0, engine)
+        series = site_series(cfg, (9, 18), 33, (1, 2, 3), 0.5, 10.0, engine)
+        times = grids[0].times.tolist()
+        assert engine.calls == [(9, 18, t) for t in times + times]
+        assert all(type(t) is float for _, _, t in engine.calls)
+        assert np.array_equal(series.entropy, grids[0].values[32])
+
+    def test_chunks_do_not_change_values(self):
+        """A run over many chunks equals one run per time point, bit for bit."""
+        cfg = ChainConfig(N=64)
+        engine = StubEngine(cfg)
+        times = np.arange(21) * 0.5
+        sites, radii = (1, 17, 64), (1, 5, 31)
+        entropy, complexity = _observables(cfg, engine, (9, 18), sites, radii, times)
+        for k in range(len(times)):
+            s, c = _observables(cfg, engine, (9, 18), sites, radii, times[k:k + 1])
+            assert np.array_equal(s[:, 0], entropy[:, k])
+            for r in radii:
+                assert np.array_equal(c[r][:, 0], complexity[r][:, k])
 
 
 class TestEquilibriumStats:

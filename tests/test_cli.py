@@ -243,6 +243,15 @@ class TestLargeRing:
         assert header == ["t", "S_bits", "C_bits_rh1"]
         assert len(rows) == 5
 
+    def test_scan_128(self, tmp_path):
+        assert main(["scan", "--sites", "128", "--flips", "10,70", "--horizon", "1,2,3",
+                     "--dt", "0.2", "--tmax", "20", "--out", str(tmp_path)]) == 0
+        _, _, rows, _ = read_csv(tmp_path / "scan.csv")
+        assert len(rows) == 128 * 101 * 4
+        assert [rows[k * 128 * 101][2] for k in range(4)] == ["S", "C_rh1", "C_rh2", "C_rh3"]
+        values = np.array([float(r[3]) for r in rows]).reshape(4, 128, 101)
+        assert (values[1:] <= values[0] + 1e-12).all()
+
 
 class TestExampleCommand:
     def test_default_report(self, capsys):
