@@ -17,26 +17,25 @@ For even N the momentum-pi cell is the singular limit v -> infinity of
 the bound branch: its root record holds finite labels and the exact
 energy J, and its wavefunction is the closed-form alternating adjacent-pair
 state, so the Bethe basis is orthonormal as built.
+
+A root of cell (m1, m2) has total momentum K = 2 pi (m1 + m2)/N; `BetheEngine`
+puts each root's state into that momentum block of `chain.SpectralEngine`'s stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, pi
+from math import pi
 
 import numpy as np
 
-from .chain import (
-    ChainConfig,
-    Propagator,
-    SpectralDecomposition,
-    all_pairs,
-    check_sector_size,
-)
+from .chain import ChainConfig, SpectralEngine, all_pairs, block_sizes, check_sector_size
 from .errors import DegenerateRootError, SolverError
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
+# Newton steps taken past NEWTON_TOL while |F| still falls
+NEWTON_FINISH_STEPS = 3
 # Depth v of the finite (k1, k2, theta) labels recorded for the singular
 # momentum-pi cell; its wavefunction is the closed form, independent of v.
 SINGULAR_V = 17.5
@@ -105,6 +104,17 @@ def _cell_derivative(theta, m1: int, m2: int, N: int):
     )
 
 
+def _newton_finish(theta, f, m1: int, m2: int, N: int):
+    """Newton steps past |F| < NEWTON_TOL while |F| still falls, which takes E to rounding."""
+    for _ in range(NEWTON_FINISH_STEPS):
+        trial = theta - f / _cell_derivative(theta, m1, m2, N)
+        f_trial = _cell_function(trial, m1, m2, N)
+        if not abs(f_trial) < abs(f):
+            break
+        theta, f = trial, f_trial
+    return theta
+
+
 def _real_cell_root(m1: int, m2: int, N: int, lo: float, hi: float) -> float | None:
     """Safeguarded Newton for a real root of the cell function in (lo, hi)."""
     f_lo = _cell_function(lo, m1, m2, N).real
@@ -116,7 +126,7 @@ def _real_cell_root(m1: int, m2: int, N: int, lo: float, hi: float) -> float | N
     for _ in range(NEWTON_MAX_ITER):
         f = _cell_function(theta, m1, m2, N).real
         if abs(f) < NEWTON_TOL:
-            return theta
+            return _newton_finish(theta, f, m1, m2, N)
         if fa * f < 0:
             b = theta
         else:
@@ -136,7 +146,7 @@ def _complex_cell_root(m1: int, m2: int, N: int, theta0: complex) -> complex | N
     f = _cell_function(theta, m1, m2, N)
     for _ in range(NEWTON_MAX_ITER):
         if abs(f) < NEWTON_TOL:
-            return complex(theta)
+            return complex(_newton_finish(theta, f, m1, m2, N))
         step = f / _cell_derivative(theta, m1, m2, N)
         scale = 1.0
         for _ in range(8):
@@ -218,27 +228,16 @@ def _bound_cell_root(cfg: ChainConfig, mclass: int) -> BetheRoot:
     c = np.cos(pi * mclass / N)
     v0 = float(np.clip(-np.log(max(abs(c), 0.02)), 0.03, 3.2))
     re0 = pi * sigma - 2 * pi * m1  # = 0 or pi by parity of sigma
-    candidates = []
-    theta_c = _complex_cell_root(m1, m2, N, re0 + 1j * N * v0)
-    if theta_c is not None and abs(theta_c.imag) > 1e-9:
-        candidates.append(theta_c)
-    if not candidates:
-        for v_try in (0.3 * v0, 3.0 * v0, 0.01):
-            theta_c = _complex_cell_root(m1, m2, N, re0 + 1j * N * v_try)
-            if theta_c is not None and abs(theta_c.imag) > 1e-9:
-                candidates.append(theta_c)
-                break
-    if not candidates:
-        # dissolved bound state: real close pair
-        if m1 == m2:
-            theta_r = _real_cell_root(m1, m2, N, pi + 1e-6, 2 * pi - 1e-6)
-        else:
-            theta_r = _real_cell_root(m1, m2, N, 1e-6, pi - 1e-4)
-        if theta_r is not None:
-            candidates.append(complex(theta_r))
-    if not candidates:
+    for v_try in (v0, 0.3 * v0, 3.0 * v0, 0.01):
+        theta = _complex_cell_root(m1, m2, N, re0 + 1j * N * v_try)
+        if theta is not None and abs(theta.imag) > 1e-9:
+            return _root_from_theta(cfg, theta, m1, m2)
+    # dissolved bound state: real close pair
+    lo, hi = (pi + 1e-6, 2 * pi - 1e-6) if m1 == m2 else (1e-6, pi - 1e-4)
+    theta = _real_cell_root(m1, m2, N, lo, hi)
+    if theta is None:
         raise SolverError(f"no solution found for momentum-class cell ({m1},{m2})")
-    return _root_from_theta(cfg, candidates[0], m1, m2)
+    return _root_from_theta(cfg, complex(theta), m1, m2)
 
 
 def enumerate_roots(cfg: ChainConfig) -> list[BetheRoot]:
@@ -254,25 +253,21 @@ def enumerate_roots(cfg: ChainConfig) -> list[BetheRoot]:
     for mclass in range(2, N - 1):
         roots.append(_bound_cell_root(cfg, mclass))
     roots.sort(key=lambda r: (r.m1, r.m2))
-    if len(roots) != comb(N, 2):
-        raise SolverError(f"expected {comb(N, 2)} roots, found {len(roots)}")
     return roots
 
 
-def bethe_state(root: BetheRoot, cfg: ChainConfig) -> BetheState:
-    """Normalized position-basis wavefunction of a root.
+def _wavefunction(root: BetheRoot, n1s, n2s, N: int) -> tuple[np.ndarray, float]:
+    """Unit amplitudes of a root on the pairs (n1s, n2s), and their norm before scaling.
 
-    Exponent magnitudes are rescaled by their maximum before
-    exponentiation so deeply bound states do not overflow.  The even-N
-    momentum-pi cell (the only bound root with m1 + m2 = N/2) is built in
-    closed form: (-1)^n on the pair (n, n+1) and (-1)^N on (1, N).
+    Exponents are rescaled by their maximum so deep bound states do not
+    overflow.  The even-N momentum-pi cell (the only bound root with
+    m1 + m2 = N/2) is the closed form (-1)^n on (n, n+1), (-1)^N on (1, N).
     """
-    n1s, n2s = all_pairs(cfg.N)
-    if root.kind == "bound" and 2 * (root.m1 + root.m2) == cfg.N:
+    if root.kind == "bound" and 2 * (root.m1 + root.m2) == N:
         raw = np.zeros(len(n1s), dtype=np.complex128)
         adjacent = n2s - n1s == 1
         raw[adjacent] = (-1.0) ** n1s[adjacent]
-        raw[n2s - n1s == cfg.N - 1] = (-1.0) ** cfg.N
+        raw[n2s - n1s == N - 1] = (-1.0) ** N
     else:
         e1 = 1j * (root.k1 * n1s + root.k2 * n2s + root.theta / 2)
         e2 = 1j * (root.k1 * n2s + root.k2 * n1s - root.theta / 2)
@@ -281,28 +276,67 @@ def bethe_state(root: BetheRoot, cfg: ChainConfig) -> BetheState:
     norm = np.linalg.norm(raw)
     if norm < 1e-13 * np.sqrt(len(raw)):
         raise DegenerateRootError(f"cell ({root.m1},{root.m2}) gives a vanishing wavefunction")
-    return BetheState(root=root, amplitudes=raw / norm, norm_constant=float(1.0 / norm))
+    return raw / norm, float(norm)
 
 
-class BetheEngine(Propagator):
+def bethe_state(root: BetheRoot, cfg: ChainConfig) -> BetheState:
+    """Normalized position-basis wavefunction of a root, over the flat pair basis."""
+    amplitudes, norm = _wavefunction(root, *all_pairs(cfg.N), cfg.N)
+    return BetheState(root=root, amplitudes=amplitudes, norm_constant=1.0 / norm)
+
+
+def block_vector(root: BetheRoot, cfg: ChainConfig) -> tuple[int, np.ndarray]:
+    """Momentum index k and real unit block vector phi(r), r = 1..N-1, of a root.
+
+    The state is e^{iKx} a(1, 1 + r) on the pair (x + 1, x + 1 + r), so phi
+    is a(1, 1 + r) in SpectralEngine's gauge e^{-i pi k r/N}, k = (m1 + m2)
+    mod N (m1 + m2 itself would differ by (-1)^r once it reaches N).  There
+    phi is real up to one global phase, which is removed; SolverError if an
+    imaginary part over 1e-10 is left.
+    """
+    N = cfg.N
+    k = (root.m1 + root.m2) % N
+    r = np.arange(1, N)
+    amplitudes, _ = _wavefunction(root, np.ones_like(r), 1 + r, N)
+    phi = amplitudes * np.exp(-1j * np.pi * (k * r % (2 * N)) / N)
+    peak = phi[np.argmax(np.abs(phi))]
+    phi *= abs(peak) / peak
+    if not np.max(np.abs(phi.imag)) <= 1e-10:
+        raise SolverError(f"cell ({root.m1},{root.m2}): block vector is not real "
+                          f"(max|Im| = {np.max(np.abs(phi.imag)):.3e})")
+    return k, phi.real
+
+
+class BetheEngine(SpectralEngine):
     """Evolution backend built on the full set of Bethe eigenstates.
 
-    The normalized wavefunctions, the momentum-pi state in closed form,
-    form the columns of A, which is the eigenbasis as built: A is checked,
-    max|A^dagger A - I| <= ORTHONORMALITY_TOL, and never repaired.  A
-    missing or repeated state fails the check.
+    Each root's `block_vector` and energy fill one level of its momentum
+    block in SpectralEngine's stack, and evolution is SpectralEngine's.  The
+    stack is used as built, never repaired: each block must hold one root
+    per level and satisfy max|V_k^T V_k - I| <= ORTHONORMALITY_TOL, so a
+    missing or repeated state is refused.  eigenvalues and momenta are
+    grouped by k as in SpectralEngine, in root order within a block.
     """
 
     name = "bethe"
 
     def __init__(self, cfg: ChainConfig):
         check_sector_size(cfg)
-        self.cfg = cfg
+        N, width = cfg.N, cfg.N // 2
         self.roots = enumerate_roots(cfg)
-        A = np.column_stack([bethe_state(r, cfg).amplitudes for r in self.roots])
-        error = np.max(np.abs(A.conj().T @ A - np.eye(cfg.dim)))
+        sizes, filled = block_sizes(N), np.zeros(N, dtype=np.int64)
+        vectors, energies = np.zeros((N, N - 1, width)), np.zeros((N, width))
+        for root in self.roots:
+            k, phi = block_vector(root, cfg)
+            if filled[k] < sizes[k]:
+                vectors[k, :, filled[k]], energies[k, filled[k]] = phi, root.energy
+            filled[k] += 1
+        if not np.array_equal(filled, sizes):
+            k = int(np.argmax(filled != sizes))
+            raise SolverError(f"Bethe basis is incomplete: {filled[k]} roots for the "
+                              f"{sizes[k]} levels of momentum block k={k}")
+        levels = np.arange(width) < sizes[:, None]
+        error = np.max(np.abs(vectors.transpose(0, 2, 1) @ vectors - levels[:, :, None] * np.eye(width)))
         if not error <= ORTHONORMALITY_TOL:
-            raise SolverError(f"Bethe basis is numerically incomplete (max|A^dagger A - I| = {error:.3e})")
-        self.spectral = SpectralDecomposition(
-            eigenvalues=np.array([r.energy for r in self.roots]), eigenvectors=A
-        )
+            raise SolverError(f"Bethe basis is numerically incomplete (max|V_k^T V_k - I| = {error:.3e})")
+        self._set_blocks(cfg, vectors, energies)

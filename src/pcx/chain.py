@@ -11,8 +11,10 @@ first flip x (0-based) and clockwise distance r = 1..N-1 to the second
 flip sits at (x, r) and at (x + r mod N, N - r), with amplitude b/sqrt(2)
 in each place.  A Fourier transform over x then splits H into one small
 tridiagonal block per total momentum, reduced by the parity r -> N - r
-before it is diagonalized (see `SpectralEngine`).  `DenseEngine`
-diagonalizes the whole sector and is kept as the small-N oracle.
+before it is diagonalized (see `SpectralEngine`).  `bethe.BetheEngine`
+fills the same block stack from the Bethe roots and shares its
+propagation.  `DenseEngine` diagonalizes the whole sector and is kept as
+the small-N oracle for both.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ class ChainConfig:
         return -self.J * self.N / 4.0
 
 
-# Largest two-flip sector the dense engines build; each holds several
-# dim x dim matrices, 128 MB apiece in float64 at this size.
+# Largest two-flip sector DenseEngine builds (several dim x dim float64
+# matrices, 128 MB apiece at this size); BetheEngine keeps the same cap
+# because its bound-cell solver fails for large N (class 125 at N = 256).
 MAX_SECTOR_DIM = 4000
 # Largest eigenvector stack SpectralEngine builds, 8 N (N-1) floor(N/2)
 # bytes; N = 323 is the largest ring within it.
@@ -61,10 +64,10 @@ MAX_BLOCK_BYTES = 128 * 2**20
 
 
 def check_sector_size(cfg: ChainConfig):
-    """Refuse a sector too large for the dense engines, before anything is built."""
+    """Refuse a sector above MAX_SECTOR_DIM, before anything is built."""
     if cfg.dim > MAX_SECTOR_DIM:
         raise ConfigError(
-            f"sector dimension {cfg.dim} (N={cfg.N}) exceeds the dense-eigensolver budget "
+            f"sector dimension {cfg.dim} (N={cfg.N}) exceeds the sector budget "
             f"of {MAX_SECTOR_DIM}"
         )
 
@@ -90,26 +93,14 @@ def pair_unindex(flat: int, N: int) -> tuple[int, int]:
     """Inverse of pair_index."""
     if not (0 <= flat < comb(N, 2)):
         raise ConfigError(f"flat index {flat} out of range for N={N}")
-    n1 = 1
-    block = N - 1
-    while flat >= block:
-        flat -= block
-        n1 += 1
-        block -= 1
-    return n1, n1 + 1 + flat
+    n1s, n2s = all_pairs(N)
+    return int(n1s[flat]), int(n2s[flat])
 
 
 def all_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Site arrays (n1, n2) for every pair, in flat-index order."""
-    n1s = np.empty(comb(N, 2), dtype=np.int64)
-    n2s = np.empty_like(n1s)
-    k = 0
-    for a in range(1, N + 1):
-        for b in range(a + 1, N + 1):
-            n1s[k] = a
-            n2s[k] = b
-            k += 1
-    return n1s, n2s
+    n1s, n2s = np.triu_indices(N, 1)
+    return n1s + 1, n2s + 1
 
 
 def basis_state(cfg: ChainConfig, n1: int, n2: int) -> np.ndarray:
@@ -125,14 +116,8 @@ def pair_permutation(N: int, site_map) -> np.ndarray:
     site_map is any callable site -> site (1-based).  Returns perm with
     perm[pair_index(n1, n2)] = pair_index(sorted(site_map(n1), site_map(n2))).
     """
-    n1s, n2s = all_pairs(N)
-    perm = np.empty(len(n1s), dtype=np.int64)
-    for k in range(len(n1s)):
-        a, b = site_map(int(n1s[k])), site_map(int(n2s[k]))
-        if a > b:
-            a, b = b, a
-        perm[k] = pair_index(a, b, N)
-    return perm
+    return np.array([pair_index(*sorted((site_map(int(a)), site_map(int(b)))), N)
+                     for a, b in zip(*all_pairs(N))])
 
 
 def sector_hamiltonian(cfg: ChainConfig) -> np.ndarray:
@@ -194,19 +179,19 @@ def _flat_state(psi0, dim: int) -> np.ndarray:
     return psi0
 
 
-class Propagator:
-    """Exact evolution b(t) = V e^{-iEt} V^dagger b(0) from an orthonormal eigenbasis.
+class DenseEngine:
+    """Evolution b(t) = V e^{-iEt} V^dagger b(0) from one dense eigh of the whole sector.
 
-    DenseEngine and BetheEngine only build cfg and spectral; both
-    propagate through these methods.
+    The small-N oracle for SpectralEngine and BetheEngine; refused above MAX_SECTOR_DIM.
     """
 
-    cfg: ChainConfig
-    spectral: SpectralDecomposition
+    name = "dense"
 
-    @property
-    def dim(self) -> int:
-        return self.cfg.dim
+    def __init__(self, cfg: ChainConfig):
+        check_sector_size(cfg)
+        self.cfg, self.dim = cfg, cfg.dim
+        self.hamiltonian = sector_hamiltonian(cfg)
+        self.spectral = SpectralDecomposition.from_hamiltonian(self.hamiltonian)
 
     def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} psi0 in the sector."""
@@ -217,31 +202,13 @@ class Propagator:
         return V @ (np.exp(-1j * self.spectral.eigenvalues * t) * (V.conj().T @ psi0))
 
     def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
-        """Amplitudes <m1,m2| e^{-iHt} |n1,n2> over the whole pair basis.
-
-        Equals evolve(basis_state(cfg, n1, n2), t); V^dagger |n1,n2> is one
-        conjugated row of V, so no matrix-vector product is spent on it.
-        """
-        if t == 0:
-            return basis_state(self.cfg, n1, n2)
-        V = self.spectral.eigenvectors
-        w = V[pair_index(n1, n2, self.cfg.N)].conj()
-        return V @ (np.exp(-1j * self.spectral.eigenvalues * t) * w)
+        """Amplitudes <m1,m2| e^{-iHt} |n1,n2> over the whole pair basis."""
+        return self.evolve(basis_state(self.cfg, n1, n2), t)
 
 
-class DenseEngine(Propagator):
-    """Evolution backend built on one dense diagonalization of the whole sector.
-
-    The small-N oracle for SpectralEngine; refused above MAX_SECTOR_DIM.
-    """
-
-    name = "dense"
-
-    def __init__(self, cfg: ChainConfig):
-        check_sector_size(cfg)
-        self.cfg = cfg
-        self.hamiltonian = sector_hamiltonian(cfg)
-        self.spectral = SpectralDecomposition.from_hamiltonian(self.hamiltonian)
+def block_sizes(N: int) -> np.ndarray:
+    """Levels per total momentum k = 0..N-1: (N-1)//2, plus |N/2> for even N and even k."""
+    return (N - 1) // 2 + ((N % 2 == 0) & (np.arange(N) % 2 == 0))
 
 
 def _real_matmul(V: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -250,7 +217,7 @@ def _real_matmul(V: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(V @ parts).view(np.complex128)[..., 0]
 
 
-class SpectralEngine(Propagator):
+class SpectralEngine:
     """Evolution backend built on one small eigenproblem per total momentum.
 
     On the (x, r) layout, the transform phi_K(r) = sum_x e^{-iK(x + r/2)}
@@ -262,10 +229,12 @@ class SpectralEngine(Propagator):
     when N is even and s = +1, and only then diagonalized: for even N the
     K = pi block has t = 0 and degenerate levels, which an eigh of the
     unreduced block would mix across parities.  The reduced blocks hold the
-    C(N, 2) levels between them.  Their eigenvectors, mapped back onto r,
-    are stored as one real (N, N-1, floor(N/2)) stack with zero columns where
-    a block is smaller.  A time step is one batched contraction with the
-    stack, one inverse FFT over k and a gather into the flat pair order.
+    C(N, 2) levels between them (`block_sizes`).  Their eigenvectors, mapped
+    back onto r, are stored as one real (N, N-1, floor(N/2)) stack `vectors`
+    with zero columns where a block is smaller.  A time step is one batched
+    contraction with the stack, one inverse FFT over k and a gather into the
+    flat pair order.  BetheEngine fills the same stack from the Bethe roots
+    and propagates through the same methods.
 
     eigenvalues holds the C(N, 2) levels (relative to e0), grouped by k and
     ascending within a block; momenta holds the k of each level.
@@ -280,13 +249,11 @@ class SpectralEngine(Propagator):
         if nbytes > MAX_BLOCK_BYTES:
             raise ConfigError(f"momentum blocks for N={N} need {nbytes / 2**20:.0f} MB of "
                               f"eigenvectors, over the budget of {MAX_BLOCK_BYTES / 2**20:.0f} MB")
-        self.cfg = cfg
         k = np.arange(N)
         hop = -J * np.cos(np.pi * k / N)
         n_pairs = (N - 1) // 2  # the r = m, N - m pairs with m < N/2
-        self._vectors = np.zeros((N, N - 1, width))
+        vectors = np.zeros((N, N - 1, width))
         energies = np.zeros((N, width))
-        sizes = np.empty(N, dtype=np.int64)
         for parity in (1, -1):  # even k, then odd k: one block size each
             ks = k[(1 - parity) // 2::2]
             middle = N % 2 == 0 and parity == 1
@@ -304,17 +271,23 @@ class SpectralEngine(Propagator):
             w, U = np.linalg.eigh(H)
             m = np.arange(n_pairs)
             pairs = U[:, :n_pairs] / np.sqrt(2.0)
-            self._vectors[ks[:, None], m, :size] = pairs
-            self._vectors[ks[:, None], N - 2 - m, :size] = parity * pairs
+            vectors[ks[:, None], m, :size] = pairs
+            vectors[ks[:, None], N - 2 - m, :size] = parity * pairs
             if middle:
-                self._vectors[ks, N // 2 - 1, :size] = U[:, -1]
+                vectors[ks, N // 2 - 1, :size] = U[:, -1]
             energies[ks, :size] = w
-            sizes[ks] = size
+        self._set_blocks(cfg, vectors, energies)
+
+    def _set_blocks(self, cfg: ChainConfig, vectors: np.ndarray, energies: np.ndarray):
+        """Keep a stack and its energies, zero past block_sizes(N)[k], and the tables a step reads."""
+        N = cfg.N
+        sizes = block_sizes(N)
+        self.cfg, self.dim = cfg, cfg.dim
+        self.vectors = vectors
         self._energies = energies
-        filled = np.arange(width) < sizes[:, None]
-        self.eigenvalues = energies[filled]
+        k, r = np.arange(N), np.arange(1, N)
+        self.eigenvalues = energies[np.arange(N // 2) < sizes[:, None]]
         self.momenta = np.repeat(k, sizes)
-        r = np.arange(1, N)
         # e^{iKr/2} = e^{i pi k r/N}, its argument reduced exactly first
         self._half_phase = np.exp(1j * np.pi * (np.outer(k, r) % (2 * N)) / N)
         n1s, n2s = all_pairs(N)
@@ -335,8 +308,8 @@ class SpectralEngine(Propagator):
         layout = np.zeros((N, N - 1), dtype=np.complex128)
         layout[self._x, self._r - 1] = psi0  # one copy of each pair, at (n1 - 1, n2 - n1)
         phi = self._half_phase.conj() * np.fft.fft(layout, axis=0)
-        coeffs = _real_matmul(self._vectors.transpose(0, 2, 1), phi)
-        G = _real_matmul(self._vectors, np.exp(-1j * self._energies * t) * coeffs)
+        coeffs = _real_matmul(self.vectors.transpose(0, 2, 1), phi)
+        G = _real_matmul(self.vectors, np.exp(-1j * self._energies * t) * coeffs)
         return self._to_pairs(G, 0)
 
     def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
@@ -354,5 +327,5 @@ class SpectralEngine(Propagator):
         # e^{-iKd/2}, its argument reduced exactly; the rest of the phase
         # e^{-iK(n1-1+d/2)} of the initial pair's centre is the shift in _to_pairs
         centre = np.exp(-1j * np.pi * (np.arange(N) * d % (2 * N)) / N)
-        w = self._vectors[:, d - 1] * np.exp(-1j * self._energies * t) * centre[:, None]
-        return self._to_pairs(_real_matmul(self._vectors, w), n1 - 1)
+        w = self.vectors[:, d - 1] * np.exp(-1j * self._energies * t) * centre[:, None]
+        return self._to_pairs(_real_matmul(self.vectors, w), n1 - 1)

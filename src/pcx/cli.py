@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -130,17 +131,12 @@ def cmd_spectrum(args) -> int:
     if engine is None:
         rows = [(i, e, "", "") for i, e in enumerate(levels)]
     else:
-        order = sorted(range(len(engine.roots)), key=lambda i: (engine.roots[i].energy, i))
-        rows = []
-        for rank, i in enumerate(order):
-            r = engine.roots[i]
-            residual = abs(r.energy - dispersion(cfg, r.k1, r.k2).real)
-            rows.append((rank, r.energy, r.kind, residual))
-        bethe_sorted = np.array([engine.roots[i].energy for i in order])
-        footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(np.abs(bethe_sorted - levels).max())}")
-        counts = {}
-        for r in engine.roots:
-            counts[r.kind] = counts.get(r.kind, 0) + 1
+        roots = sorted(engine.roots, key=lambda r: r.energy)  # stable: ties keep root order
+        rows = [(rank, r.energy, r.kind, abs(r.energy - dispersion(cfg, r.k1, r.k2).real))
+                for rank, r in enumerate(roots)]
+        mismatch = np.abs(np.array([r.energy for r in roots]) - levels).max()
+        footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(mismatch)}")
+        counts = Counter(r.kind for r in engine.roots)
         footer.append("class_counts=" + " ".join(f"{k}:{v}" for k, v in sorted(counts.items())))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

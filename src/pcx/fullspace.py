@@ -57,10 +57,7 @@ def site_bit(n: int, N: int) -> int:
 def sector_indices(cfg: ChainConfig) -> np.ndarray:
     """Full-space basis index of every pair state, in flat pair order."""
     n1s, n2s = all_pairs(cfg.N)
-    return np.array(
-        [site_bit(int(a), cfg.N) | site_bit(int(b), cfg.N) for a, b in zip(n1s, n2s)],
-        dtype=np.int64,
-    )
+    return site_bit(n1s, cfg.N) | site_bit(n2s, cfg.N)
 
 
 def full_evolve(cfg: ChainConfig, psi_full: np.ndarray, t: float) -> np.ndarray:

@@ -124,7 +124,7 @@ def test_criterion_6_small_instance_oracles(rng):
 def test_criterion_7_bethe_backend_parity(cfg32, engine32, dense_engine32, bethe_engine32):
     n_roots = len(bethe_engine32.roots)
     diag = np.sort(dense_engine32.spectral.eigenvalues)
-    bethe = np.sort(bethe_engine32.spectral.eigenvalues)
+    bethe = np.sort(bethe_engine32.eigenvalues)
     mismatch = float(np.max(np.abs(diag - bethe)))
     worst = 0.0
     for t in (1.0, 9.0, 50.0):

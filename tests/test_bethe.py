@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb, pi
 
 import numpy as np
@@ -5,14 +6,18 @@ import pytest
 
 from pcx.bethe import (
     BetheEngine,
-    BetheState,
+    BetheRoot,
     bethe_state,
+    block_vector,
     dispersion,
     enumerate_roots,
     solve_theta,
 )
 from pcx.chain import (
     ChainConfig,
+    DenseEngine,
+    SpectralEngine,
+    all_pairs,
     basis_state,
     circular_distance,
     pair_index,
@@ -98,6 +103,18 @@ class TestEnumerateRoots:
         diag = np.sort(np.linalg.eigvalsh(sector_hamiltonian(cfg)))
         assert np.max(np.abs(diag - np.sort([r.energy for r in roots]))) < 1e-6
 
+    @pytest.mark.parametrize("N", [8, 9, 12, 13, 32, 33, 48])
+    def test_energies_match_blocks_class_by_class(self, N):
+        """Roots of class (m1 + m2) mod N = k have the levels of momentum block k."""
+        cfg = ChainConfig(N=N)
+        roots = enumerate_roots(cfg)
+        blocks = SpectralEngine(cfg)
+        for k in range(N):
+            bethe = np.sort([r.energy for r in roots if (r.m1 + r.m2) % N == k])
+            levels = np.sort(blocks.eigenvalues[blocks.momenta == k])
+            assert bethe.shape == levels.shape, k
+            assert np.max(np.abs(bethe - levels)) < 1e-12, k
+
     @pytest.mark.parametrize("J", [-1.0, 2.5])
     def test_coupling_scales_spectrum(self, J):
         cfg = ChainConfig(N=10, J=J)
@@ -138,7 +155,6 @@ class TestBetheState:
             assert profile[0] > profile[1] > profile[3]
 
     def test_degenerate_wavefunction_rejected(self, cfg32):
-        from pcx.bethe import BetheRoot
         from pcx.errors import DegenerateRootError
 
         # equal real momenta with theta = pi cancel the two terms exactly
@@ -146,6 +162,15 @@ class TestBetheState:
                           kind="real-pair", m1=5, m2=5)
         with pytest.raises(DegenerateRootError):
             bethe_state(bogus, cfg32)
+        with pytest.raises(DegenerateRootError):
+            block_vector(bogus, cfg32)
+
+    def test_block_vector_off_momentum_rejected(self, cfg32):
+        """Momenta that do not add up to 2 pi (m1 + m2)/N leave a phase that varies with r."""
+        bogus = BetheRoot(k1=0.5 + 0j, k2=1.0 + 0j, theta=0.3 + 0j, energy=0.9,
+                          kind="real-pair", m1=1, m2=3)
+        with pytest.raises(SolverError, match="not real"):
+            block_vector(bogus, cfg32)
 
     def test_singular_momentum_pi_state(self, cfg32, roots32, dense_engine32):
         """The v->infinity cell is the alternating adjacent state."""
@@ -191,30 +216,42 @@ class TestCompleteness:
 
     def test_engine_basis_is_raw_states(self):
         engine = BetheEngine(ChainConfig(N=12))
-        A = np.column_stack([bethe_state(r, engine.cfg).amplitudes for r in engine.roots])
-        assert np.array_equal(engine.spectral.eigenvectors, A)
+        A = np.zeros_like(engine.vectors)
+        filled = np.zeros(12, dtype=int)
+        for r in engine.roots:
+            k, phi = block_vector(r, engine.cfg)
+            A[k, :, filled[k]] = phi
+            filled[k] += 1
+        assert np.array_equal(engine.vectors, A)
 
     def test_engine_basis_orthonormal(self, bethe_engine32):
-        Q = bethe_engine32.spectral.eigenvectors
-        assert np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) < 1e-10
+        for k, size in enumerate(np.bincount(bethe_engine32.momenta, minlength=32)):
+            Q = bethe_engine32.vectors[k, :, :size]
+            assert np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) < 1e-10
 
     def test_parseval_on_engine_basis(self, cfg32, bethe_engine32):
+        N = cfg32.N
+        K, x, r = 2 * pi * np.arange(N) / N, np.arange(N), np.arange(1, N)
+        # transform of the (x, r) layout: phi_K(r) = sum_x e^{-iK(x + r/2)} psi(x, r) / sqrt(N)
+        fourier = np.exp(-1j * K[:, None, None] * (x[:, None] + r / 2)) / np.sqrt(N)
         for (n1, n2) in ((10, 25), (1, 2), (7, 23)):
-            psi0 = basis_state(cfg32, n1, n2)
-            coeffs = bethe_engine32.spectral.eigenvectors.conj().T @ psi0
+            layout = np.zeros((N, N - 1))
+            layout[n1 - 1, n2 - n1 - 1] = layout[n2 - 1, N - (n2 - n1) - 1] = 1 / np.sqrt(2)
+            phi = np.einsum("kxr,xr->kr", fourier, layout)
+            coeffs = np.einsum("krj,kr->kj", bethe_engine32.vectors, phi)
             assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-8
 
     def test_duplicate_state_rejected(self, monkeypatch):
         """A repeated wavefunction leaves the basis incomplete; the engine refuses it."""
         import pcx.bethe
 
-        real_state = pcx.bethe.bethe_state
+        real_vector = pcx.bethe.block_vector
         roots = enumerate_roots(ChainConfig(N=8))
 
         def repeat_first(root, cfg):
-            return real_state(roots[0] if root == roots[1] else root, cfg)
+            return real_vector(roots[0] if root == roots[1] else root, cfg)
 
-        monkeypatch.setattr(pcx.bethe, "bethe_state", repeat_first)
+        monkeypatch.setattr(pcx.bethe, "block_vector", repeat_first)
         with pytest.raises(SolverError, match="incomplete"):
             BetheEngine(ChainConfig(N=8))
 
@@ -222,19 +259,31 @@ class TestCompleteness:
         """A column tilted by 1e-8 keeps full rank but is not orthonormal; the engine refuses it."""
         import pcx.bethe
 
-        real_state = pcx.bethe.bethe_state
+        real_vector = pcx.bethe.block_vector
         roots = enumerate_roots(ChainConfig(N=8))
+        k1 = (roots[1].m1 + roots[1].m2) % 8
+        partner = next(r for r in roots[2:] if (r.m1 + r.m2) % 8 == k1)  # same block
 
         def skew_second(root, cfg):
-            state = real_state(root, cfg)
+            k, phi = real_vector(root, cfg)
             if root != roots[1]:
-                return state
-            tilted = state.amplitudes + 1e-8 * real_state(roots[0], cfg).amplitudes
-            return BetheState(root, tilted / np.linalg.norm(tilted), state.norm_constant)
+                return k, phi
+            tilted = phi + 1e-8 * real_vector(partner, cfg)[1]
+            return k, tilted / np.linalg.norm(tilted)
 
-        monkeypatch.setattr(pcx.bethe, "bethe_state", skew_second)
+        monkeypatch.setattr(pcx.bethe, "block_vector", skew_second)
         with pytest.raises(SolverError, match="incomplete"):
             BetheEngine(ChainConfig(N=8))
+
+    def test_build_holds_no_dense_basis(self):
+        """Building at N=64 stays far below the 65 MB a dense dim x dim basis would take."""
+        tracemalloc.start()
+        try:
+            BetheEngine(ChainConfig(N=64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestBetheEvolve:
@@ -275,14 +324,28 @@ class TestBetheEvolve:
             bethe_engine32.evolve(np.zeros(5, dtype=complex), 1.0)
 
     def test_backend_equivalence_smaller_ring(self):
-        from pcx.chain import SpectralEngine
-
         cfg = ChainConfig(N=12)
         se, be = SpectralEngine(cfg), BetheEngine(cfg)
         for (n1, n2, t) in ((1, 2, 7.0), (3, 9, 25.0), (5, 6, 50.0)):
             d = state_trace_distance(se.pair_amplitudes(n1, n2, t),
                                      be.pair_amplitudes(n1, n2, t))
             assert d < 1e-6
+
+
+    @pytest.mark.parametrize("J", [1.0, -1.3])
+    @pytest.mark.parametrize("N", [4, 5, 6, 7, 8, 9, 12, 16, 31, 32, 40])
+    def test_matches_dense_oracle(self, N, J):
+        """Every flip pair, t = 1, 9 and 50, to 1e-12 against the dense sector."""
+        cfg = ChainConfig(N=N, J=J)
+        bethe, dense = BetheEngine(cfg), DenseEngine(cfg)
+        E, V = dense.spectral.eigenvalues, dense.spectral.eigenvectors
+        n1s, n2s = all_pairs(N)
+        for t in (1.0, 9.0, 50.0):
+            # column p is DenseEngine.pair_amplitudes of pair p
+            U = V @ (np.exp(-1j * E * t)[:, None] * V.T)
+            for p in range(cfg.dim):
+                b = bethe.pair_amplitudes(int(n1s[p]), int(n2s[p]), t)
+                assert np.max(np.abs(b - U[:, p])) < 1e-12, (n1s[p], n2s[p], t)
 
 
 class TestLowestExcitation:

@@ -188,7 +188,7 @@ class TestFullSpaceOracle:
 
 class TestSpectralEngine:
     def test_pair_amplitudes_matches_evolve(self, dense_engine8):
-        """The dense path picks one row of V, so both agree bit for bit."""
+        """The dense oracle evolves the basis state, so both agree bit for bit."""
         psi = dense_engine8.evolve(basis_state(dense_engine8.cfg, 2, 7), 3.3)
         assert np.array_equal(dense_engine8.pair_amplitudes(2, 7, 3.3), psi)
 

@@ -164,6 +164,33 @@ class TestScanCommand:
         assert np.array_equal(img, np.rint(255 * values).astype(np.uint8))
 
 
+class TestBetheEngineRuns:
+    """series and scan on --engine bethe give the spectral engine's values."""
+
+    RUN = ["--sites", "12", "--flips", "3,8", "--horizon", "1,2", "--dt", "0.5", "--tmax", "50"]
+
+    def run(self, tmp_path, command, filename):
+        rows = {}
+        for engine in ("spectral", "bethe"):
+            out = tmp_path / engine
+            assert main([*command, *self.RUN, "--engine", engine, "--out", str(out)]) == 0
+            rows[engine] = read_csv(out / filename)[2]
+        return rows["spectral"], rows["bethe"]
+
+    def test_series_matches_spectral(self, tmp_path):
+        spectral, bethe = self.run(tmp_path, ["series", "--site", "5"], "series_site5.csv")
+        spectral, bethe = np.array(spectral, dtype=float), np.array(bethe, dtype=float)
+        assert spectral.shape == (101, 4)
+        assert np.max(np.abs(bethe - spectral)) <= 1e-12
+
+    def test_scan_matches_spectral(self, tmp_path):
+        spectral, bethe = self.run(tmp_path, ["scan"], "scan.csv")
+        assert len(spectral) == 3 * 12 * 101
+        assert [r[:3] for r in bethe] == [r[:3] for r in spectral]
+        values = np.array([[float(a[3]), float(b[3])] for a, b in zip(spectral, bethe)])
+        assert np.max(np.abs(values[:, 1] - values[:, 0])) <= 1e-12
+
+
 SMALL_SCAN = ["scan", "--sites", "10", "--flips", "2,6", "--horizon", "1",
               "--dt", "0.5", "--tmax", "8"]
 
