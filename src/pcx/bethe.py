@@ -10,8 +10,9 @@ Quantum-number cells fall into three families:
   * m2 - m1 >= 2 with both >= 1: real momentum pairs, solved by a
     bracketed Newton iteration on theta in (0, pi) ("real-pair");
   * one cell per total momentum class 2..N-2: mostly complex-conjugate
-    momenta K/2 +- i v ("bound"), solved by complex Newton with a real
-    close-pair fallback near the dissolution boundary.
+    momenta K/2 +- i v ("bound"), whose depth v solves one real equation
+    by bisection; where that equation has no root the cell is a real
+    close pair, solved like the real pairs.
 
 For even N the momentum-pi cell is the singular limit v -> infinity of
 the bound branch: its root record holds finite labels and the exact
@@ -25,11 +26,11 @@ puts each root's state into that momentum block of `chain.SpectralEngine`'s stac
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import cos, exp, expm1, log, pi
 
 import numpy as np
 
-from .chain import ChainConfig, SpectralEngine, all_pairs, block_sizes, check_sector_size
+from .chain import ChainConfig, SpectralEngine, all_pairs, block_sizes, check_block_budget
 from .errors import DegenerateRootError, SolverError
 
 NEWTON_TOL = 1e-12
@@ -117,48 +118,27 @@ def _newton_finish(theta, f, m1: int, m2: int, N: int):
 
 def _real_cell_root(m1: int, m2: int, N: int, lo: float, hi: float) -> float | None:
     """Safeguarded Newton for a real root of the cell function in (lo, hi)."""
-    f_lo = _cell_function(lo, m1, m2, N).real
-    f_hi = _cell_function(hi, m1, m2, N).real
+    f_lo = _cell_function(lo, m1, m2, N)
+    f_hi = _cell_function(hi, m1, m2, N)
     if not np.isfinite(f_lo) or not np.isfinite(f_hi) or f_lo * f_hi > 0:
         return None
     a, b, fa = lo, hi, f_lo
     theta = 0.5 * (a + b)
     for _ in range(NEWTON_MAX_ITER):
-        f = _cell_function(theta, m1, m2, N).real
+        f = _cell_function(theta, m1, m2, N)
         if abs(f) < NEWTON_TOL:
             return _newton_finish(theta, f, m1, m2, N)
         if fa * f < 0:
             b = theta
         else:
             a, fa = theta, f
-        step = f / _cell_derivative(theta, m1, m2, N).real
+        step = f / _cell_derivative(theta, m1, m2, N)
         candidate = theta - step
         if not (a < candidate < b):
             candidate = 0.5 * (a + b)
         theta = candidate
-    f = _cell_function(theta, m1, m2, N).real
-    return theta if abs(f) < 1e-9 else None
-
-
-def _complex_cell_root(m1: int, m2: int, N: int, theta0: complex) -> complex | None:
-    """Damped complex Newton on the cell function."""
-    theta = np.complex128(theta0)
     f = _cell_function(theta, m1, m2, N)
-    for _ in range(NEWTON_MAX_ITER):
-        if abs(f) < NEWTON_TOL:
-            return complex(_newton_finish(theta, f, m1, m2, N))
-        step = f / _cell_derivative(theta, m1, m2, N)
-        scale = 1.0
-        for _ in range(8):
-            trial = theta - scale * step
-            f_trial = _cell_function(trial, m1, m2, N)
-            if abs(f_trial) < abs(f) or abs(f_trial) < NEWTON_TOL:
-                theta, f = trial, f_trial
-                break
-            scale *= 0.5
-        else:
-            return None
-    return complex(theta) if abs(f) < 1e-10 else None
+    return theta if abs(f) < 1e-9 else None
 
 
 def _kzero_root(cfg: ChainConfig, m: int) -> BetheRoot:
@@ -178,9 +158,6 @@ def _root_from_theta(cfg: ChainConfig, theta: complex, m1: int, m2: int) -> Beth
     N = cfg.N
     k1 = (2 * pi * m1 + theta) / N
     k2 = (2 * pi * m2 - theta) / N
-    if k1.imag < -1e-12:  # normalize representation: Im k1 >= 0
-        k1, k2, theta = k2, k1, -theta
-        m1, m2 = m2, m1
     energy = dispersion(cfg, k1, k2)
     if abs(energy.imag) > 1e-8:
         raise SolverError(f"cell ({m1},{m2}): complex energy {energy!r}")
@@ -217,7 +194,18 @@ def _bound_cell_root(cfg: ChainConfig, mclass: int) -> BetheRoot:
     """Solve the one extra cell of a total-momentum class (2..N-2).
 
     For classes above N/2 the momenta sit near 2 pi, so the relevant cell
-    has quantum numbers summing to mclass + N.
+    has quantum numbers summing to sigma = mclass + N; then c = cos(pi
+    sigma/N) > 0 for every class but the even-N momentum-pi one, which is
+    the closed form.  A bound pair k1,2 = pi sigma/N +- i v has theta =
+    pi (m2 - m1) + i N v, and the scattering relation becomes one real
+    equation for the depth v:
+      c = cosh((N/2 - 1) v) / cosh(N v/2)  for m1 = m2,
+      c = sinh((N/2 - 1) v) / sinh(N v/2)  for m2 = m1 + 1.
+    Both right-hand sides fall strictly in v, from 1 and 1 - 2/N at v = 0
+    to below c at v = ln(2/c), so there is at most one root and bisection
+    on that bracket needs no seed; it stops when the midpoint meets an
+    endpoint.  Only the sinh form can miss (c >= 1 - 2/N): the bound state
+    has then dissolved into a real close pair.
     """
     N = cfg.N
     if N % 2 == 0 and mclass == N // 2:
@@ -225,19 +213,25 @@ def _bound_cell_root(cfg: ChainConfig, mclass: int) -> BetheRoot:
     sigma = mclass if mclass < N / 2 else mclass + N
     m1 = sigma // 2
     m2 = sigma - m1
-    c = np.cos(pi * mclass / N)
-    v0 = float(np.clip(-np.log(max(abs(c), 0.02)), 0.03, 3.2))
-    re0 = pi * sigma - 2 * pi * m1  # = 0 or pi by parity of sigma
-    for v_try in (v0, 0.3 * v0, 3.0 * v0, 0.01):
-        theta = _complex_cell_root(m1, m2, N, re0 + 1j * N * v_try)
-        if theta is not None and abs(theta.imag) > 1e-9:
-            return _root_from_theta(cfg, theta, m1, m2)
-    # dissolved bound state: real close pair
-    lo, hi = (pi + 1e-6, 2 * pi - 1e-6) if m1 == m2 else (1e-6, pi - 1e-4)
-    theta = _real_cell_root(m1, m2, N, lo, hi)
-    if theta is None:
-        raise SolverError(f"no solution found for momentum-class cell ({m1},{m2})")
-    return _root_from_theta(cfg, complex(theta), m1, m2)
+    c = cos(pi * sigma / N)
+    if m1 != m2 and c >= 1 - 2 / N:
+        theta = _real_cell_root(m1, m2, N, 1e-6, pi - 1e-4)
+        if theta is None:
+            raise SolverError(f"no solution found for momentum-class cell ({m1},{m2})")
+        return _root_from_theta(cfg, complex(theta), m1, m2)
+
+    def depth_rhs(v):  # the right-hand side in powers of e^{-v}, which cannot overflow
+        if m1 == m2:
+            return exp(-v) * (1 + exp(-(N - 2) * v)) / (1 + exp(-N * v))
+        return exp(-v) * expm1(-(N - 2) * v) / expm1(-N * v)
+
+    lo, hi = 0.0, log(2 / c)
+    while lo < (v := 0.5 * (lo + hi)) < hi:
+        if depth_rhs(v) > c:
+            lo = v
+        else:
+            hi = v
+    return _root_from_theta(cfg, complex(pi * (m2 - m1), N * v), m1, m2)
 
 
 def enumerate_roots(cfg: ChainConfig) -> list[BetheRoot]:
@@ -321,7 +315,7 @@ class BetheEngine(SpectralEngine):
     name = "bethe"
 
     def __init__(self, cfg: ChainConfig):
-        check_sector_size(cfg)
+        check_block_budget(cfg)
         N, width = cfg.N, cfg.N // 2
         self.roots = enumerate_roots(cfg)
         sizes, filled = block_sizes(N), np.zeros(N, dtype=np.int64)
@@ -335,8 +329,9 @@ class BetheEngine(SpectralEngine):
             k = int(np.argmax(filled != sizes))
             raise SolverError(f"Bethe basis is incomplete: {filled[k]} roots for the "
                               f"{sizes[k]} levels of momentum block k={k}")
-        levels = np.arange(width) < sizes[:, None]
-        error = np.max(np.abs(vectors.transpose(0, 2, 1) @ vectors - levels[:, :, None] * np.eye(width)))
+        gram, level = vectors.transpose(0, 2, 1) @ vectors, np.arange(width)
+        gram[:, level, level] -= level < sizes[:, None]
+        error = np.max(np.abs(gram))
         if not error <= ORTHONORMALITY_TOL:
             raise SolverError(f"Bethe basis is numerically incomplete (max|V_k^T V_k - I| = {error:.3e})")
         self._set_blocks(cfg, vectors, energies)

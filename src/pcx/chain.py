@@ -54,22 +54,20 @@ class ChainConfig:
         return -self.J * self.N / 4.0
 
 
-# Largest two-flip sector DenseEngine builds (several dim x dim float64
-# matrices, 128 MB apiece at this size); BetheEngine keeps the same cap
-# because its bound-cell solver fails for large N (class 125 at N = 256).
+# Largest two-flip sector the dense oracle DenseEngine builds (several
+# dim x dim float64 matrices, 128 MB apiece at this size).
 MAX_SECTOR_DIM = 4000
-# Largest eigenvector stack SpectralEngine builds, 8 N (N-1) floor(N/2)
-# bytes; N = 323 is the largest ring within it.
+# Largest eigenvector stack SpectralEngine and BetheEngine build,
+# 8 N (N-1) floor(N/2) bytes; N = 323 is the largest ring within it.
 MAX_BLOCK_BYTES = 128 * 2**20
 
 
-def check_sector_size(cfg: ChainConfig):
-    """Refuse a sector above MAX_SECTOR_DIM, before anything is built."""
-    if cfg.dim > MAX_SECTOR_DIM:
-        raise ConfigError(
-            f"sector dimension {cfg.dim} (N={cfg.N}) exceeds the sector budget "
-            f"of {MAX_SECTOR_DIM}"
-        )
+def check_block_budget(cfg: ChainConfig):
+    """Refuse a momentum-block stack above MAX_BLOCK_BYTES, before anything is built."""
+    nbytes = 8 * cfg.N * (cfg.N - 1) * (cfg.N // 2)
+    if nbytes > MAX_BLOCK_BYTES:
+        raise ConfigError(f"momentum blocks for N={cfg.N} need {nbytes / 2**20:.0f} MB of "
+                          f"eigenvectors, over the budget of {MAX_BLOCK_BYTES / 2**20:.0f} MB")
 
 
 def circular_distance(a: int, b: int, N: int) -> int:
@@ -182,13 +180,16 @@ def _flat_state(psi0, dim: int) -> np.ndarray:
 class DenseEngine:
     """Evolution b(t) = V e^{-iEt} V^dagger b(0) from one dense eigh of the whole sector.
 
-    The small-N oracle for SpectralEngine and BetheEngine; refused above MAX_SECTOR_DIM.
+    The small-N oracle for SpectralEngine and BetheEngine, and the only engine
+    bound by MAX_SECTOR_DIM; a larger sector is refused before it is built.
     """
 
     name = "dense"
 
     def __init__(self, cfg: ChainConfig):
-        check_sector_size(cfg)
+        if cfg.dim > MAX_SECTOR_DIM:
+            raise ConfigError(f"sector dimension {cfg.dim} (N={cfg.N}) exceeds the sector budget "
+                              f"of {MAX_SECTOR_DIM}")
         self.cfg, self.dim = cfg, cfg.dim
         self.hamiltonian = sector_hamiltonian(cfg)
         self.spectral = SpectralDecomposition.from_hamiltonian(self.hamiltonian)
@@ -243,12 +244,9 @@ class SpectralEngine:
     name = "spectral"
 
     def __init__(self, cfg: ChainConfig):
+        check_block_budget(cfg)
         N, J = cfg.N, cfg.J
         width = N // 2  # the largest reduced block
-        nbytes = 8 * N * (N - 1) * width
-        if nbytes > MAX_BLOCK_BYTES:
-            raise ConfigError(f"momentum blocks for N={N} need {nbytes / 2**20:.0f} MB of "
-                              f"eigenvectors, over the budget of {MAX_BLOCK_BYTES / 2**20:.0f} MB")
         k = np.arange(N)
         hop = -J * np.cos(np.pi * k / N)
         n_pairs = (N - 1) // 2  # the r = m, N - m pairs with m < N/2
@@ -291,13 +289,11 @@ class SpectralEngine:
         # e^{iKr/2} = e^{i pi k r/N}, its argument reduced exactly first
         self._half_phase = np.exp(1j * np.pi * (np.outer(k, r) % (2 * N)) / N)
         n1s, n2s = all_pairs(N)
-        self._x = n1s - 1
-        self._r = n2s - n1s
+        self._cell = (n1s - 1) * (N - 1) + n2s - n1s - 1  # flat (x, r) cell of each pair
 
-    def _to_pairs(self, G: np.ndarray, shift: int) -> np.ndarray:
-        """Flat amplitudes 2 ifft_k(e^{iKr/2} G)[x - shift, r] of the pairs (x, r)."""
-        F = np.fft.ifft(self._half_phase * G, axis=0)
-        return 2.0 * F[(self._x - shift) % self.cfg.N, self._r - 1]
+    def _to_pairs(self, G: np.ndarray) -> np.ndarray:
+        """Flat amplitudes 2 ifft_k(e^{iKr/2} G)[x, r] of the pairs (x, r)."""
+        return 2.0 * np.fft.ifft(self._half_phase * G, axis=0).ravel()[self._cell]
 
     def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} psi0 in the sector."""
@@ -305,12 +301,12 @@ class SpectralEngine:
         if t == 0:
             return psi0.copy()
         N = self.cfg.N
-        layout = np.zeros((N, N - 1), dtype=np.complex128)
-        layout[self._x, self._r - 1] = psi0  # one copy of each pair, at (n1 - 1, n2 - n1)
-        phi = self._half_phase.conj() * np.fft.fft(layout, axis=0)
+        layout = np.zeros(N * (N - 1), dtype=np.complex128)
+        layout[self._cell] = psi0  # one copy of each pair, at (n1 - 1, n2 - n1)
+        phi = self._half_phase.conj() * np.fft.fft(layout.reshape(N, N - 1), axis=0)
         coeffs = _real_matmul(self.vectors.transpose(0, 2, 1), phi)
         G = _real_matmul(self.vectors, np.exp(-1j * self._energies * t) * coeffs)
-        return self._to_pairs(G, 0)
+        return self._to_pairs(G)
 
     def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
         """Amplitudes <m1,m2| e^{-iHt} |n1,n2> over the whole pair basis.
@@ -324,8 +320,7 @@ class SpectralEngine:
         N = self.cfg.N
         d = n2 - n1
         pair_index(n1, n2, N)
-        # e^{-iKd/2}, its argument reduced exactly; the rest of the phase
-        # e^{-iK(n1-1+d/2)} of the initial pair's centre is the shift in _to_pairs
-        centre = np.exp(-1j * np.pi * (np.arange(N) * d % (2 * N)) / N)
+        # e^{-iK(n1 - 1 + d/2)}, the phase of the initial pair's centre, its argument reduced exactly
+        centre = np.exp(-1j * np.pi * (np.arange(N) * (2 * (n1 - 1) + d) % (2 * N)) / N)
         w = self.vectors[:, d - 1] * np.exp(-1j * self._energies * t) * centre[:, None]
-        return self._to_pairs(_real_matmul(self.vectors, w), n1 - 1)
+        return self._to_pairs(_real_matmul(self.vectors, w))

@@ -123,18 +123,23 @@ def _run_header(args, cfg: ChainConfig) -> list[str]:
     ]
 
 
+def _levels_by_block(engine) -> np.ndarray:
+    """An engine's levels grouped by momentum block, ascending within a block."""
+    return engine.eigenvalues[np.lexsort((engine.eigenvalues, engine.momenta))]
+
+
 def cmd_spectrum(args) -> int:
     cfg = _chain_config(args)
     engine = BetheEngine(cfg) if args.engine == "bethe" else None
-    levels = np.sort(SpectralEngine(cfg).eigenvalues)
+    levels = _levels_by_block(SpectralEngine(cfg))
     footer = []
     if engine is None:
-        rows = [(i, e, "", "") for i, e in enumerate(levels)]
+        rows = [(i, e, "", "") for i, e in enumerate(np.sort(levels))]
     else:
         roots = sorted(engine.roots, key=lambda r: r.energy)  # stable: ties keep root order
         rows = [(rank, r.energy, r.kind, abs(r.energy - dispersion(cfg, r.k1, r.k2).real))
                 for rank, r in enumerate(roots)]
-        mismatch = np.abs(np.array([r.energy for r in roots]) - levels).max()
+        mismatch = np.abs(_levels_by_block(engine) - levels).max()
         footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(mismatch)}")
         counts = Counter(r.kind for r in engine.roots)
         footer.append("class_counts=" + " ".join(f"{k}:{v}" for k, v in sorted(counts.items())))

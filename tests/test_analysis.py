@@ -13,7 +13,6 @@ from pcx.analysis import (
     spacetime_scan,
     time_grid,
 )
-from pcx.bethe import BetheEngine
 from pcx.chain import ChainConfig, DenseEngine, SpectralEngine
 from pcx.errors import ConfigError, PeakNotFoundError, StatsError
 from pcx.horizon import (
@@ -67,10 +66,9 @@ class TestSpacetimeScan:
             assert np.array_equal(a.values, b.values)
 
     def test_resource_guard(self):
-        """A sector too large for the dense engines is refused before it is built."""
-        for engine_cls in (DenseEngine, BetheEngine):
-            with pytest.raises(ConfigError, match="budget"):
-                engine_cls(ChainConfig(N=95))
+        """A sector too large for the dense oracle is refused before it is built."""
+        with pytest.raises(ConfigError, match="budget"):
+            DenseEngine(ChainConfig(N=95))
 
     @pytest.mark.parametrize("dt,t_max", [(np.inf, 10.0), (np.nan, 10.0), (0.5, np.inf),
                                           (0.4, 1.0), (0.0, 10.0), (1e-9, 200.0)])

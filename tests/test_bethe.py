@@ -103,7 +103,7 @@ class TestEnumerateRoots:
         diag = np.sort(np.linalg.eigvalsh(sector_hamiltonian(cfg)))
         assert np.max(np.abs(diag - np.sort([r.energy for r in roots]))) < 1e-6
 
-    @pytest.mark.parametrize("N", [8, 9, 12, 13, 32, 33, 48])
+    @pytest.mark.parametrize("N", [8, 9, 12, 13, 32, 33, 48, 77, 80, 89, 128, 256])
     def test_energies_match_blocks_class_by_class(self, N):
         """Roots of class (m1 + m2) mod N = k have the levels of momentum block k."""
         cfg = ChainConfig(N=N)
@@ -318,6 +318,15 @@ class TestBetheEvolve:
             u = engine32.pair_amplitudes(n1, n2, t)
             v = bethe_engine32.pair_amplitudes(n1, n2, t)
             assert state_trace_distance(u, v) < 1e-6
+
+    def test_matches_spectral_at_n128(self):
+        """A ring past the dense oracle's cap: Bethe and block propagation agree to rounding."""
+        cfg = ChainConfig(N=128)
+        se, be = SpectralEngine(cfg), BetheEngine(cfg)
+        for (n1, n2) in ((1, 2), (10, 70), (64, 128)):
+            for t in (1.0, 9.0, 50.0):
+                diff = np.max(np.abs(se.pair_amplitudes(n1, n2, t) - be.pair_amplitudes(n1, n2, t)))
+                assert diff < 1e-12, (n1, n2, t)
 
     def test_shape_guard(self, bethe_engine32):
         with pytest.raises(ValueError, match="shape"):

@@ -46,6 +46,22 @@ class TestSpectrumCommand:
         energies = [float(r[1]) for r in rows]
         assert energies == sorted(energies)
 
+    def test_bethe_footer_compares_blocks(self, tmp_path, monkeypatch):
+        """A level filed under the wrong momentum shows in the footer, though the spectrum is whole."""
+        from pcx.bethe import BetheEngine
+
+        class MislabelledEngine(BetheEngine):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                i, j = np.flatnonzero(self.momenta == 1)[0], np.flatnonzero(self.momenta == 2)[0]
+                self.momenta[[i, j]] = 2, 1
+
+        monkeypatch.setattr("pcx.cli.BetheEngine", MislabelledEngine)
+        assert main(["spectrum", "--sites", "12", "--engine", "bethe", "--out", str(tmp_path)]) == 0
+        _, _, _, footer = read_csv(tmp_path / "spectrum.csv")
+        mismatch_line = next(l for l in footer if l.startswith("max_abs_energy_mismatch"))
+        assert float(mismatch_line.split("=")[1]) > 1e-3
+
 
 @pytest.fixture(scope="module")
 def series_csv(tmp_path_factory):
@@ -239,17 +255,20 @@ class TestConfigErrors:
                      "--dt", "0.5", "--tmax", "2", "--out", str(out)]) == 2
         self.assert_config_error(capsys, out)
 
-    def test_sector_too_large_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["spectrum", "--engine", "bethe", "--sites", "95", "--out", str(out)]) == 2
-        self.assert_config_error(capsys, out)
-
     @pytest.mark.parametrize("command", [
         ["spectrum"],
         ["series", "--site", "5", "--horizon", "1", "--dt", "0.5", "--tmax", "2"],
         ["scan", "--horizon", "1", "--dt", "0.5", "--tmax", "2"],
-    ], ids=["spectrum", "series", "scan"])
-    def test_block_budget_exit_2(self, tmp_path, capsys, command):
+        ["spectrum", "--engine", "bethe"],
+        ["series", "--site", "5", "--horizon", "1", "--dt", "0.5", "--tmax", "2", "--engine", "bethe"],
+        ["scan", "--horizon", "1", "--dt", "0.5", "--tmax", "2", "--engine", "bethe"],
+    ], ids=["spectrum", "series", "scan", "spectrum-bethe", "series-bethe", "scan-bethe"])
+    def test_block_budget_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        """Both engines refuse the ring before a block is built or a root is solved."""
+        def no_roots(cfg):
+            raise AssertionError("Bethe roots solved before the budget check")
+
+        monkeypatch.setattr("pcx.bethe.enumerate_roots", no_roots)
         out = tmp_path / "out"
         assert main([*command, "--sites", "400", "--out", str(out)]) == 2
         self.assert_config_error(capsys, out)
@@ -262,6 +281,14 @@ class TestLargeRing:
         assert main(["spectrum", "--sites", "128", "--out", str(tmp_path)]) == 0
         _, _, rows, _ = read_csv(tmp_path / "spectrum.csv")
         assert len(rows) == comb(128, 2) == 8128
+
+    def test_bethe_spectrum_95(self, tmp_path):
+        """The Bethe engine runs past the dense oracle's cap under the shared block budget."""
+        assert main(["spectrum", "--engine", "bethe", "--sites", "95", "--out", str(tmp_path)]) == 0
+        _, _, rows, footer = read_csv(tmp_path / "spectrum.csv")
+        assert len(rows) == comb(95, 2) == 4465
+        mismatch_line = next(l for l in footer if l.startswith("max_abs_energy_mismatch"))
+        assert float(mismatch_line.split("=")[1]) <= 1e-12
 
     def test_series_128(self, tmp_path):
         assert main(["series", "--sites", "128", "--site", "5", "--horizon", "1",
