@@ -5,14 +5,16 @@ Eigenstates are wavefunctions a(n1,n2) = e^{i(k1 n1 + k2 n2 + theta/2)}
 conditions N k1 = 2 pi m1 + theta, N k2 = 2 pi m2 - theta together with
 the scattering relation 2 cot(theta/2) = cot(k1/2) - cot(k2/2).
 
-Quantum-number cells fall into three families:
+Quantum-number cells fall into three families, each solved as arrays
+over all of its cells at once:
   * (0, m): one momentum zero, theta = 0, closed form ("k-zero");
-  * m2 - m1 >= 2 with both >= 1: real momentum pairs, solved by a
-    bracketed Newton iteration on theta in (0, pi) ("real-pair");
+  * m2 - m1 >= 2 with both >= 1: real momentum pairs, solved by one masked
+    array Newton over all cells, bracketed on theta in (0, pi)
+    ("real-pair");
   * one cell per total momentum class 2..N-2: mostly complex-conjugate
-    momenta K/2 +- i v ("bound"), whose depth v solves one real equation
-    by bisection; where that equation has no root the cell is a real
-    close pair, solved like the real pairs.
+    momenta K/2 +- i v ("bound"), whose depths v solve one real equation
+    each, by one array bisection over the cells; where that equation has
+    no root the cell is a real close pair, solved by the same array Newton.
 
 For even N the momentum-pi cell is the singular limit v -> infinity of
 the bound branch: its root record holds finite labels and the exact
@@ -20,13 +22,14 @@ energy J, and its wavefunction is the closed-form alternating adjacent-pair
 state, so the Bethe basis is orthonormal as built.
 
 A root of cell (m1, m2) has total momentum K = 2 pi (m1 + m2)/N; `BetheEngine`
-puts each root's state into that momentum block of `chain.SpectralEngine`'s stack.
+puts the states of each momentum class, built as one `block_vectors` batch,
+into that momentum block of `chain.SpectralEngine`'s stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, exp, expm1, log, pi
+from math import pi
 
 import numpy as np
 
@@ -66,7 +69,7 @@ def dispersion(cfg: ChainConfig, k1, k2) -> complex:
     return cfg.J * (2.0 - np.cos(np.complex128(k1)) - np.cos(np.complex128(k2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetheRoot:
     """One solution of the quantization conditions."""
 
@@ -88,14 +91,14 @@ class BetheState:
     norm_constant: float
 
 
-def _cell_function(theta, m1: int, m2: int, N: int):
-    """F(theta) whose roots are valid cells; k_i are affine in theta."""
+def _cell_function(theta, m1, m2, N: int):
+    """F(theta) whose roots are valid cells; k_i are affine in theta.  Elementwise on arrays."""
     k1 = (2 * pi * m1 + theta) / N
     k2 = (2 * pi * m2 - theta) / N
     return 2 * _cot(theta / 2) - _cot(k1 / 2) + _cot(k2 / 2)
 
 
-def _cell_derivative(theta, m1: int, m2: int, N: int):
+def _cell_derivative(theta, m1, m2, N: int):
     k1 = (2 * pi * m1 + theta) / N
     k2 = (2 * pi * m2 - theta) / N
     return (
@@ -105,74 +108,90 @@ def _cell_derivative(theta, m1: int, m2: int, N: int):
     )
 
 
-def _newton_finish(theta, f, m1: int, m2: int, N: int):
-    """Newton steps past |F| < NEWTON_TOL while |F| still falls, which takes E to rounding."""
-    for _ in range(NEWTON_FINISH_STEPS):
-        trial = theta - f / _cell_derivative(theta, m1, m2, N)
-        f_trial = _cell_function(trial, m1, m2, N)
-        if not abs(f_trial) < abs(f):
+def _real_cell_roots(m1: np.ndarray, m2: np.ndarray, N: int, lo: float, hi: float) -> np.ndarray:
+    """Real roots theta in (lo, hi) of the cell functions of the cells (m1, m2); NaN where none.
+
+    One safeguarded Newton iteration over all cells at once, masked per
+    cell: each cell keeps its own sign-change bracket, and a step that
+    leaves it is replaced by bisection.  A cell stops at |F| < NEWTON_TOL,
+    then takes up to NEWTON_FINISH_STEPS more Newton steps, each only while
+    |F| still falls, which takes E to rounding.  A cell has no root if F is
+    not finite at both ends or keeps its sign, or if |F| is still 1e-9 or
+    more after NEWTON_MAX_ITER steps.
+    """
+    f_lo, f_hi = _cell_function(lo, m1, m2, N), _cell_function(hi, m1, m2, N)
+    bracketed = np.isfinite(f_lo) & np.isfinite(f_hi) & ~(f_lo * f_hi > 0)
+    a, b, fa = np.full(m1.shape, lo), np.full(m1.shape, hi), f_lo
+    theta, f = np.full(m1.shape, 0.5 * (lo + hi)), np.zeros(m1.shape)
+    cells = np.flatnonzero(bracketed)  # the cells still iterating
+    for _ in range(NEWTON_MAX_ITER):
+        if not cells.size:
             break
-        theta, f = trial, f_trial
+        t = theta[cells]
+        f[cells] = ft = _cell_function(t, m1[cells], m2[cells], N)
+        going = ~(np.abs(ft) < NEWTON_TOL)
+        cells, t, ft = cells[going], t[going], ft[going]
+        left = fa[cells] * ft < 0  # the root lies between a and theta
+        b[cells] = np.where(left, t, b[cells])
+        a[cells] = np.where(left, a[cells], t)
+        fa[cells] = np.where(left, fa[cells], ft)
+        step = t - ft / _cell_derivative(t, m1[cells], m2[cells], N)
+        inside = (a[cells] < step) & (step < b[cells])
+        theta[cells] = np.where(inside, step, 0.5 * (a[cells] + b[cells]))
+    converged = bracketed.copy()
+    converged[cells] = False
+    if cells.size:  # out of iterations: kept only if |F| < 1e-9, with no finish steps
+        f_end = _cell_function(theta[cells], m1[cells], m2[cells], N)
+        theta[cells[~(np.abs(f_end) < 1e-9)]] = np.nan
+    theta[~bracketed] = np.nan
+    cells = np.flatnonzero(converged)
+    ft = f[cells]
+    for _ in range(NEWTON_FINISH_STEPS):
+        t = theta[cells]
+        trial = t - ft / _cell_derivative(t, m1[cells], m2[cells], N)
+        f_trial = _cell_function(trial, m1[cells], m2[cells], N)
+        falls = np.abs(f_trial) < np.abs(ft)
+        cells, ft = cells[falls], f_trial[falls]
+        theta[cells] = trial[falls]
     return theta
 
 
-def _real_cell_root(m1: int, m2: int, N: int, lo: float, hi: float) -> float | None:
-    """Safeguarded Newton for a real root of the cell function in (lo, hi)."""
-    f_lo = _cell_function(lo, m1, m2, N)
-    f_hi = _cell_function(hi, m1, m2, N)
-    if not np.isfinite(f_lo) or not np.isfinite(f_hi) or f_lo * f_hi > 0:
-        return None
-    a, b, fa = lo, hi, f_lo
-    theta = 0.5 * (a + b)
-    for _ in range(NEWTON_MAX_ITER):
-        f = _cell_function(theta, m1, m2, N)
-        if abs(f) < NEWTON_TOL:
-            return _newton_finish(theta, f, m1, m2, N)
-        if fa * f < 0:
-            b = theta
-        else:
-            a, fa = theta, f
-        step = f / _cell_derivative(theta, m1, m2, N)
-        candidate = theta - step
-        if not (a < candidate < b):
-            candidate = 0.5 * (a + b)
-        theta = candidate
-    f = _cell_function(theta, m1, m2, N)
-    return theta if abs(f) < 1e-9 else None
+def _refuse_unsolved(theta: np.ndarray, m1: np.ndarray, m2: np.ndarray, message: str):
+    """SolverError naming the first cell (m1, m2) whose theta is NaN."""
+    if np.isnan(theta).any():
+        i = int(np.argmax(np.isnan(theta)))
+        raise SolverError(message.format(m1[i], m2[i]))
 
 
-def _kzero_root(cfg: ChainConfig, m: int) -> BetheRoot:
-    k2 = 2 * pi * m / cfg.N
-    return BetheRoot(
-        k1=0.0 + 0.0j,
-        k2=complex(k2),
-        theta=0.0 + 0.0j,
-        energy=float(dispersion(cfg, 0.0, k2).real),
-        kind="k-zero",
-        m1=0,
-        m2=m,
-    )
+def _bound_depths(c: np.ndarray, cosh_form: np.ndarray, N: int) -> np.ndarray:
+    """Depths v of bound cells: c = cosh((N/2 - 1) v)/cosh(N v/2), or the sinh form.
+
+    One bisection over all cells on [0, ln(2/c)]; a cell stops when its
+    midpoint meets an endpoint (see `enumerate_roots`).
+    """
+    lo, hi = np.zeros(c.shape), np.log(2 / c)
+    v = 0.5 * (lo + hi)
+    cells = np.flatnonzero((lo < v) & (v < hi))
+    while cells.size:
+        w = v[cells]
+        # the right-hand sides in powers of e^{-v}, which cannot overflow
+        rhs = np.where(cosh_form[cells],
+                       np.exp(-w) * (1 + np.exp(-(N - 2) * w)) / (1 + np.exp(-N * w)),
+                       np.exp(-w) * np.expm1(-(N - 2) * w) / np.expm1(-N * w))
+        above = rhs > c[cells]
+        lo[cells] = np.where(above, w, lo[cells])
+        hi[cells] = np.where(above, hi[cells], w)
+        v[cells] = w = 0.5 * (lo[cells] + hi[cells])
+        cells = cells[(lo[cells] < w) & (w < hi[cells])]
+    return v
 
 
-def _root_from_theta(cfg: ChainConfig, theta: complex, m1: int, m2: int) -> BetheRoot:
-    N = cfg.N
-    k1 = (2 * pi * m1 + theta) / N
-    k2 = (2 * pi * m2 - theta) / N
-    energy = dispersion(cfg, k1, k2)
-    if abs(energy.imag) > 1e-8:
-        raise SolverError(f"cell ({m1},{m2}): complex energy {energy!r}")
-    kind = "bound" if abs(k1.imag) > 1e-6 else "real-pair"
-    return BetheRoot(
-        k1=complex(k1), k2=complex(k2), theta=complex(theta),
-        energy=float(energy.real), kind=kind, m1=m1, m2=m2,
-    )
-
-
-def _singular_pi_root(cfg: ChainConfig) -> BetheRoot:
+def _singular_pi_cell(cfg: ChainConfig) -> tuple:
     """Momentum-pi bound cell for even N, the v -> infinity limit.
 
-    Labels at v = SINGULAR_V on the manifold cos(u) cosh(v) = 1/2, where the
-    dispersion gives exactly J; bethe_state builds the state in closed form.
+    One-element columns in BetheRoot field order.  Labels at v = SINGULAR_V
+    on the manifold cos(u) cosh(v) = 1/2, where the dispersion gives exactly
+    J; its state is the closed form (see `_wavefunction` and `block_vectors`).
     """
     N = cfg.N
     M = N // 2
@@ -181,73 +200,75 @@ def _singular_pi_root(cfg: ChainConfig) -> BetheRoot:
     v = SINGULAR_V
     u = float(np.arccos(1.0 / (2.0 * np.cosh(v))))
     k1 = u + 1j * v
-    k2 = u - 1j * v
     theta = N * k1 - 2 * pi * m1  # quantization branch; phase relation holds to ~e^{-2v}
-    return BetheRoot(
-        k1=k1, k2=k2, theta=theta,
-        energy=cfg.J,  # exact on the manifold cos(u) cosh(v) = 1/2
-        kind="bound", m1=m1, m2=m2,
-    )
+    # energy: exact on the manifold cos(u) cosh(v) = 1/2
+    return ([k1], [u - 1j * v], [theta], [cfg.J], ["bound"], [m1], [m2])
 
 
-def _bound_cell_root(cfg: ChainConfig, mclass: int) -> BetheRoot:
-    """Solve the one extra cell of a total-momentum class (2..N-2).
+def enumerate_roots(cfg: ChainConfig) -> list[BetheRoot]:
+    """All C(N,2) two-magnon roots, sorted by quantum numbers.
 
-    For classes above N/2 the momenta sit near 2 pi, so the relevant cell
-    has quantum numbers summing to sigma = mclass + N; then c = cos(pi
-    sigma/N) > 0 for every class but the even-N momentum-pi one, which is
-    the closed form.  A bound pair k1,2 = pi sigma/N +- i v has theta =
-    pi (m2 - m1) + i N v, and the scattering relation becomes one real
-    equation for the depth v:
+    Each family is solved as arrays; the records are built from them last.
+    The bound cells, one per total-momentum class 2..N-2: for classes above
+    N/2 the momenta sit near 2 pi, so the cell has quantum numbers summing to
+    sigma = mclass + N; then c = cos(pi sigma/N) > 0 for every class but the
+    even-N momentum-pi one, which is the closed form.  A bound pair k1,2 =
+    pi sigma/N +- i v has theta = pi (m2 - m1) + i N v, and the scattering
+    relation becomes one real equation for the depth v:
       c = cosh((N/2 - 1) v) / cosh(N v/2)  for m1 = m2,
       c = sinh((N/2 - 1) v) / sinh(N v/2)  for m2 = m1 + 1.
     Both right-hand sides fall strictly in v, from 1 and 1 - 2/N at v = 0
     to below c at v = ln(2/c), so there is at most one root and bisection
-    on that bracket needs no seed; it stops when the midpoint meets an
-    endpoint.  Only the sinh form can miss (c >= 1 - 2/N): the bound state
-    has then dissolved into a real close pair.
+    on that bracket needs no seed.  Only the sinh form can miss
+    (c >= 1 - 2/N): the bound state has then dissolved into a real close
+    pair, solved like the real pairs on (1e-6, pi - 1e-4).
     """
     N = cfg.N
-    if N % 2 == 0 and mclass == N // 2:
-        return _singular_pi_root(cfg)
-    sigma = mclass if mclass < N / 2 else mclass + N
-    m1 = sigma // 2
-    m2 = sigma - m1
-    c = cos(pi * sigma / N)
-    if m1 != m2 and c >= 1 - 2 / N:
-        theta = _real_cell_root(m1, m2, N, 1e-6, pi - 1e-4)
-        if theta is None:
-            raise SolverError(f"no solution found for momentum-class cell ({m1},{m2})")
-        return _root_from_theta(cfg, complex(theta), m1, m2)
+    m1, m2 = np.triu_indices(N, 2)
+    m1, m2 = m1[m1 >= 1], m2[m1 >= 1]  # real pairs: m2 - m1 >= 2, both >= 1
+    theta = _real_cell_roots(m1, m2, N, 1e-9, pi - 1e-12)
+    _refuse_unsolved(theta, m1, m2, "real-pair cell ({},{}) did not converge")
 
-    def depth_rhs(v):  # the right-hand side in powers of e^{-v}, which cannot overflow
-        if m1 == m2:
-            return exp(-v) * (1 + exp(-(N - 2) * v)) / (1 + exp(-N * v))
-        return exp(-v) * expm1(-(N - 2) * v) / expm1(-N * v)
+    mclass = np.arange(2, N - 1)
+    sigma = mclass[2 * mclass != N]
+    sigma = np.where(sigma < N / 2, sigma, sigma + N)
+    b1 = sigma // 2
+    b2 = sigma - b1
+    c = np.cos(pi * sigma / N)
+    close = (b1 != b2) & (c >= 1 - 2 / N)
+    theta_close = _real_cell_roots(b1[close], b2[close], N, 1e-6, pi - 1e-4)
+    _refuse_unsolved(theta_close, b1[close], b2[close],
+                     "no solution found for momentum-class cell ({},{})")
+    bound = ~close
+    v = _bound_depths(c[bound], b1[bound] == b2[bound], N)
 
-    lo, hi = 0.0, log(2 / c)
-    while lo < (v := 0.5 * (lo + hi)) < hi:
-        if depth_rhs(v) > c:
-            lo = v
-        else:
-            hi = v
-    return _root_from_theta(cfg, complex(pi * (m2 - m1), N * v), m1, m2)
+    m1 = np.concatenate((m1, b1[close], b1[bound]))
+    m2 = np.concatenate((m2, b2[close], b2[bound]))
+    theta = np.concatenate((theta, theta_close, pi * (b2 - b1)[bound] + 1j * (N * v)))
+    # k_i = (2 pi m_i +- theta)/N with each part divided by N: numpy's complex
+    # division would multiply by 1/N instead and round differently
+    k1 = (2 * pi * m1 + theta.real) / N + 1j * (theta.imag / N)
+    k2 = (2 * pi * m2 - theta.real) / N - 1j * (theta.imag / N)
+    energy = dispersion(cfg, k1, k2)
+    if np.any(np.abs(energy.imag) > 1e-8):
+        i = int(np.argmax(np.abs(energy.imag) > 1e-8))
+        raise SolverError(f"cell ({m1[i]},{m2[i]}): complex energy {energy[i]!r}")
+    kind = np.where(np.abs(k1.imag) > 1e-6, "bound", "real-pair")
 
-
-def enumerate_roots(cfg: ChainConfig) -> list[BetheRoot]:
-    """All C(N,2) two-magnon roots, sorted by quantum numbers."""
-    N = cfg.N
-    roots = [_kzero_root(cfg, m) for m in range(N)]
-    for m1 in range(1, N - 2):
-        for m2 in range(m1 + 2, N):
-            theta = _real_cell_root(m1, m2, N, 1e-9, pi - 1e-12)
-            if theta is None:
-                raise SolverError(f"real-pair cell ({m1},{m2}) did not converge")
-            roots.append(_root_from_theta(cfg, theta, m1, m2))
-    for mclass in range(2, N - 1):
-        roots.append(_bound_cell_root(cfg, mclass))
-    roots.sort(key=lambda r: (r.m1, r.m2))
-    return roots
+    k_zero = 2 * pi * np.arange(N) / N
+    columns = [
+        (np.zeros(N), k_zero, np.zeros(N), dispersion(cfg, 0.0, k_zero).real,
+         np.full(N, "k-zero"), np.zeros(N, dtype=int), np.arange(N)),
+        (k1, k2, theta, energy.real, kind, m1, m2),
+    ]
+    if N % 2 == 0:
+        columns.append(_singular_pi_cell(cfg))
+    k1, k2, theta, energy, kind, m1, m2 = (np.concatenate(col) for col in zip(*columns))
+    order = np.lexsort((m2, m1))
+    return [BetheRoot(*fields) for fields in zip(k1[order].tolist(), k2[order].tolist(),
+                                                  theta[order].tolist(), energy[order].tolist(),
+                                                  kind[order].tolist(), m1[order].tolist(),
+                                                  m2[order].tolist())]
 
 
 def _wavefunction(root: BetheRoot, n1s, n2s, N: int) -> tuple[np.ndarray, float]:
@@ -279,37 +300,82 @@ def bethe_state(root: BetheRoot, cfg: ChainConfig) -> BetheState:
     return BetheState(root=root, amplitudes=amplitudes, norm_constant=1.0 / norm)
 
 
-def block_vector(root: BetheRoot, cfg: ChainConfig) -> tuple[int, np.ndarray]:
-    """Momentum index k and real unit block vector phi(r), r = 1..N-1, of a root.
+def block_vectors(roots: list[BetheRoot], cfg: ChainConfig) -> np.ndarray:
+    """Real unit block vectors phi(r), r = 1..N-1, of a batch of roots, one row per root.
 
-    The state is e^{iKx} a(1, 1 + r) on the pair (x + 1, x + 1 + r), so phi
-    is a(1, 1 + r) in SpectralEngine's gauge e^{-i pi k r/N}, k = (m1 + m2)
-    mod N (m1 + m2 itself would differ by (-1)^r once it reaches N).  There
-    phi is real up to one global phase, which is removed; SolverError if an
-    imaginary part over 1e-10 is left.
+    The state of a root is e^{iKx} a(1, 1 + r) on the pair (x + 1, x + 1 + r),
+    and a(1, 1 + r) = 2 e^{iK} e^{iPr} cos(q r + theta/2) with P = (k1 + k2)/2
+    and q = (k2 - k1)/2.  phi is a(1, 1 + r) in SpectralEngine's gauge
+    e^{-i pi k r/N} of block k = (m1 + m2) mod N, where e^{iPr} leaves
+    (-1)^{jr}, j = (m1 + m2) // N, when the momenta add up to
+    2 pi (m1 + m2)/N; a root whose momenta miss that by more than
+    1e-10/(N - 1) per site would leave a phase that varies with r, and is
+    refused (SolverError, "not real").  Real labels give a real cosine.
+    Complex labels (bound roots) have cos z split into e^{iz} and e^{-iz},
+    each scaled by e^{-max|Im z|} so deep bound states do not overflow, and
+    the global phase removed; SolverError if an imaginary part over 1e-10
+    is left.  The even-N momentum-pi cell is the closed form
+    (|1> + (-1)^{N/2} |N-1>)/sqrt(2).  DegenerateRootError if a wavefunction
+    vanishes.  A row's overall sign is arbitrary.
     """
-    N = cfg.N
-    k = (root.m1 + root.m2) % N
+    N, n = cfg.N, len(roots)
     r = np.arange(1, N)
-    amplitudes, _ = _wavefunction(root, np.ones_like(r), 1 + r, N)
-    phi = amplitudes * np.exp(-1j * np.pi * (k * r % (2 * N)) / N)
-    peak = phi[np.argmax(np.abs(phi))]
-    phi *= abs(peak) / peak
-    if not np.max(np.abs(phi.imag)) <= 1e-10:
-        raise SolverError(f"cell ({root.m1},{root.m2}): block vector is not real "
-                          f"(max|Im| = {np.max(np.abs(phi.imag)):.3e})")
-    return k, phi.real
+    k1 = np.fromiter((x.k1 for x in roots), np.complex128, n)
+    k2 = np.fromiter((x.k2 for x in roots), np.complex128, n)
+    theta = np.fromiter((x.theta for x in roots), np.complex128, n)
+    m1 = np.fromiter((x.m1 for x in roots), np.int64, n)
+    m2 = np.fromiter((x.m2 for x in roots), np.int64, n)
+    singular = np.fromiter((x.kind == "bound" for x in roots), bool, n) & (2 * (m1 + m2) == N)
+    cplx = ~((k1.imag == 0) & (k2.imag == 0) & (theta.imag == 0) | singular)
+    q, j = (k2 - k1) / 2, (m1 + m2) // N
+    # (-1)^{jr} cos(q r + theta/2) = cos((q - pi j) r + theta/2)
+    phi = np.multiply.outer(q.real - pi * j, r)
+    phi += theta.real[:, None] / 2
+    phi = 2 * np.cos(phi, out=phi)
+    phi[singular] = 0.0
+    phi[singular, 0], phi[singular, -1] = 1.0, (-1.0) ** (N // 2)
+    z = np.multiply.outer(q[cplx], r) + theta[cplx, None] / 2
+    scale = np.max(np.abs(z.imag), axis=1, keepdims=True)
+    waves = (np.exp(1j * z - scale) + np.exp(-1j * z - scale)) * (-1.0) ** np.outer(j[cplx], r)
+    norm = np.linalg.norm(phi, axis=1)
+    norm[cplx] = np.linalg.norm(waves, axis=1)
+    if not np.all(norm >= 1e-13 * np.sqrt(N - 1)):
+        i = int(np.argmax(~(norm >= 1e-13 * np.sqrt(N - 1))))
+        raise DegenerateRootError(f"cell ({m1[i]},{m2[i]}) gives a vanishing wavefunction")
+    drift = np.where(singular, 0.0, np.abs((k1 + k2) / 2 - pi * (m1 + m2) / N))
+    if not np.all(drift * (N - 1) <= 1e-10):
+        i = int(np.argmax(~(drift * (N - 1) <= 1e-10)))
+        raise SolverError(f"cell ({m1[i]},{m2[i]}): block vector is not real (its momenta "
+                          f"miss 2 pi (m1 + m2)/N by {2 * drift[i]:.3e})")
+    waves /= norm[cplx, None]
+    peak = waves[np.arange(len(waves)), np.argmax(np.abs(waves), axis=1)]
+    waves *= (np.abs(peak) / peak)[:, None]
+    leak = np.max(np.abs(waves.imag), axis=1, initial=0.0)
+    if not np.all(leak <= 1e-10):
+        i = int(np.argmax(~(leak <= 1e-10)))
+        raise SolverError(f"cell ({m1[cplx][i]},{m2[cplx][i]}): block vector is not real "
+                          f"(max|Im| = {leak[i]:.3e})")
+    phi /= norm[:, None]
+    phi[cplx] = waves.real
+    return phi
+
+
+def block_vector(root: BetheRoot, cfg: ChainConfig) -> tuple[int, np.ndarray]:
+    """Momentum index k = (m1 + m2) mod N and block vector of one root: `block_vectors` of a batch of one."""
+    return (root.m1 + root.m2) % cfg.N, block_vectors([root], cfg)[0]
 
 
 class BetheEngine(SpectralEngine):
     """Evolution backend built on the full set of Bethe eigenstates.
 
-    Each root's `block_vector` and energy fill one level of its momentum
-    block in SpectralEngine's stack, and evolution is SpectralEngine's.  The
-    stack is used as built, never repaired: each block must hold one root
-    per level and satisfy max|V_k^T V_k - I| <= ORTHONORMALITY_TOL, so a
-    missing or repeated state is refused.  eigenvalues and momenta are
-    grouped by k as in SpectralEngine, in root order within a block.
+    The stack of SpectralEngine is filled class by class: the roots of
+    class (m1 + m2) mod N = k, in root order, give the levels of momentum
+    block k through one `block_vectors` call, and evolution is
+    SpectralEngine's.  The stack is used as built, never repaired: each
+    block must hold one root per level and satisfy
+    max|V_k^T V_k - I| <= ORTHONORMALITY_TOL, so a missing or repeated
+    state is refused.  eigenvalues and momenta are grouped by k as in
+    SpectralEngine, in root order within a block.
     """
 
     name = "bethe"
@@ -318,20 +384,24 @@ class BetheEngine(SpectralEngine):
         check_block_budget(cfg)
         N, width = cfg.N, cfg.N // 2
         self.roots = enumerate_roots(cfg)
-        sizes, filled = block_sizes(N), np.zeros(N, dtype=np.int64)
-        vectors, energies = np.zeros((N, N - 1, width)), np.zeros((N, width))
-        for root in self.roots:
-            k, phi = block_vector(root, cfg)
-            if filled[k] < sizes[k]:
-                vectors[k, :, filled[k]], energies[k, filled[k]] = phi, root.energy
-            filled[k] += 1
-        if not np.array_equal(filled, sizes):
-            k = int(np.argmax(filled != sizes))
-            raise SolverError(f"Bethe basis is incomplete: {filled[k]} roots for the "
+        sizes = block_sizes(N)
+        classes = np.array([(root.m1 + root.m2) % N for root in self.roots])
+        counts = np.bincount(classes, minlength=N)
+        if not np.array_equal(counts, sizes):
+            k = int(np.argmax(counts != sizes))
+            raise SolverError(f"Bethe basis is incomplete: {counts[k]} roots for the "
                               f"{sizes[k]} levels of momentum block k={k}")
-        gram, level = vectors.transpose(0, 2, 1) @ vectors, np.arange(width)
-        gram[:, level, level] -= level < sizes[:, None]
-        error = np.max(np.abs(gram))
-        if not error <= ORTHONORMALITY_TOL:
-            raise SolverError(f"Bethe basis is numerically incomplete (max|V_k^T V_k - I| = {error:.3e})")
+        vectors, energies = np.zeros((N, N - 1, width)), np.zeros((N, width))
+        order = np.argsort(classes, kind="stable")
+        for k, members in enumerate(np.split(order, np.cumsum(sizes)[:-1])):
+            batch = [self.roots[i] for i in members]
+            phi = block_vectors(batch, cfg)
+            gram = phi @ phi.T
+            gram[np.diag_indices(len(batch))] -= 1.0
+            error = np.max(np.abs(gram))
+            if not error <= ORTHONORMALITY_TOL:
+                raise SolverError(f"Bethe basis is numerically incomplete in momentum block k={k} "
+                                  f"(max|V_k^T V_k - I| = {error:.3e})")
+            vectors[k, :, :len(batch)] = phi.T
+            energies[k, :len(batch)] = [root.energy for root in batch]
         self._set_blocks(cfg, vectors, energies)

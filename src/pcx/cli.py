@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -130,19 +129,23 @@ def _levels_by_block(engine) -> np.ndarray:
 
 def cmd_spectrum(args) -> int:
     cfg = _chain_config(args)
-    engine = BetheEngine(cfg) if args.engine == "bethe" else None
-    levels = _levels_by_block(SpectralEngine(cfg))
+    levels = _levels_by_block(SpectralEngine(cfg))  # only the levels outlive this engine
     footer = []
-    if engine is None:
+    if args.engine == "spectral":
         rows = [(i, e, "", "") for i, e in enumerate(np.sort(levels))]
     else:
-        roots = sorted(engine.roots, key=lambda r: r.energy)  # stable: ties keep root order
-        rows = [(rank, r.energy, r.kind, abs(r.energy - dispersion(cfg, r.k1, r.k2).real))
-                for rank, r in enumerate(roots)]
+        engine = BetheEngine(cfg)
+        energy = np.array([r.energy for r in engine.roots])
+        kind = np.array([r.kind for r in engine.roots])
+        k1, k2 = np.array([(r.k1, r.k2) for r in engine.roots]).T
+        residual = np.abs(energy - dispersion(cfg, k1, k2).real)
+        order = np.argsort(energy, kind="stable")  # ties keep root order
+        rows = list(zip(range(len(order)), energy[order].tolist(), kind[order].tolist(),
+                        residual[order].tolist()))
         mismatch = np.abs(_levels_by_block(engine) - levels).max()
         footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(mismatch)}")
-        counts = Counter(r.kind for r in engine.roots)
-        footer.append("class_counts=" + " ".join(f"{k}:{v}" for k, v in sorted(counts.items())))
+        names, counts = np.unique(kind, return_counts=True)
+        footer.append("class_counts=" + " ".join(f"{k}:{v}" for k, v in zip(names, counts)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_csv(

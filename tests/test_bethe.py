@@ -7,8 +7,12 @@ import pytest
 from pcx.bethe import (
     BetheEngine,
     BetheRoot,
+    _cell_derivative,
+    _cell_function,
+    _real_cell_roots,
     bethe_state,
     block_vector,
+    block_vectors,
     dispersion,
     enumerate_roots,
     solve_theta,
@@ -115,6 +119,34 @@ class TestEnumerateRoots:
             assert bethe.shape == levels.shape, k
             assert np.max(np.abs(bethe - levels)) < 1e-12, k
 
+    def test_newton_out_of_iterations_refused(self, monkeypatch):
+        """A real-pair cell that does not converge within NEWTON_MAX_ITER raises, naming the cell."""
+        import pcx.bethe
+
+        monkeypatch.setattr(pcx.bethe, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(SolverError, match=r"real-pair cell \(\d+,\d+\) did not converge"):
+            enumerate_roots(ChainConfig(N=12))
+
+    def test_real_pair_roots_at_rounding(self):
+        """After the finish steps, a further Newton step lowers |F| for almost no real-pair cell."""
+        N = 32
+        m1, m2 = np.triu_indices(N, 2)
+        m1, m2 = m1[m1 >= 1], m2[m1 >= 1]
+        theta = _real_cell_roots(m1, m2, N, 1e-9, pi - 1e-12)
+        f = _cell_function(theta, m1, m2, N)
+        further = theta - f / _cell_derivative(theta, m1, m2, N)
+        improved = np.abs(_cell_function(further, m1, m2, N)) < np.abs(f)
+        assert np.sum(improved) <= 0.01 * len(theta)
+
+    def test_bracket_without_sign_change_refused(self):
+        """A bracket whose ends share a sign is refused, even with the root at its midpoint."""
+        m1, m2 = np.array([1]), np.array([3])
+        root = _real_cell_roots(m1, m2, 8, 1e-9, pi - 1e-12)[0]
+        assert abs(_cell_function(root, 1, 3, 8)) < 1e-12
+        lo, hi = -0.5, 2 * root + 0.5  # across the pole at theta = 0: F < 0 at both ends
+        assert _cell_function(lo, 1, 3, 8) < 0 and _cell_function(hi, 1, 3, 8) < 0
+        assert np.isnan(_real_cell_roots(m1, m2, 8, lo, hi)).all()
+
     @pytest.mark.parametrize("J", [-1.0, 2.5])
     def test_coupling_scales_spectrum(self, J):
         cfg = ChainConfig(N=10, J=J)
@@ -171,6 +203,20 @@ class TestBetheState:
                           kind="real-pair", m1=1, m2=3)
         with pytest.raises(SolverError, match="not real"):
             block_vector(bogus, cfg32)
+
+    @pytest.mark.parametrize("N", [12, 31, 32])
+    def test_block_vectors_match_position_wavefunction(self, N):
+        """Each row of a class batch is bethe_state on the pairs (1, 1 + r) in the block gauge."""
+        cfg = ChainConfig(N=N)
+        roots = enumerate_roots(cfg)
+        r = np.arange(1, N)
+        flat = np.array([pair_index(1, 1 + d, N) for d in r])
+        for k in range(N):
+            batch = [root for root in roots if (root.m1 + root.m2) % N == k]
+            for root, phi in zip(batch, block_vectors(batch, cfg)):
+                psi = bethe_state(root, cfg).amplitudes[flat] * np.exp(-1j * np.pi * k * r / N)
+                psi /= np.linalg.norm(psi)
+                assert abs(abs(np.vdot(phi, psi)) - 1) < 1e-12, (root.m1, root.m2)
 
     def test_singular_momentum_pi_state(self, cfg32, roots32, dense_engine32):
         """The v->infinity cell is the alternating adjacent state."""
@@ -245,13 +291,15 @@ class TestCompleteness:
         """A repeated wavefunction leaves the basis incomplete; the engine refuses it."""
         import pcx.bethe
 
-        real_vector = pcx.bethe.block_vector
+        real_vectors = pcx.bethe.block_vectors
         roots = enumerate_roots(ChainConfig(N=8))
+        k1 = (roots[1].m1 + roots[1].m2) % 8
+        partner = next(r for r in roots[2:] if (r.m1 + r.m2) % 8 == k1)  # same block
 
-        def repeat_first(root, cfg):
-            return real_vector(roots[0] if root == roots[1] else root, cfg)
+        def repeat_partner(batch, cfg):
+            return real_vectors([partner if root == roots[1] else root for root in batch], cfg)
 
-        monkeypatch.setattr(pcx.bethe, "block_vector", repeat_first)
+        monkeypatch.setattr(pcx.bethe, "block_vectors", repeat_partner)
         with pytest.raises(SolverError, match="incomplete"):
             BetheEngine(ChainConfig(N=8))
 
@@ -259,21 +307,33 @@ class TestCompleteness:
         """A column tilted by 1e-8 keeps full rank but is not orthonormal; the engine refuses it."""
         import pcx.bethe
 
-        real_vector = pcx.bethe.block_vector
+        real_vectors = pcx.bethe.block_vectors
         roots = enumerate_roots(ChainConfig(N=8))
         k1 = (roots[1].m1 + roots[1].m2) % 8
         partner = next(r for r in roots[2:] if (r.m1 + r.m2) % 8 == k1)  # same block
 
-        def skew_second(root, cfg):
-            k, phi = real_vector(root, cfg)
-            if root != roots[1]:
-                return k, phi
-            tilted = phi + 1e-8 * real_vector(partner, cfg)[1]
-            return k, tilted / np.linalg.norm(tilted)
+        def skew_second(batch, cfg):
+            phi = real_vectors(batch, cfg)
+            for i, root in enumerate(batch):
+                if root == roots[1]:
+                    tilted = phi[i] + 1e-8 * real_vectors([partner], cfg)[0]
+                    phi[i] = tilted / np.linalg.norm(tilted)
+            return phi
 
-        monkeypatch.setattr(pcx.bethe, "block_vector", skew_second)
+        monkeypatch.setattr(pcx.bethe, "block_vectors", skew_second)
         with pytest.raises(SolverError, match="incomplete"):
             BetheEngine(ChainConfig(N=8))
+
+    def test_build_uses_no_per_root_wavefunction(self, monkeypatch, bethe_engine32):
+        """The engine builds its blocks from batches alone; the per-root path is never taken."""
+        import pcx.bethe
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-root wavefunction called")
+
+        monkeypatch.setattr(pcx.bethe, "_wavefunction", refuse)
+        engine = BetheEngine(ChainConfig(N=32))
+        assert np.array_equal(engine.vectors, bethe_engine32.vectors)
 
     def test_build_holds_no_dense_basis(self):
         """Building at N=64 stays far below the 65 MB a dense dim x dim basis would take."""
@@ -284,6 +344,17 @@ class TestCompleteness:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_build_peak_near_stack(self):
+        """Building at N=128 holds little beyond the stack it keeps, 8 N (N-1) floor(N/2) bytes."""
+        N = 128
+        tracemalloc.start()
+        try:
+            BetheEngine(ChainConfig(N=N))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * N * (N - 1) * (N // 2)
 
 
 class TestBetheEvolve:
