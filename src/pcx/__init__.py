@@ -16,7 +16,7 @@ from .analysis import (
     site_series,
     spacetime_scan,
 )
-from .bethe import BetheEngine, BetheRoot, BetheState, bethe_state, enumerate_roots, solve_theta
+from .bethe import BetheEngine, BetheState, bethe_state, enumerate_roots, solve_theta
 from .chain import (
     ChainConfig,
     SpectralDecomposition,

@@ -16,8 +16,9 @@ over all of its cells at once:
     each, by one array bisection over the cells; where that equation has
     no root the cell is a real close pair, solved by the same array Newton.
 
+`enumerate_roots` returns the roots as one record array over ROOT_DTYPE.
 For even N the momentum-pi cell is the singular limit v -> infinity of
-the bound branch: its root record holds finite labels and the exact
+the bound branch: its row holds finite labels and the exact
 energy J, and its wavefunction is the closed-form alternating adjacent-pair
 state, so the Bethe basis is orthonormal as built.
 
@@ -44,6 +45,9 @@ NEWTON_FINISH_STEPS = 3
 # momentum-pi cell; its wavefunction is the closed form, independent of v.
 SINGULAR_V = 17.5
 ORTHONORMALITY_TOL = 1e-10
+# one row per root; kind is "k-zero" | "real-pair" | "bound"
+ROOT_DTYPE = np.dtype([("k1", np.complex128), ("k2", np.complex128), ("theta", np.complex128),
+                       ("energy", np.float64), ("kind", "U9"), ("m1", np.int64), ("m2", np.int64)])
 
 
 def _cot(z):
@@ -69,24 +73,11 @@ def dispersion(cfg: ChainConfig, k1, k2) -> complex:
     return cfg.J * (2.0 - np.cos(np.complex128(k1)) - np.cos(np.complex128(k2)))
 
 
-@dataclass(frozen=True, slots=True)
-class BetheRoot:
-    """One solution of the quantization conditions."""
-
-    k1: complex
-    k2: complex
-    theta: complex
-    energy: float
-    kind: str  # "k-zero" | "real-pair" | "bound"
-    m1: int
-    m2: int
-
-
 @dataclass(frozen=True)
 class BetheState:
     """Normalized position-basis wavefunction of a root."""
 
-    root: BetheRoot
+    root: np.record  # one row of an `enumerate_roots` table
     amplitudes: np.ndarray
     norm_constant: float
 
@@ -189,7 +180,7 @@ def _bound_depths(c: np.ndarray, cosh_form: np.ndarray, N: int) -> np.ndarray:
 def _singular_pi_cell(cfg: ChainConfig) -> tuple:
     """Momentum-pi bound cell for even N, the v -> infinity limit.
 
-    One-element columns in BetheRoot field order.  Labels at v = SINGULAR_V
+    One-element columns in ROOT_DTYPE field order.  Labels at v = SINGULAR_V
     on the manifold cos(u) cosh(v) = 1/2, where the dispersion gives exactly
     J; its state is the closed form (see `_wavefunction` and `block_vectors`).
     """
@@ -205,10 +196,10 @@ def _singular_pi_cell(cfg: ChainConfig) -> tuple:
     return ([k1], [u - 1j * v], [theta], [cfg.J], ["bound"], [m1], [m2])
 
 
-def enumerate_roots(cfg: ChainConfig) -> list[BetheRoot]:
-    """All C(N,2) two-magnon roots, sorted by quantum numbers.
+def enumerate_roots(cfg: ChainConfig) -> np.recarray:
+    """All C(N,2) two-magnon roots, one ROOT_DTYPE row each, sorted by (m1, m2).
 
-    Each family is solved as arrays; the records are built from them last.
+    Each family is solved as arrays.
     The bound cells, one per total-momentum class 2..N-2: for classes above
     N/2 the momenta sit near 2 pi, so the cell has quantum numbers summing to
     sigma = mclass + N; then c = cos(pi sigma/N) > 0 for every class but the
@@ -257,21 +248,18 @@ def enumerate_roots(cfg: ChainConfig) -> list[BetheRoot]:
 
     k_zero = 2 * pi * np.arange(N) / N
     columns = [
-        (np.zeros(N), k_zero, np.zeros(N), dispersion(cfg, 0.0, k_zero).real,
+        # + 0.0: the (0, 0) energy is J * 0.0, which is -0.0 for J < 0
+        (np.zeros(N), k_zero, np.zeros(N), dispersion(cfg, 0.0, k_zero).real + 0.0,
          np.full(N, "k-zero"), np.zeros(N, dtype=int), np.arange(N)),
         (k1, k2, theta, energy.real, kind, m1, m2),
     ]
     if N % 2 == 0:
         columns.append(_singular_pi_cell(cfg))
-    k1, k2, theta, energy, kind, m1, m2 = (np.concatenate(col) for col in zip(*columns))
-    order = np.lexsort((m2, m1))
-    return [BetheRoot(*fields) for fields in zip(k1[order].tolist(), k2[order].tolist(),
-                                                  theta[order].tolist(), energy[order].tolist(),
-                                                  kind[order].tolist(), m1[order].tolist(),
-                                                  m2[order].tolist())]
+    roots = np.rec.fromarrays([np.concatenate(col) for col in zip(*columns)], dtype=ROOT_DTYPE)
+    return roots[np.lexsort((roots.m2, roots.m1))]
 
 
-def _wavefunction(root: BetheRoot, n1s, n2s, N: int) -> tuple[np.ndarray, float]:
+def _wavefunction(root: np.record, n1s, n2s, N: int) -> tuple[np.ndarray, float]:
     """Unit amplitudes of a root on the pairs (n1s, n2s), and their norm before scaling.
 
     Exponents are rescaled by their maximum so deep bound states do not
@@ -294,14 +282,14 @@ def _wavefunction(root: BetheRoot, n1s, n2s, N: int) -> tuple[np.ndarray, float]
     return raw / norm, float(norm)
 
 
-def bethe_state(root: BetheRoot, cfg: ChainConfig) -> BetheState:
+def bethe_state(root: np.record, cfg: ChainConfig) -> BetheState:
     """Normalized position-basis wavefunction of a root, over the flat pair basis."""
     amplitudes, norm = _wavefunction(root, *all_pairs(cfg.N), cfg.N)
     return BetheState(root=root, amplitudes=amplitudes, norm_constant=1.0 / norm)
 
 
-def block_vectors(roots: list[BetheRoot], cfg: ChainConfig) -> np.ndarray:
-    """Real unit block vectors phi(r), r = 1..N-1, of a batch of roots, one row per root.
+def block_vectors(roots: np.recarray, cfg: ChainConfig) -> np.ndarray:
+    """Real unit block vectors phi(r), r = 1..N-1, of a batch of root rows, one row per root.
 
     The state of a root is e^{iKx} a(1, 1 + r) on the pair (x + 1, x + 1 + r),
     and a(1, 1 + r) = 2 e^{iK} e^{iPr} cos(q r + theta/2) with P = (k1 + k2)/2
@@ -318,14 +306,9 @@ def block_vectors(roots: list[BetheRoot], cfg: ChainConfig) -> np.ndarray:
     (|1> + (-1)^{N/2} |N-1>)/sqrt(2).  DegenerateRootError if a wavefunction
     vanishes.  A row's overall sign is arbitrary.
     """
-    N, n = cfg.N, len(roots)
-    r = np.arange(1, N)
-    k1 = np.fromiter((x.k1 for x in roots), np.complex128, n)
-    k2 = np.fromiter((x.k2 for x in roots), np.complex128, n)
-    theta = np.fromiter((x.theta for x in roots), np.complex128, n)
-    m1 = np.fromiter((x.m1 for x in roots), np.int64, n)
-    m2 = np.fromiter((x.m2 for x in roots), np.int64, n)
-    singular = np.fromiter((x.kind == "bound" for x in roots), bool, n) & (2 * (m1 + m2) == N)
+    N, r = cfg.N, np.arange(1, cfg.N)
+    k1, k2, theta, m1, m2 = roots.k1, roots.k2, roots.theta, roots.m1, roots.m2
+    singular = (roots.kind == "bound") & (2 * (m1 + m2) == N)
     cplx = ~((k1.imag == 0) & (k2.imag == 0) & (theta.imag == 0) | singular)
     q, j = (k2 - k1) / 2, (m1 + m2) // N
     # (-1)^{jr} cos(q r + theta/2) = cos((q - pi j) r + theta/2)
@@ -360,11 +343,6 @@ def block_vectors(roots: list[BetheRoot], cfg: ChainConfig) -> np.ndarray:
     return phi
 
 
-def block_vector(root: BetheRoot, cfg: ChainConfig) -> tuple[int, np.ndarray]:
-    """Momentum index k = (m1 + m2) mod N and block vector of one root: `block_vectors` of a batch of one."""
-    return (root.m1 + root.m2) % cfg.N, block_vectors([root], cfg)[0]
-
-
 class BetheEngine(SpectralEngine):
     """Evolution backend built on the full set of Bethe eigenstates.
 
@@ -385,7 +363,7 @@ class BetheEngine(SpectralEngine):
         N, width = cfg.N, cfg.N // 2
         self.roots = enumerate_roots(cfg)
         sizes = block_sizes(N)
-        classes = np.array([(root.m1 + root.m2) % N for root in self.roots])
+        classes = (self.roots.m1 + self.roots.m2) % N
         counts = np.bincount(classes, minlength=N)
         if not np.array_equal(counts, sizes):
             k = int(np.argmax(counts != sizes))
@@ -394,7 +372,7 @@ class BetheEngine(SpectralEngine):
         vectors, energies = np.zeros((N, N - 1, width)), np.zeros((N, width))
         order = np.argsort(classes, kind="stable")
         for k, members in enumerate(np.split(order, np.cumsum(sizes)[:-1])):
-            batch = [self.roots[i] for i in members]
+            batch = self.roots[members]
             phi = block_vectors(batch, cfg)
             gram = phi @ phi.T
             gram[np.diag_indices(len(batch))] -= 1.0
@@ -403,5 +381,5 @@ class BetheEngine(SpectralEngine):
                 raise SolverError(f"Bethe basis is numerically incomplete in momentum block k={k} "
                                   f"(max|V_k^T V_k - I| = {error:.3e})")
             vectors[k, :, :len(batch)] = phi.T
-            energies[k, :len(batch)] = [root.energy for root in batch]
+            energies[k, :len(batch)] = batch.energy
         self._set_blocks(cfg, vectors, energies)

@@ -135,10 +135,8 @@ def cmd_spectrum(args) -> int:
         rows = [(i, e, "", "") for i, e in enumerate(np.sort(levels))]
     else:
         engine = BetheEngine(cfg)
-        energy = np.array([r.energy for r in engine.roots])
-        kind = np.array([r.kind for r in engine.roots])
-        k1, k2 = np.array([(r.k1, r.k2) for r in engine.roots]).T
-        residual = np.abs(energy - dispersion(cfg, k1, k2).real)
+        energy, kind = engine.roots.energy, engine.roots.kind
+        residual = np.abs(energy - dispersion(cfg, engine.roots.k1, engine.roots.k2).real)
         order = np.argsort(energy, kind="stable")  # ties keep root order
         rows = list(zip(range(len(order)), energy[order].tolist(), kind[order].tolist(),
                         residual[order].tolist()))

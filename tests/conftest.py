@@ -71,8 +71,8 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def run_cli():
-    """Runs ``python -m pcx`` in a child process on the source tree under test.
+def run_python():
+    """Runs ``python ARGS`` in a child process on the source tree under test.
 
     The directory holding the imported pcx package goes first on the
     child's PYTHONPATH, so the child runs the same code as this process
@@ -83,7 +83,12 @@ def run_cli():
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pcx_root, env.get("PYTHONPATH")) if p)
 
     def run(args):
-        return subprocess.run([sys.executable, "-m", "pcx", *args],
-                              capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
     return run
+
+
+@pytest.fixture(scope="session")
+def run_cli(run_python):
+    """Runs ``python -m pcx`` in a child process on the source tree under test."""
+    return lambda args: run_python(["-m", "pcx", *args])

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from pcx.bethe import (
+    ROOT_DTYPE,
     BetheEngine,
-    BetheRoot,
     _cell_derivative,
     _cell_function,
     _real_cell_roots,
     bethe_state,
-    block_vector,
     block_vectors,
     dispersion,
     enumerate_roots,
@@ -107,14 +106,27 @@ class TestEnumerateRoots:
         diag = np.sort(np.linalg.eigvalsh(sector_hamiltonian(cfg)))
         assert np.max(np.abs(diag - np.sort([r.energy for r in roots]))) < 1e-6
 
+    @pytest.mark.parametrize("N", [31, 48])
+    def test_engine_roots_are_one_table(self, N):
+        """The engine keeps its roots as one ROOT_DTYPE table: one row per cell, sorted by (m1, m2)."""
+        roots = BetheEngine(ChainConfig(N=N)).roots
+        assert roots.dtype == ROOT_DTYPE
+        assert len(roots) == comb(N, 2)
+        dm1, dm2 = np.diff(roots.m1), np.diff(roots.m2)
+        assert np.all((dm1 > 0) | ((dm1 == 0) & (dm2 > 0)))  # strictly increasing, so distinct
+        assert roots.nbytes < 120 * comb(N, 2)
+
     @pytest.mark.parametrize("N", [8, 9, 12, 13, 32, 33, 48, 77, 80, 89, 128, 256])
     def test_energies_match_blocks_class_by_class(self, N):
         """Roots of class (m1 + m2) mod N = k have the levels of momentum block k."""
         cfg = ChainConfig(N=N)
         roots = enumerate_roots(cfg)
         blocks = SpectralEngine(cfg)
-        for k in range(N):
-            bethe = np.sort([r.energy for r in roots if (r.m1 + r.m2) % N == k])
+        classes = (roots.m1 + roots.m2) % N
+        by_class = np.lexsort((roots.energy, classes))
+        splits = np.cumsum(np.bincount(classes, minlength=N))[:-1]
+        for k, members in enumerate(np.split(by_class, splits)):
+            bethe = roots.energy[members]  # ascending within the class
             levels = np.sort(blocks.eigenvalues[blocks.momenta == k])
             assert bethe.shape == levels.shape, k
             assert np.max(np.abs(bethe - levels)) < 1e-12, k
@@ -190,19 +202,17 @@ class TestBetheState:
         from pcx.errors import DegenerateRootError
 
         # equal real momenta with theta = pi cancel the two terms exactly
-        bogus = BetheRoot(k1=1.0 + 0j, k2=1.0 + 0j, theta=complex(pi), energy=0.9,
-                          kind="real-pair", m1=5, m2=5)
+        bogus = np.rec.array([(1.0, 1.0, pi, 0.9, "real-pair", 5, 5)], dtype=ROOT_DTYPE)
         with pytest.raises(DegenerateRootError):
-            bethe_state(bogus, cfg32)
+            bethe_state(bogus[0], cfg32)
         with pytest.raises(DegenerateRootError):
-            block_vector(bogus, cfg32)
+            block_vectors(bogus, cfg32)
 
     def test_block_vector_off_momentum_rejected(self, cfg32):
         """Momenta that do not add up to 2 pi (m1 + m2)/N leave a phase that varies with r."""
-        bogus = BetheRoot(k1=0.5 + 0j, k2=1.0 + 0j, theta=0.3 + 0j, energy=0.9,
-                          kind="real-pair", m1=1, m2=3)
+        bogus = np.rec.array([(0.5, 1.0, 0.3, 0.9, "real-pair", 1, 3)], dtype=ROOT_DTYPE)
         with pytest.raises(SolverError, match="not real"):
-            block_vector(bogus, cfg32)
+            block_vectors(bogus, cfg32)
 
     @pytest.mark.parametrize("N", [12, 31, 32])
     def test_block_vectors_match_position_wavefunction(self, N):
@@ -212,7 +222,7 @@ class TestBetheState:
         r = np.arange(1, N)
         flat = np.array([pair_index(1, 1 + d, N) for d in r])
         for k in range(N):
-            batch = [root for root in roots if (root.m1 + root.m2) % N == k]
+            batch = roots[(roots.m1 + roots.m2) % N == k]
             for root, phi in zip(batch, block_vectors(batch, cfg)):
                 psi = bethe_state(root, cfg).amplitudes[flat] * np.exp(-1j * np.pi * k * r / N)
                 psi /= np.linalg.norm(psi)
@@ -264,9 +274,9 @@ class TestCompleteness:
         engine = BetheEngine(ChainConfig(N=12))
         A = np.zeros_like(engine.vectors)
         filled = np.zeros(12, dtype=int)
-        for r in engine.roots:
-            k, phi = block_vector(r, engine.cfg)
-            A[k, :, filled[k]] = phi
+        for i, r in enumerate(engine.roots):
+            k = (r.m1 + r.m2) % 12
+            A[k, :, filled[k]] = block_vectors(engine.roots[i:i + 1], engine.cfg)[0]  # one-row table
             filled[k] += 1
         assert np.array_equal(engine.vectors, A)
 
@@ -293,11 +303,13 @@ class TestCompleteness:
 
         real_vectors = pcx.bethe.block_vectors
         roots = enumerate_roots(ChainConfig(N=8))
-        k1 = (roots[1].m1 + roots[1].m2) % 8
-        partner = next(r for r in roots[2:] if (r.m1 + r.m2) % 8 == k1)  # same block
+        classes = (roots.m1 + roots.m2) % 8
+        partner = roots[2 + np.flatnonzero(classes[2:] == classes[1])[:1]]  # same block
 
         def repeat_partner(batch, cfg):
-            return real_vectors([partner if root == roots[1] else root for root in batch], cfg)
+            batch = batch.copy()
+            batch[(batch.m1 == roots[1].m1) & (batch.m2 == roots[1].m2)] = partner
+            return real_vectors(batch, cfg)
 
         monkeypatch.setattr(pcx.bethe, "block_vectors", repeat_partner)
         with pytest.raises(SolverError, match="incomplete"):
@@ -309,15 +321,14 @@ class TestCompleteness:
 
         real_vectors = pcx.bethe.block_vectors
         roots = enumerate_roots(ChainConfig(N=8))
-        k1 = (roots[1].m1 + roots[1].m2) % 8
-        partner = next(r for r in roots[2:] if (r.m1 + r.m2) % 8 == k1)  # same block
+        classes = (roots.m1 + roots.m2) % 8
+        partner = roots[2 + np.flatnonzero(classes[2:] == classes[1])[:1]]  # same block
 
         def skew_second(batch, cfg):
             phi = real_vectors(batch, cfg)
-            for i, root in enumerate(batch):
-                if root == roots[1]:
-                    tilted = phi[i] + 1e-8 * real_vectors([partner], cfg)[0]
-                    phi[i] = tilted / np.linalg.norm(tilted)
+            for i in np.flatnonzero((batch.m1 == roots[1].m1) & (batch.m2 == roots[1].m2)):
+                tilted = phi[i] + 1e-8 * real_vectors(partner, cfg)[0]
+                phi[i] = tilted / np.linalg.norm(tilted)
             return phi
 
         monkeypatch.setattr(pcx.bethe, "block_vectors", skew_second)

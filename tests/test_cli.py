@@ -46,6 +46,14 @@ class TestSpectrumCommand:
         energies = [float(r[1]) for r in rows]
         assert energies == sorted(energies)
 
+    def test_bethe_zero_level_unsigned_for_negative_coupling(self, tmp_path):
+        """At J < 0 the (0, 0) root's level J * 0 is written as 0, not -0."""
+        assert main(["spectrum", "--sites", "8", "--coupling", "-1", "--engine", "bethe",
+                     "--out", str(tmp_path)]) == 0
+        _, _, rows, _ = read_csv(tmp_path / "spectrum.csv")
+        assert rows[-1] == ["27", "0", "k-zero", "0"]
+        assert not any(r[1].startswith("-0") and float(r[1]) == 0 for r in rows)
+
     def test_bethe_footer_compares_blocks(self, tmp_path, monkeypatch):
         """A level filed under the wrong momentum shows in the footer, though the spectrum is whole."""
         from pcx.bethe import BetheEngine
