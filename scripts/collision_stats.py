@@ -18,9 +18,8 @@ def main():
     parser.add_argument("--tmax", type=float, default=200.0)
     args = parser.parse_args()
 
-    cfg = ChainConfig(N=args.sites)
-    engine = SpectralEngine(cfg)
-    series = site_series(cfg, (10, 25), 17, (1, 2, 3), 0.2, args.tmax, engine)
+    engine = SpectralEngine(ChainConfig(N=args.sites))
+    series = site_series(engine, (10, 25), 17, (1, 2, 3), 0.2, args.tmax)
     window = (0.5 * args.tmax, args.tmax)
 
     s_stats = equilibrium_stats(series.times, series.entropy, window)

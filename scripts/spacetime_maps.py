@@ -28,7 +28,7 @@ def main():
     radii = tuple(int(x) for x in args.horizon.split(","))
     cfg = ChainConfig(N=args.sites)
     engine = SpectralEngine(cfg)
-    grids = spacetime_scan(cfg, flips, radii, args.dt, args.tmax, engine)
+    grids = spacetime_scan(engine, flips, radii, args.dt, args.tmax)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

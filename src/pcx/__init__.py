@@ -40,11 +40,9 @@ from .predictive import (
     BipartiteState,
     EquivalencePartition,
     PredictiveState,
-    Projector,
     build_projector,
     equivalence_residual,
     predictive_map,
-    predictive_reduced_density,
     reduced_density,
     trace_distance,
     von_neumann_entropy,

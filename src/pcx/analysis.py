@@ -4,6 +4,7 @@ equilibrium statistics and collision-peak ratios."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -79,7 +80,11 @@ def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_m
         HorizonSpec(j=1, r_h=r, N=cfg.N)
     if len(set(r_h_list)) != len(r_h_list):
         raise ConfigError(f"horizon radii {tuple(r_h_list)} repeat a radius")
-    return time_grid(dt, t_max)
+    times = time_grid(dt, t_max)
+    # 4|J| bounds the levels, so every phase E t of the run stays finite
+    if not isfinite(4 * abs(float(cfg.J)) * float(t_max)):
+        raise ConfigError(f"4|J| tmax is not finite for J={cfg.J} and tmax={t_max}")
+    return times
 
 
 def _layout_index(N: int) -> np.ndarray:
@@ -90,7 +95,7 @@ def _layout_index(N: int) -> np.ndarray:
     return (n1 - 1) * N - n1 * (n1 - 1) // 2 + (n2 - n1 - 1)
 
 
-def _observables(cfg: ChainConfig, engine, flips: tuple[int, int], sites, r_h_list,
+def _observables(engine, flips: tuple[int, int], sites, r_h_list,
                  times: np.ndarray) -> tuple[np.ndarray, dict]:
     """S and C(r_h) in bits, arrays of shape (len(sites), len(times)).
 
@@ -112,9 +117,7 @@ def _observables(cfg: ChainConfig, engine, flips: tuple[int, int], sites, r_h_li
     the steps are chunked, so a site's values do not depend on which other
     sites share the call.
     """
-    if engine.cfg != cfg:
-        raise ConfigError(f"engine was built for {engine.cfg}, not {cfg}")
-    N = cfg.N
+    N = engine.cfg.N
     n1, n2 = flips
     layout = _layout_index(N)
     rows = np.asarray(sites) - 1
@@ -141,22 +144,22 @@ def _observables(cfg: ChainConfig, engine, flips: tuple[int, int], sites, r_h_li
     return entropy, {r: two_level_entropy_bits(p_down, m) for r, m in offdiag.items()}
 
 
-def site_series(cfg: ChainConfig, flips: tuple[int, int], j: int, r_h_list,
-                dt: float, t_max: float, engine) -> SiteSeries:
+def site_series(engine, flips: tuple[int, int], j: int, r_h_list,
+                dt: float, t_max: float) -> SiteSeries:
     """S and C(r_h) for one site over {0, dt, ..., t_max}; equals row j of the scan."""
     r_h_list = tuple(r_h_list)
-    times = check_run(cfg, flips, r_h_list, dt, t_max, site=j)
-    entropy, complexity = _observables(cfg, engine, flips, (j,), r_h_list, times)
+    times = check_run(engine.cfg, flips, r_h_list, dt, t_max, site=j)
+    entropy, complexity = _observables(engine, flips, (j,), r_h_list, times)
     return SiteSeries(j=j, times=times, entropy=entropy[0],
                       complexity={r: c[0] for r, c in complexity.items()})
 
 
-def spacetime_scan(cfg: ChainConfig, flips: tuple[int, int], r_h_list,
-                   dt: float, t_max: float, engine) -> list[SpacetimeGrid]:
+def spacetime_scan(engine, flips: tuple[int, int], r_h_list,
+                   dt: float, t_max: float) -> list[SpacetimeGrid]:
     """One entropy grid plus one complexity grid per horizon radius."""
     r_h_list = tuple(r_h_list)
-    times = check_run(cfg, flips, r_h_list, dt, t_max)
-    entropy, complexity = _observables(cfg, engine, flips, range(1, cfg.N + 1), r_h_list, times)
+    times = check_run(engine.cfg, flips, r_h_list, dt, t_max)
+    entropy, complexity = _observables(engine, flips, range(1, engine.cfg.N + 1), r_h_list, times)
     grids = [SpacetimeGrid(kind="S", r_h=None, times=times, values=entropy)]
     for r in r_h_list:
         grids.append(SpacetimeGrid(kind="C", r_h=r, times=times, values=complexity[r]))

@@ -31,7 +31,8 @@ from .errors import ConfigError
 class ChainConfig:
     """Ring of N spin-1/2 sites with nearest-neighbour coupling J.
 
-    Time is measured in units of hbar/J throughout.
+    J and every energy are given in one energy unit, and time in hbar per
+    that unit; the dynamics depend on J t only.
     """
 
     N: int
@@ -40,8 +41,9 @@ class ChainConfig:
     def __post_init__(self):
         if self.N < 4:
             raise ConfigError(f"chain needs at least 4 sites, got N={self.N}")
-        if not isfinite(self.J) or self.J == 0:
-            raise ConfigError(f"coupling J must be finite and nonzero, got J={self.J}")
+        # 4|J| bounds the sector levels, so it must be a finite float too
+        if self.J == 0 or not isfinite(4 * abs(float(self.J))):
+            raise ConfigError(f"coupling J must be nonzero with 4|J| finite, got J={self.J}")
 
     @property
     def dim(self) -> int:
@@ -170,13 +172,6 @@ def state_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(1.0, residual))
 
 
-def _flat_state(psi0, dim: int) -> np.ndarray:
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    if psi0.shape != (dim,):
-        raise ValueError(f"state shape {psi0.shape} does not match sector dimension {dim}")
-    return psi0
-
-
 class DenseEngine:
     """Evolution b(t) = V e^{-iEt} V^dagger b(0) from one dense eigh of the whole sector.
 
@@ -196,7 +191,9 @@ class DenseEngine:
 
     def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} psi0 in the sector."""
-        psi0 = _flat_state(psi0, self.dim)
+        psi0 = np.asarray(psi0, dtype=np.complex128)
+        if psi0.shape != (self.dim,):
+            raise ValueError(f"state shape {psi0.shape} does not match sector dimension {self.dim}")
         if t == 0:
             return psi0.copy()
         V = self.spectral.eigenvectors
@@ -235,7 +232,7 @@ class SpectralEngine:
     with zero columns where a block is smaller.  A time step is one batched
     contraction with the stack, one inverse FFT over k and a gather into the
     flat pair order.  BetheEngine fills the same stack from the Bethe roots
-    and propagates through the same methods.
+    and propagates through the same pair_amplitudes.
 
     eigenvalues holds the C(N, 2) levels (relative to e0), grouped by k and
     ascending within a block; momenta holds the k of each level.
@@ -291,29 +288,12 @@ class SpectralEngine:
         n1s, n2s = all_pairs(N)
         self._cell = (n1s - 1) * (N - 1) + n2s - n1s - 1  # flat (x, r) cell of each pair
 
-    def _to_pairs(self, G: np.ndarray) -> np.ndarray:
-        """Flat amplitudes 2 ifft_k(e^{iKr/2} G)[x, r] of the pairs (x, r)."""
-        return 2.0 * np.fft.ifft(self._half_phase * G, axis=0).ravel()[self._cell]
-
-    def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        """e^{-iHt} psi0 in the sector."""
-        psi0 = _flat_state(psi0, self.dim)
-        if t == 0:
-            return psi0.copy()
-        N = self.cfg.N
-        layout = np.zeros(N * (N - 1), dtype=np.complex128)
-        layout[self._cell] = psi0  # one copy of each pair, at (n1 - 1, n2 - n1)
-        phi = self._half_phase.conj() * np.fft.fft(layout.reshape(N, N - 1), axis=0)
-        coeffs = _real_matmul(self.vectors.transpose(0, 2, 1), phi)
-        G = _real_matmul(self.vectors, np.exp(-1j * self._energies * t) * coeffs)
-        return self._to_pairs(G)
-
     def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
         """Amplitudes <m1,m2| e^{-iHt} |n1,n2> over the whole pair basis.
 
-        Equals evolve(basis_state(cfg, n1, n2), t); the initial state
-        projects onto row r = n2 - n1 of each block, so no transform of it
-        is spent.
+        The initial state projects onto row r = n2 - n1 of each block, so no
+        transform of it is spent; the evolved blocks G go back to the pairs
+        (x, r) as 2 ifft_k(e^{iKr/2} G)[x, r].
         """
         if t == 0:
             return basis_state(self.cfg, n1, n2)
@@ -323,4 +303,5 @@ class SpectralEngine:
         # e^{-iK(n1 - 1 + d/2)}, the phase of the initial pair's centre, its argument reduced exactly
         centre = np.exp(-1j * np.pi * (np.arange(N) * (2 * (n1 - 1) + d) % (2 * N)) / N)
         w = self.vectors[:, d - 1] * np.exp(-1j * self._energies * t) * centre[:, None]
-        return self._to_pairs(_real_matmul(self.vectors, w))
+        G = _real_matmul(self.vectors, w)
+        return 2.0 * np.fft.ifft(self._half_phase * G, axis=0).ravel()[self._cell]

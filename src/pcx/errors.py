@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: config errors exit 2, I/O errors
-exit 3, solver failures exit 4.
+The CLI maps these onto exit codes: config and normalization errors
+exit 2, I/O errors exit 3, solver failures exit 4.
 """
 
 

@@ -54,7 +54,7 @@ def write_grid_metadata(path, grid, cfg, flips, dt, t_max, engine_name):
     lines = [
         f"grid: {grid.label}",
         "pixel scale: gray 0..255 maps linearly to 0..1 bits (clipped)",
-        "horizontal axis: time, left to right, 0 .. t_max, step dt (units hbar/J)",
+        "horizontal axis: time, left to right, 0 .. t_max, step dt (hbar per energy unit)",
         f"vertical axis: site 1 (top) .. site {cfg.N} (bottom)",
         f"N={cfg.N} J={fmt(cfg.J)} flips={flips[0]},{flips[1]} dt={fmt(dt)} t_max={fmt(t_max)}",
         f"engine={engine_name}",

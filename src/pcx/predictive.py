@@ -133,21 +133,14 @@ class EquivalencePartition:
         return self.n_subspaces + self.remainder_dim
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Idempotent map collapsing each equivalence subspace onto its gamma ray."""
-
-    matrix: np.ndarray
-    gammas: np.ndarray
-
-
-def build_projector(part: EquivalencePartition) -> Projector:
+def build_projector(part: EquivalencePartition) -> np.ndarray:
+    """Idempotent map on H_B collapsing each equivalence subspace onto its gamma ray."""
     P = np.eye(part.dim_b, dtype=np.complex128)
     for s, sub in enumerate(part.subspaces):
         gamma = part.gammas[:, s]
         P -= sub @ sub.conj().T
         P += np.outer(gamma, gamma.conj())
-    return Projector(matrix=P, gammas=part.gammas)
+    return P
 
 
 def _collapse(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -204,25 +197,6 @@ def reduced_density(psi: BipartiteState, side: str = "a") -> np.ndarray:
     raise ValueError("side must be 'a' or 'b'")
 
 
-def predictive_reduced_density(psi: BipartiteState, part: EquivalencePartition) -> np.ndarray:
-    """Reduced density operator of A after the predictive map.
-
-    Accumulated directly from per-class masses, phases and remainder
-    coefficients, without materializing the primed state; agrees with
-    reduced_density(predictive_map(psi, part)).
-    """
-    if psi.dim_b != part.dim_b:
-        raise ValueError("state and partition disagree on dim_b")
-    rho = np.zeros((psi.dim_a, psi.dim_a), dtype=np.complex128)
-    for sub in part.subspaces:
-        coeffs = psi.amplitudes @ np.conj(sub)
-        w, _ = _collapse(coeffs)
-        rho += np.outer(w, w.conj())
-    rest = psi.amplitudes @ np.conj(part.remainder)
-    rho += rest @ rest.conj().T
-    return rho
-
-
 def von_neumann_entropy(rho: np.ndarray, base: str = "bits") -> float:
     """Entropy -tr(rho log rho); log base 2 by default, 'nats' optional."""
     rho = np.asarray(rho)
@@ -234,7 +208,7 @@ def von_neumann_entropy(rho: np.ndarray, base: str = "bits") -> float:
     evals = np.linalg.eigvalsh(rho)
     if not evals.min() >= -1e-12:
         raise NormalizationError(f"density matrix has negative eigenvalue {evals.min()!r}")
-    evals = np.clip(evals, 0.0, None)
+    evals = np.clip(evals, 0.0, 1.0)
     positive = evals[evals > 0]
     s_nats = float(-(positive * np.log(positive)).sum()) + 0.0
     if base == "nats":
@@ -283,26 +257,31 @@ def worked_qubit_qutrit_example(amps=None) -> dict:
     Returns the projector, primed coefficients, both reduced operators and
     both entropies for amplitudes (a1..a6) laid out row-major over
     {|1>_A, |2>_A} x {|1>_B, |2>_B, |3>_B}.  Non-normalized input is
-    normalized (flagged in the result).
+    normalized (flagged in the result), after division by max |a| so that
+    its norm neither overflows nor underflows.
     """
     if amps is None:
         amps = (0.5, 0.5, 0.0, 0.5, 0.0, 0.5)
-    a = np.asarray(amps, dtype=np.complex128)
+    a = np.array(amps, dtype=np.complex128)
     if a.shape != (6,):
         raise ValueError("need exactly six amplitudes a1..a6")
     if not np.isfinite(a).all():
         raise NormalizationError("amplitudes must be finite")
-    norm = np.linalg.norm(a)
-    if norm == 0:
+    # real and imaginary parts divided as reals: a complex division by a subnormal scale overflows
+    parts = a.view(np.float64)
+    scale = float(np.abs(parts).max())
+    if scale == 0:
         raise NormalizationError("amplitudes are all zero")
-    renormalized = abs(norm - 1.0) > 1e-9
+    a = (parts / scale).view(np.complex128)
+    norm = float(np.linalg.norm(a))
+    renormalized = abs(scale * norm - 1.0) > 1e-9  # a float product: inf, not an error, on overflow
     psi = BipartiteState(amplitudes=(a / norm).reshape(2, 3))
     part = EquivalencePartition.from_index_groups(3, [(0, 1)])
     primed = predictive_map(psi, part)
     rho_a = reduced_density(psi, side="a")
-    rho_a_primed = predictive_reduced_density(psi, part)
+    rho_a_primed = reduced_density(primed, side="a")
     return {
-        "projector": build_projector(part).matrix,
+        "projector": build_projector(part),
         "primed_coefficients": primed.amplitudes,
         "rho_a": rho_a,
         "rho_a_primed": rho_a_primed,

@@ -54,15 +54,15 @@ def dense_engine32(cfg32):
 @pytest.fixture(scope="session")
 def recipe_series(cfg32, engine32):
     """Site-17 series of the reference recipe, shared across tests."""
-    return site_series(cfg32, RECIPE_FLIPS, RECIPE_SITE, RECIPE_RADII,
-                       RECIPE_DT, RECIPE_TMAX, engine32)
+    return site_series(engine32, RECIPE_FLIPS, RECIPE_SITE, RECIPE_RADII,
+                       RECIPE_DT, RECIPE_TMAX)
 
 
 @pytest.fixture(scope="session")
 def recipe_scan(cfg32, engine32):
     """Full default spacetime scan of the reference recipe."""
-    return spacetime_scan(cfg32, RECIPE_FLIPS, RECIPE_RADII,
-                          RECIPE_DT, RECIPE_TMAX, engine32)
+    return spacetime_scan(engine32, RECIPE_FLIPS, RECIPE_RADII,
+                          RECIPE_DT, RECIPE_TMAX)
 
 
 @pytest.fixture(scope="session")

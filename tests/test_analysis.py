@@ -6,6 +6,7 @@ import pcx.horizon
 from pcx.analysis import (
     MAX_TIME_POINTS,
     _observables,
+    check_run,
     equilibrium_stats,
     nearest_peak,
     peak_ratio,
@@ -13,6 +14,7 @@ from pcx.analysis import (
     spacetime_scan,
     time_grid,
 )
+from pcx.bethe import BetheEngine
 from pcx.chain import ChainConfig, DenseEngine, SpectralEngine
 from pcx.errors import ConfigError, PeakNotFoundError, StatsError
 from pcx.horizon import (
@@ -28,7 +30,7 @@ from pcx.horizon import (
 def small_scan():
     cfg = ChainConfig(N=10)
     engine = SpectralEngine(cfg)
-    return cfg, engine, spacetime_scan(cfg, (2, 7), (1, 2), 0.5, 20.0, engine)
+    return cfg, engine, spacetime_scan(engine, (2, 7), (1, 2), 0.5, 20.0)
 
 
 class TestSpacetimeScan:
@@ -53,7 +55,7 @@ class TestSpacetimeScan:
         cfg, engine, grids = small_scan
         s_grid, c1_grid, c2_grid = grids
         for j in range(1, cfg.N + 1):
-            direct = site_series(cfg, (2, 7), j, (1, 2), 0.5, 20.0, engine)
+            direct = site_series(engine, (2, 7), j, (1, 2), 0.5, 20.0)
             assert np.array_equal(direct.times, s_grid.times)
             assert np.array_equal(direct.entropy, s_grid.values[j - 1])
             assert np.array_equal(direct.complexity[1], c1_grid.values[j - 1])
@@ -61,7 +63,7 @@ class TestSpacetimeScan:
 
     def test_repeat_run_bit_identical(self, small_scan):
         cfg, engine, grids = small_scan
-        again = spacetime_scan(cfg, (2, 7), (1, 2), 0.5, 20.0, engine)
+        again = spacetime_scan(engine, (2, 7), (1, 2), 0.5, 20.0)
         for a, b in zip(grids, again):
             assert np.array_equal(a.values, b.values)
 
@@ -75,7 +77,7 @@ class TestSpacetimeScan:
     def test_bad_time_grid_rejected(self, small_scan, dt, t_max):
         cfg, engine, _ = small_scan
         with pytest.raises(ConfigError, match="dt"):
-            spacetime_scan(cfg, (2, 7), (1,), dt, t_max, engine)
+            spacetime_scan(engine, (2, 7), (1,), dt, t_max)
 
     def test_time_point_budget(self):
         assert len(time_grid(1.0, MAX_TIME_POINTS - 1.0)) == MAX_TIME_POINTS
@@ -85,21 +87,28 @@ class TestSpacetimeScan:
     def test_repeated_radius_rejected(self, small_scan):
         cfg, engine, _ = small_scan
         with pytest.raises(ConfigError, match="repeat"):
-            spacetime_scan(cfg, (2, 7), (1, 1), 0.5, 2.0, engine)
+            spacetime_scan(engine, (2, 7), (1, 1), 0.5, 2.0)
         with pytest.raises(ConfigError, match="repeat"):
-            site_series(cfg, (2, 7), 3, (1, 2, 1), 0.5, 2.0, engine)
+            site_series(engine, (2, 7), 3, (1, 2, 1), 0.5, 2.0)
 
     @pytest.mark.parametrize("flips,site", [((7, 2), 3), ((2, 7), 11)])
     def test_bad_flips_or_site_rejected(self, small_scan, flips, site):
         """The flip pair is checked as given, never reordered."""
         cfg, engine, _ = small_scan
         with pytest.raises(ConfigError):
-            site_series(cfg, flips, site, (1,), 0.5, 2.0, engine)
+            site_series(engine, flips, site, (1,), 0.5, 2.0)
 
-    def test_engine_for_another_chain_rejected(self, small_scan, engine8):
-        cfg, _, _ = small_scan
-        with pytest.raises(ConfigError, match="engine"):
-            spacetime_scan(cfg, (2, 7), (1,), 0.5, 2.0, engine8)
+    def test_engine_for_another_chain_rejected(self, engine8):
+        """The run is checked against the chain its engine carries: flips 2, 9 need N >= 9."""
+        with pytest.raises(ConfigError, match="N=8"):
+            spacetime_scan(engine8, (2, 9), (1,), 0.5, 2.0)
+
+    def test_overflowing_phases_rejected(self):
+        """4|J| bounds the levels, so 4|J| t_max bounds every phase and must be finite."""
+        cfg = ChainConfig(N=8, J=4e307)
+        assert len(check_run(cfg, (1, 5), (1,), 0.5, 1.0)) == 3
+        with pytest.raises(ConfigError, match="tmax"):
+            check_run(cfg, (1, 5), (1,), 0.5, 2.0)
 
     def test_beams_emanate_from_flips(self, recipe_scan):
         """Entropy lights up first near the flipped sites."""
@@ -142,7 +151,37 @@ class StubEngine:
         return b / np.linalg.norm(b)
 
 
+class InterfaceEngine:
+    """An engine seen only through cfg, dim, name and pair_amplitudes.
+
+    perfbench/tracing.py wraps every engine in such a proxy (TracedEngine),
+    so the run functions may use nothing else of an engine.
+    """
+
+    __slots__ = ("cfg", "dim", "name", "_engine")
+
+    def __init__(self, engine):
+        self.cfg, self.dim, self.name = engine.cfg, engine.dim, engine.name
+        self._engine = engine
+
+    def pair_amplitudes(self, n1, n2, t):
+        return self._engine.pair_amplitudes(n1, n2, t)
+
+
 class TestObservableKernel:
+    @pytest.mark.parametrize("engine_type", [SpectralEngine, BetheEngine])
+    def test_interface_proxy_matches_engine(self, engine_type):
+        engine = engine_type(ChainConfig(N=12))
+        proxy = InterfaceEngine(engine)
+        for a, b in zip(spacetime_scan(engine, (3, 8), (1, 2), 0.5, 10.0),
+                        spacetime_scan(proxy, (3, 8), (1, 2), 0.5, 10.0)):
+            assert a.label == b.label
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
+        a = site_series(engine, (3, 8), 5, (1, 2), 0.5, 10.0)
+        b = site_series(proxy, (3, 8), 5, (1, 2), 0.5, 10.0)
+        assert np.array_equal(a.entropy, b.entropy)
+        assert all(np.array_equal(a.complexity[r], b.complexity[r]) for r in (1, 2))
+
     @pytest.mark.parametrize("N", [5, 6, 7, 8, 9, 12, 31, 32])
     def test_matches_classify_pairs_oracle(self, N):
         """S and C of every site and radius, including N = 2 r_h + 2 (m_out = 0)."""
@@ -150,7 +189,7 @@ class TestObservableKernel:
         engine = StubEngine(cfg)
         times = np.array([0.0, 0.5, 1.5])
         radii = tuple(range(1, (N - 2) // 2 + 1))  # every r_h with 2 r_h + 1 < N
-        entropy, complexity = _observables(cfg, engine, (1, 2), range(1, N + 1), radii, times)
+        entropy, complexity = _observables(engine, (1, 2), range(1, N + 1), radii, times)
         states = [engine.pair_amplitudes(1, 2, float(t)) for t in times]
         for j in range(1, N + 1):
             p_down = np.array([rho_a_site(b, j, N)[0, 0].real for b in states])
@@ -169,8 +208,8 @@ class TestObservableKernel:
         monkeypatch.setattr(pcx.analysis, "classify_pairs", forbidden)
         cfg = ChainConfig(N=64)  # several chunks of time steps
         engine = StubEngine(cfg)
-        grids = spacetime_scan(cfg, (9, 18), (1, 2, 3), 0.5, 10.0, engine)
-        series = site_series(cfg, (9, 18), 33, (1, 2, 3), 0.5, 10.0, engine)
+        grids = spacetime_scan(engine, (9, 18), (1, 2, 3), 0.5, 10.0)
+        series = site_series(engine, (9, 18), 33, (1, 2, 3), 0.5, 10.0)
         times = grids[0].times.tolist()
         assert engine.calls == [(9, 18, t) for t in times + times]
         assert all(type(t) is float for _, _, t in engine.calls)
@@ -182,9 +221,9 @@ class TestObservableKernel:
         engine = StubEngine(cfg)
         times = np.arange(21) * 0.5
         sites, radii = (1, 17, 64), (1, 5, 31)
-        entropy, complexity = _observables(cfg, engine, (9, 18), sites, radii, times)
+        entropy, complexity = _observables(engine, (9, 18), sites, radii, times)
         for k in range(len(times)):
-            s, c = _observables(cfg, engine, (9, 18), sites, radii, times[k:k + 1])
+            s, c = _observables(engine, (9, 18), sites, radii, times[k:k + 1])
             assert np.array_equal(s[:, 0], entropy[:, k])
             for r in radii:
                 assert np.array_equal(c[r][:, 0], complexity[r][:, k])

@@ -171,7 +171,7 @@ class TestScanCommand:
     def test_csv_matches_cell_by_cell_writer(self, scan_dir, tmp_path):
         """The bulk writer gives the bytes of one formatted row per cell."""
         cfg = ChainConfig(N=12)
-        grids = spacetime_scan(cfg, (3, 7), (2,), 0.5, 10.0, SpectralEngine(cfg))
+        grids = spacetime_scan(SpectralEngine(cfg), (3, 7), (2,), 0.5, 10.0)
         rows = [(grid.times[k], j, grid.label, grid.values[j - 1, k])
                 for grid in grids for j in range(1, 13) for k in range(len(grid.times))]
         preamble, _, _, _ = read_csv(scan_dir / "scan.csv")
@@ -249,8 +249,10 @@ class TestConfigErrors:
         ["--dt", "0.4", "--tmax", "1.0"],
         ["--horizon", "1,1"],
         ["--dt", "1e-9", "--tmax", "200"],
+        ["--coupling", "5e307"],
+        ["--coupling", "4e307", "--tmax", "2"],
     ], ids=["coupling-nan", "dt-inf", "dt-nan", "dt-not-dividing-tmax", "repeated-radius",
-            "too-many-time-points"])
+            "too-many-time-points", "coupling-levels-overflow", "coupling-phases-overflow"])
     def test_bad_run_input_exit_2(self, tmp_path, capsys, bad):
         out = tmp_path / "out"
         assert main(["series", "--sites", "12", "--flips", "3,7", "--site", "5",
@@ -262,6 +264,18 @@ class TestConfigErrors:
         assert main(["scan", "--sites", "10", "--flips", "2,6", "--horizon", "1,1",
                      "--dt", "0.5", "--tmax", "2", "--out", str(out)]) == 2
         self.assert_config_error(capsys, out)
+
+    def test_spectrum_overflowing_coupling_exit_2(self, tmp_path, capsys):
+        """Levels past the float range are refused, not written as NaN."""
+        out = tmp_path / "out"
+        assert main(["spectrum", "--sites", "8", "--coupling", "1e308", "--out", str(out)]) == 2
+        self.assert_config_error(capsys, out)
+
+    def test_largest_coupling_runs_without_warnings(self, tmp_path, run_python):
+        result = run_python(["-W", "error", "-m", "pcx", "spectrum", "--coupling", "4e307",
+                             "--sites", "8", "--engine", "bethe", "--out", str(tmp_path)])
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
     @pytest.mark.parametrize("command", [
         ["spectrum"],
@@ -332,6 +346,16 @@ class TestExampleCommand:
         assert main(["example", "--amplitudes", "1,-1,0,0,0,0"]) == 0
         err = capsys.readouterr().err
         assert "degenerate" in err
+
+    @pytest.mark.parametrize("amps", ["1e308,1e308,1e308,1e308,1e308,1e308",
+                                      "1e-320,0,0,0,0,0", "1,1,1,1,1,1"],
+                             ids=["norm-overflows", "norm-underflows", "rounding-above-1"])
+    def test_product_states_normalized_to_zero_entropy(self, capsys, amps):
+        assert main(["example", "--amplitudes", amps]) == 0
+        captured = capsys.readouterr()
+        assert "normaliz" in captured.err
+        assert "S = 0.000000 bits" in captured.out
+        assert "C = 0.000000 bits" in captured.out
 
     def test_bad_amplitudes_exit_code(self):
         assert main(["example", "--amplitudes", "1,2,3"]) == 2
