@@ -2,8 +2,8 @@
 
 Exact two-magnon dynamics of the periodic isotropic Heisenberg ring
 (spectral or Bethe backend), generic predictive-state machinery for
-finite bipartite systems, and the single-site horizon specialization
-with its scan statistics.
+finite bipartite systems, the horizon classes of a single site, and the
+site series and scans whose S and C come from one observable kernel.
 """
 
 from .analysis import (
@@ -16,7 +16,7 @@ from .analysis import (
     site_series,
     spacetime_scan,
 )
-from .bethe import BetheEngine, BetheState, bethe_state, enumerate_roots, solve_theta
+from .bethe import BetheEngine, BetheState, bethe_state, enumerate_roots
 from .chain import (
     ChainConfig,
     SpectralDecomposition,
@@ -32,8 +32,6 @@ from .horizon import (
     HorizonSpec,
     PairClassification,
     classify_pairs,
-    rho_a_predictive,
-    rho_a_site,
     two_level_entropy_bits,
 )
 from .predictive import (

@@ -54,20 +54,6 @@ def _cot(z):
     return np.cos(z) / np.sin(z)
 
 
-def solve_theta(k1, k2):
-    """Scattering phase on the principal branch for given momenta.
-
-    The zero-momentum family is conventionally assigned theta = 0 (the
-    relation degenerates there); for k1 = k2 the relation gives theta = pi.
-    """
-    if abs(complex(k1)) < 1e-14 or abs(complex(k2)) < 1e-14:
-        return 0.0 + 0.0j
-    z = (_cot(np.complex128(k1) / 2) - _cot(np.complex128(k2) / 2)) / 2.0
-    if abs(z) < 1e-14:
-        return np.complex128(pi)
-    return 2.0 * np.arctan(1.0 / z)
-
-
 def dispersion(cfg: ChainConfig, k1, k2) -> complex:
     """Energy relative to e0, J (2 - cos k1 - cos k2)."""
     return cfg.J * (2.0 - np.cos(np.complex128(k1)) - np.cos(np.complex128(k2)))

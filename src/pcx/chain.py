@@ -84,11 +84,6 @@ def pair_index(n1: int, n2: int, N: int) -> int:
     return (n1 - 1) * N - n1 * (n1 - 1) // 2 + (n2 - n1 - 1)
 
 
-def focus_indices(j: int, N: int) -> np.ndarray:
-    """Flat indices of the N-1 pairs that contain site j, ordered by the other site."""
-    return np.array([pair_index(min(j, n), max(j, n), N) for n in range(1, N + 1) if n != j])
-
-
 def pair_unindex(flat: int, N: int) -> tuple[int, int]:
     """Inverse of pair_index."""
     if not (0 <= flat < comb(N, 2)):

@@ -37,13 +37,13 @@ def _parse_int_pair(text: str) -> tuple[int, int]:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    parts = text.split(",")
+    if "" in parts:
+        raise argparse.ArgumentTypeError(f"empty horizon radius in {text!r}")
     try:
-        values = tuple(int(p) for p in text.split(",") if p != "")
+        return tuple(int(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if not values:
-        raise argparse.ArgumentTypeError("need at least one horizon radius")
-    return values
 
 
 def _parse_float_pair(text: str) -> tuple[float, float]:

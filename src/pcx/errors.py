@@ -17,10 +17,6 @@ class NormalizationError(ValueError):
     """State vector or density matrix fails its normalization contract."""
 
 
-class ResourceLimitError(RuntimeError):
-    """Requested computation exceeds the dense-solver budget."""
-
-
 class SolverError(RuntimeError):
     """A root solve failed to converge or produced an invalid solution."""
 

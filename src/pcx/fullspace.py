@@ -13,14 +13,14 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import ChainConfig, all_pairs, pair_index
-from .errors import ResourceLimitError
+from .errors import ConfigError
 
 MAX_FULL_SITES = 12
 
 
 def _check_size(N: int):
     if N > MAX_FULL_SITES:
-        raise ResourceLimitError(f"dense 2^N evolution capped at N={MAX_FULL_SITES}, got N={N}")
+        raise ConfigError(f"dense 2^N evolution capped at N={MAX_FULL_SITES}, got N={N}")
 
 
 def full_hamiltonian(cfg: ChainConfig) -> np.ndarray:

@@ -8,12 +8,16 @@ reduced operator acquire an off-diagonal element.  Exterior states with
 exactly one flip inside the horizon are equivalent per inside site, and
 states with two inside flips stay distinct.
 
-The reduced operator of the site is diagonal (a pair state cannot be in
-two magnon sectors of the exterior at once); the predictive one keeps
-the same diagonal but gains off-diagonal sqrt(m_out * m_focus) * phases,
-where m_out is the probability of both flips outside and m_focus the
-probability of one flip on j and the other outside.  Its eigenvalues only
-need the magnitude, so the scan path skips the phases.
+`classify_pairs` sorts the pair basis into these classes, and
+`exterior_state_and_partition` hands the state and its partition to the
+generic `predictive_map` and `reduced_density`: the paper's definition
+of rho'_A, kept as the oracle for the observable kernel.  There rho_A is
+diagonal (a pair state cannot be in two magnon sectors of the exterior
+at once), and rho'_A keeps that diagonal but gains an off-diagonal of
+magnitude sqrt(m_out * m_focus), where m_out is the probability of both
+flips outside and m_focus that of one flip on j and the other outside.
+The eigenvalues need only that magnitude, which is all
+`two_level_entropy_bits` reads.
 """
 
 from __future__ import annotations
@@ -23,13 +27,9 @@ from math import comb
 
 import numpy as np
 
-from .chain import all_pairs, circular_distance, focus_indices
+from .chain import all_pairs, circular_distance
 from .errors import ConfigError
-from .predictive import (
-    DEGENERATE_PHASE_TOL,
-    BipartiteState,
-    EquivalencePartition,
-)
+from .predictive import BipartiteState, EquivalencePartition
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ class HorizonSpec:
     @property
     def inside_exterior_sites(self) -> tuple[int, ...]:
         return tuple(s for s in self.inside_sites if s != self.j)
-
-    @property
-    def outside_sites(self) -> tuple[int, ...]:
-        return tuple(s for s in range(1, self.N + 1) if not self.is_inside(s))
 
 
 @dataclass(frozen=True)
@@ -137,39 +133,6 @@ def classify_pairs(spec: HorizonSpec) -> PairClassification:
     return cls
 
 
-def rho_a_site(b: np.ndarray, j: int, N: int) -> np.ndarray:
-    """Reduced operator of site j in the (down, up) basis; exactly diagonal."""
-    p_down = float(np.sum(np.abs(b[focus_indices(j, N)]) ** 2))
-    return np.array([[p_down, 0.0], [0.0, 1.0 - p_down]], dtype=np.complex128)
-
-
-def _unit_phase(z: complex, mass: float) -> complex:
-    if abs(z) <= DEGENERATE_PHASE_TOL * np.sqrt(max(mass, 0.0)):
-        return 1.0 + 0.0j
-    return z / abs(z)
-
-
-def predictive_offdiag(b: np.ndarray, cls: PairClassification):
-    """<down| rho'_A |up> from the outside-outside and focus-outside sums."""
-    m_out = float(np.sum(np.abs(b[cls.type_i]) ** 2))
-    m_focus = float(np.sum(np.abs(b[cls.focus_out]) ** 2))
-    magnitude = np.sqrt(m_out * m_focus)
-    z_out = complex(np.sum(b[cls.type_i]))
-    z_focus = complex(np.sum(b[cls.focus_out]))
-    return magnitude * np.conj(_unit_phase(z_out, m_out)) * _unit_phase(z_focus, m_focus)
-
-
-def rho_a_predictive(b: np.ndarray, spec: HorizonSpec, cls: PairClassification) -> np.ndarray:
-    """Predictive reduced operator of the focal site, (down, up) basis."""
-    if cls.spec != spec:
-        raise ValueError("classification was built for a different horizon")
-    rho = rho_a_site(b, spec.j, spec.N)
-    c = predictive_offdiag(b, cls)
-    rho[0, 1] = c
-    rho[1, 0] = np.conj(c)
-    return rho
-
-
 def two_level_entropy_bits(p_down, offdiag_abs=0.0):
     """Entropy of a 2x2 density matrix from its diagonal and |off-diagonal|.
 
@@ -188,39 +151,25 @@ def exterior_state_and_partition(b: np.ndarray, spec: HorizonSpec):
 
     Returns a BipartiteState on C^2 (x) H_B, where H_B enumerates
     [vacuum, one-flip exterior states, two-flip exterior states], and the
-    horizon-induced EquivalencePartition of that H_B.  This is the oracle
-    route against which the closed-form rho_a_predictive is checked.
+    horizon-induced EquivalencePartition of that H_B, whose classes come
+    from classify_pairs.  This is the paper's route to rho'_A, against
+    which the observable kernel is checked.
     """
     N, j = spec.N, spec.j
-    exterior = [s for s in range(1, N + 1) if s != j]
-    one_slot = {s: 1 + i for i, s in enumerate(exterior)}
-    pair_slot = {}
-    slot = 1 + len(exterior)
-    for ia, a in enumerate(exterior):
-        for bb in exterior[ia + 1:]:
-            pair_slot[(a, bb)] = slot
-            slot += 1
-    dim_b = slot
-    amps = np.zeros((2, dim_b), dtype=np.complex128)
     n1s, n2s = all_pairs(N)
-    for p in range(len(n1s)):
-        a, bb = int(n1s[p]), int(n2s[p])
-        if a == j:
-            amps[0, one_slot[bb]] = b[p]
-        elif bb == j:
-            amps[0, one_slot[a]] = b[p]
-        else:
-            amps[1, pair_slot[(a, bb)]] = b[p]
-    no_inside_flip = [one_slot[s] for s in exterior if not spec.is_inside(s)]
-    no_inside_flip += [
-        pair_slot[(a, bb)] for (a, bb) in pair_slot
-        if not spec.is_inside(a) and not spec.is_inside(bb)
-    ]
-    groups = [no_inside_flip]
-    for s_in in spec.inside_exterior_sites:
-        groups.append([
-            pair_slot[tuple(sorted((s_in, out)))] for out in spec.outside_sites
-        ])
+    holds_j = (n1s == j) | (n2s == j)
+    other = np.where(n1s == j, n2s, n1s)[holds_j]
+    # a pair holding j is site j down and one exterior flip: slot 1 + its exterior rank;
+    # any other pair is site j up and two exterior flips, kept in flat order after those
+    slot = np.empty(len(n1s), dtype=np.int64)
+    slot[holds_j] = other - (other > j)
+    slot[~holds_j] = N + np.arange(comb(N - 1, 2))
+    dim_b = N + comb(N - 1, 2)
+    amps = np.zeros((2, dim_b), dtype=np.complex128)
+    amps[np.where(holds_j, 0, 1), slot] = b
+    cls = classify_pairs(spec)
+    groups = [slot[np.concatenate([cls.focus_out, cls.type_i])]]
+    groups += [slot[idx] for _, idx in cls.type_ii]
     # collapsing a one-member class is the identity map; leave it in the remainder
     groups = [g for g in groups if len(g) >= 2]
     state = BipartiteState(amplitudes=amps)

@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 
-from pcx.analysis import equilibrium_stats, peak_ratio
+from pcx.analysis import equilibrium_stats, peak_ratio, spacetime_scan
 from pcx.chain import (
     ChainConfig,
     SpectralEngine,
@@ -20,8 +20,6 @@ from pcx.horizon import (
     HorizonSpec,
     classify_pairs,
     exterior_state_and_partition,
-    rho_a_predictive,
-    rho_a_site,
     two_level_entropy_bits,
 )
 from pcx.predictive import (
@@ -105,16 +103,18 @@ def test_criterion_6_small_instance_oracles(rng):
                 b = engine.pair_amplitudes(n1, n2, t)
                 oracle = full_space_oracle(cfg, n1, n2, t)
                 worst_evolution = max(worst_evolution, state_trace_distance(b, oracle))
+            s_grid, c_grid = spacetime_scan(engine, (n1, n2), (1,), 0.5, 5.0)
+            for k, t in enumerate(s_grid.times):
+                b = engine.pair_amplitudes(n1, n2, float(t))
                 for j in (1, 1 + N // 2):
-                    spec = HorizonSpec(j=j, r_h=1, N=N)
-                    cls = classify_pairs(spec)
-                    fast = rho_a_predictive(b, spec, cls)
-                    state, part = exterior_state_and_partition(b, spec)
-                    generic = reduced_density(predictive_map(state, part))
-                    worst_fast_path = max(worst_fast_path, float(np.max(np.abs(fast - generic))))
+                    state, part = exterior_state_and_partition(b, HorizonSpec(j=j, r_h=1, N=N))
+                    s_gap = abs(s_grid.values[j - 1, k] - von_neumann_entropy(reduced_density(state)))
+                    primed = reduced_density(predictive_map(state, part))
+                    c_gap = abs(c_grid.values[j - 1, k] - von_neumann_entropy(primed))
+                    worst_fast_path = max(worst_fast_path, s_gap, c_gap)
     report("AC-6 small-instance oracle equivalence",
            f"sector-vs-2^N trace distance {worst_evolution:.2e} (<1e-10), "
-           f"fast-vs-generic rho'_A {worst_fast_path:.2e} (<1e-10)",
+           f"kernel S and C vs generic rho_A and rho'_A entropies {worst_fast_path:.2e} (<1e-10)",
            worst_evolution < 1e-10 and worst_fast_path < 1e-10)
 
 
@@ -136,11 +136,12 @@ def test_criterion_7_bethe_backend_parity(cfg32, engine32, dense_engine32, bethe
 
 def test_criterion_8_structural_invariants(cfg32, engine32):
     b = engine32.pair_amplitudes(10, 25, 9.0)
-    plain = rho_a_site(b, 17, 32)
-    off_plain = abs(plain[0, 1])
     spec = HorizonSpec(j=17, r_h=2, N=32)
+    state, part = exterior_state_and_partition(b, spec)
+    plain = reduced_density(state)
+    off_plain = abs(plain[0, 1])
+    primed = reduced_density(predictive_map(state, part))
     cls = classify_pairs(spec)
-    primed = rho_a_predictive(b, spec, cls)
     diag_gap = max(abs(primed[0, 0] - plain[0, 0]), abs(primed[1, 1] - plain[1, 1]))
     phase_gap = abs(
         two_level_entropy_bits(primed[0, 0].real, abs(primed[0, 1]))
@@ -158,8 +159,8 @@ def test_criterion_8_structural_invariants(cfg32, engine32):
     )
     partition_ok = sorted(covered) == list(range(comb(32, 2)))
     # off-diagonal of rho'_A nonzero at the collision (r_h=1 case)
-    spec1 = HorizonSpec(j=17, r_h=1, N=32)
-    off_primed = abs(rho_a_predictive(b, spec1, classify_pairs(spec1))[0, 1])
+    state1, part1 = exterior_state_and_partition(b, HorizonSpec(j=17, r_h=1, N=32))
+    off_primed = abs(reduced_density(predictive_map(state1, part1))[0, 1])
     report("AC-8 structural invariants",
            f"rho_A off-diag {off_plain:.1e} (==0), diag gap {diag_gap:.1e} (<1e-12), "
            f"phase independence {phase_gap:.1e} (<1e-12), sizes 351/4x27/6 {sizes_ok}, "

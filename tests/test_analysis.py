@@ -20,10 +20,10 @@ from pcx.errors import ConfigError, PeakNotFoundError, StatsError
 from pcx.horizon import (
     HorizonSpec,
     classify_pairs,
-    predictive_offdiag,
-    rho_a_site,
+    exterior_state_and_partition,
     two_level_entropy_bits,
 )
+from pcx.predictive import predictive_map, reduced_density, von_neumann_entropy
 
 
 @pytest.fixture(scope="module")
@@ -184,21 +184,36 @@ class TestObservableKernel:
 
     @pytest.mark.parametrize("N", [5, 6, 7, 8, 9, 12, 31, 32])
     def test_matches_classify_pairs_oracle(self, N):
-        """S and C of every site and radius, including N = 2 r_h + 2 (m_out = 0)."""
+        """S and C of every site and radius, including N = 2 r_h + 2 (m_out = 0).
+
+        Up to N = 12 the reference is the generic predictive map on the
+        exterior state; above, the class sums over `classify_pairs` indices.
+        """
         cfg = ChainConfig(N=N)
         engine = StubEngine(cfg)
         times = np.array([0.0, 0.5, 1.5])
         radii = tuple(range(1, (N - 2) // 2 + 1))  # every r_h with 2 r_h + 1 < N
         entropy, complexity = _observables(engine, (1, 2), range(1, N + 1), radii, times)
         states = [engine.pair_amplitudes(1, 2, float(t)) for t in times]
+        prob = np.abs(np.array(states)) ** 2
         for j in range(1, N + 1):
-            p_down = np.array([rho_a_site(b, j, N)[0, 0].real for b in states])
-            assert np.abs(entropy[j - 1] - two_level_entropy_bits(p_down)).max() <= 1e-14
             for r in radii:
-                cls = classify_pairs(HorizonSpec(j=j, r_h=r, N=N))
-                off = np.array([abs(predictive_offdiag(b, cls)) for b in states])
-                expected = two_level_entropy_bits(p_down, off)
-                assert np.abs(complexity[r][j - 1] - expected).max() <= 1e-14
+                spec = HorizonSpec(j=j, r_h=r, N=N)
+                if N <= 12:
+                    s_ref, c_ref = [], []
+                    for b in states:
+                        state, part = exterior_state_and_partition(b, spec)
+                        s_ref.append(von_neumann_entropy(reduced_density(state)))
+                        c_ref.append(von_neumann_entropy(reduced_density(predictive_map(state, part))))
+                else:
+                    cls = classify_pairs(spec)
+                    p_down = prob[:, np.concatenate([cls.focus_out, cls.focus_in])].sum(axis=1)
+                    m_out = prob[:, cls.type_i].sum(axis=1)
+                    m_focus = prob[:, cls.focus_out].sum(axis=1)
+                    s_ref = two_level_entropy_bits(p_down)
+                    c_ref = two_level_entropy_bits(p_down, np.sqrt(m_out * m_focus))
+                assert np.abs(entropy[j - 1] - s_ref).max() <= 1e-14
+                assert np.abs(complexity[r][j - 1] - c_ref).max() <= 1e-14
 
     def test_one_float_call_per_time_point_and_no_classify_pairs(self, monkeypatch):
         def forbidden(spec):

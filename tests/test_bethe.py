@@ -14,7 +14,6 @@ from pcx.bethe import (
     block_vectors,
     dispersion,
     enumerate_roots,
-    solve_theta,
 )
 from pcx.chain import (
     ChainConfig,
@@ -38,27 +37,6 @@ def roots32(cfg32):
 
 def _cot(z):
     return np.cos(z) / np.sin(z)
-
-
-class TestSolveTheta:
-    def test_equal_momenta_give_pi(self):
-        assert solve_theta(1.1, 1.1) == pytest.approx(pi, abs=1e-12)
-
-    def test_quoted_relation_value(self):
-        # cot(pi/2) - cot(pi/4) = -1, so 2 cot(theta/2) must equal -1
-        theta = solve_theta(pi, pi / 2)
-        assert 2 * _cot(theta / 2) == pytest.approx(-1.0, abs=1e-10)
-
-    def test_conjugate_momenta_give_complex_phase(self):
-        k1 = 0.9 + 0.4j
-        k2 = np.conj(k1)
-        theta = solve_theta(k1, k2)
-        assert abs(theta.imag) > 1e-3
-        residual = abs(2 * _cot(theta / 2) - _cot(k1 / 2) + _cot(np.complex128(k2) / 2))
-        assert residual < 1e-8
-
-    def test_zero_momentum_convention(self):
-        assert solve_theta(0.0, 1.3) == 0.0
 
 
 class TestEnumerateRoots:

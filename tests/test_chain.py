@@ -17,7 +17,7 @@ from pcx.chain import (
     sector_hamiltonian,
     state_trace_distance,
 )
-from pcx.errors import ConfigError, ResourceLimitError
+from pcx.errors import ConfigError
 from pcx.fullspace import full_hamiltonian, full_space_oracle, sector_indices
 
 
@@ -188,7 +188,7 @@ class TestFullSpaceOracle:
         assert np.linalg.norm(psi_sector - psi_oracle) < 1e-10
 
     def test_resource_guard(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ConfigError):
             full_space_oracle(ChainConfig(N=14), 1, 2, 1.0)
 
 

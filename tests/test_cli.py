@@ -259,6 +259,18 @@ class TestConfigErrors:
                      "--horizon", "1", "--out", str(out), *bad]) == 2
         self.assert_config_error(capsys, out)
 
+    @pytest.mark.parametrize("horizon", ["1,,2", "1,"], ids=["empty-radius", "trailing-comma"])
+    def test_empty_radius_exit_2(self, tmp_path, capsys, horizon):
+        """An empty radius is a usage error, as a short --flips pair is; nothing runs."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--sites", "12", "--flips", "3,7", "--site", "5",
+                  "--horizon", horizon, "--out", str(out)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"pcx series: error: argument --horizon: empty horizon radius in {horizon!r}"]
+        assert not out.exists()
+
     def test_scan_repeated_radius_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["scan", "--sites", "10", "--flips", "2,6", "--horizon", "1,1",

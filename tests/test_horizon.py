@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcx.analysis import site_series
+from pcx.analysis import _observables, site_series
 from pcx.chain import ChainConfig, SpectralEngine, pair_index, pair_permutation
 from pcx.errors import ConfigError
 from pcx.horizon import (
     HorizonSpec,
     classify_pairs,
     exterior_state_and_partition,
-    predictive_offdiag,
-    rho_a_predictive,
-    rho_a_site,
     two_level_entropy_bits,
 )
 from pcx.predictive import (
@@ -22,6 +19,23 @@ from pcx.predictive import (
     reduced_density,
     von_neumann_entropy,
 )
+
+
+def generic_rhos(b, spec):
+    """rho_A and rho'_A of the focal site through the generic predictive map."""
+    state, part = exterior_state_and_partition(b, spec)
+    return reduced_density(state), reduced_density(predictive_map(state, part))
+
+
+def kernel_gap(engine, flips, spec, times):
+    """Largest gap of the kernel's S and C(r_h) from the generic route's entropies."""
+    entropy, complexity = _observables(engine, flips, (spec.j,), (spec.r_h,), np.asarray(times))
+    worst = 0.0
+    for k, t in enumerate(times):
+        plain, primed = generic_rhos(engine.pair_amplitudes(*flips, float(t)), spec)
+        worst = max(worst, abs(entropy[0, k] - von_neumann_entropy(plain)),
+                    abs(complexity[spec.r_h][0, k] - von_neumann_entropy(primed)))
+    return worst
 
 
 class TestHorizonSpec:
@@ -125,105 +139,68 @@ class TestAmplitudes:
 class TestRhoSite:
     def test_t0_unflipped_site(self, engine8):
         b = engine8.pair_amplitudes(2, 5, 0.0)
-        rho = rho_a_site(b, 7, 8)
+        rho, _ = generic_rhos(b, HorizonSpec(j=7, r_h=1, N=8))
         assert np.allclose(rho, np.diag([0.0, 1.0]), atol=1e-14)
         assert two_level_entropy_bits(rho[0, 0].real) == 0.0
 
     def test_t0_flipped_site(self, engine8):
         b = engine8.pair_amplitudes(2, 5, 0.0)
-        rho = rho_a_site(b, 2, 8)
+        rho, _ = generic_rhos(b, HorizonSpec(j=2, r_h=1, N=8))
         assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_trace_one_generic_time(self, engine32):
+        """rho_A is diagonal: the site's two states hold disjoint exterior sectors."""
         b = engine32.pair_amplitudes(10, 25, 13.4)
-        rho = rho_a_site(b, 17, 32)
+        rho, _ = generic_rhos(b, HorizonSpec(j=17, r_h=1, N=32))
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0
 
 
 class TestRhoPredictive:
     def test_diagonal_matches_site(self, engine32):
-        spec = HorizonSpec(j=17, r_h=2, N=32)
-        cls = classify_pairs(spec)
+        """Each class keeps its probability, so rho'_A keeps the diagonal of rho_A."""
         b = engine32.pair_amplitudes(10, 25, 9.0)
-        plain = rho_a_site(b, 17, 32)
-        primed = rho_a_predictive(b, spec, cls)
-        assert primed[0, 0] == plain[0, 0]
-        assert primed[1, 1] == plain[1, 1]
+        plain, primed = generic_rhos(b, HorizonSpec(j=17, r_h=2, N=32))
+        assert abs(primed[0, 0] - plain[0, 0]) < 1e-14
+        assert abs(primed[1, 1] - plain[1, 1]) < 1e-14
 
     def test_t0_far_site_product_state(self, engine32):
-        spec = HorizonSpec(j=17, r_h=1, N=32)
-        cls = classify_pairs(spec)
         b = engine32.pair_amplitudes(10, 25, 0.0)
-        rho = rho_a_predictive(b, spec, cls)
+        _, rho = generic_rhos(b, HorizonSpec(j=17, r_h=1, N=32))
         assert rho[0, 1] == 0.0
         assert von_neumann_entropy(rho) == 0.0
 
     def test_offdiagonal_nonzero_at_collision(self, engine32):
-        spec = HorizonSpec(j=17, r_h=1, N=32)
-        cls = classify_pairs(spec)
         b = engine32.pair_amplitudes(10, 25, 9.0)
-        assert abs(rho_a_predictive(b, spec, cls)[0, 1]) > 1e-3
+        _, rho = generic_rhos(b, HorizonSpec(j=17, r_h=1, N=32))
+        assert abs(rho[0, 1]) > 1e-3
 
     @pytest.mark.parametrize("N", [6, 8])
     def test_fast_path_matches_generic_pipeline(self, N):
-        """Closed-form rho'_A equals the generic predictive-core route."""
-        cfg = ChainConfig(N=N)
-        engine = SpectralEngine(cfg)
+        """The kernel's S and C equal the entropies of the generic rho_A and rho'_A."""
+        engine = SpectralEngine(ChainConfig(N=N))
         worst = 0.0
         for j in (1, N // 2):
             for r_h in (1,) + ((2,) if N >= 8 else ()):
                 spec = HorizonSpec(j=j, r_h=r_h, N=N)
-                cls = classify_pairs(spec)
-                for t in (0.0, 0.5, 2.0, 5.0):
-                    b = engine.pair_amplitudes(1, 3, t)
-                    fast = rho_a_predictive(b, spec, cls)
-                    state, part = exterior_state_and_partition(b, spec)
-                    oracle = reduced_density(predictive_map(state, part))
-                    worst = max(worst, float(np.max(np.abs(fast - oracle))))
+                worst = max(worst, kernel_gap(engine, (1, 3), spec, (0.0, 0.5, 2.0, 5.0)))
         assert worst < 1e-10
 
     def test_fast_path_matches_generic_at_reference_size(self, engine32):
         """Spot check at N=32, site 17, the collision time."""
-        spec = HorizonSpec(j=17, r_h=2, N=32)
-        cls = classify_pairs(spec)
-        b = engine32.pair_amplitudes(10, 25, 9.0)
-        fast = rho_a_predictive(b, spec, cls)
-        state, part = exterior_state_and_partition(b, spec)
-        oracle = reduced_density(predictive_map(state, part))
-        assert np.max(np.abs(fast - oracle)) < 1e-10
-        assert abs(von_neumann_entropy(fast) - von_neumann_entropy(oracle)) < 1e-12
+        assert kernel_gap(engine32, (10, 25), HorizonSpec(j=17, r_h=2, N=32), (9.0,)) < 1e-12
 
     def test_fast_path_at_minimal_exterior(self):
         """n_out = 1: the merged class degenerates to a singleton."""
-        cfg = ChainConfig(N=6)
-        engine = SpectralEngine(cfg)
-        spec = HorizonSpec(j=2, r_h=2, N=6)
-        cls = classify_pairs(spec)
-        b = engine.pair_amplitudes(1, 3, 1.7)
-        fast = rho_a_predictive(b, spec, cls)
-        state, part = exterior_state_and_partition(b, spec)
-        oracle = reduced_density(predictive_map(state, part))
-        assert np.max(np.abs(fast - oracle)) < 1e-10
+        engine = SpectralEngine(ChainConfig(N=6))
+        assert kernel_gap(engine, (1, 3), HorizonSpec(j=2, r_h=2, N=6), (1.7,)) < 1e-10
 
     def test_phase_independence_of_entropy(self, engine32):
         """|off-diagonal| alone fixes the complexity."""
-        spec = HorizonSpec(j=17, r_h=2, N=32)
-        cls = classify_pairs(spec)
         b = engine32.pair_amplitudes(10, 25, 9.0)
-        rho = rho_a_predictive(b, spec, cls)
+        _, rho = generic_rhos(b, HorizonSpec(j=17, r_h=2, N=32))
         with_phase = von_neumann_entropy(rho)
-        p_down = rho[0, 0].real
-        magnitude = abs(predictive_offdiag(b, cls))
-        assert abs(two_level_entropy_bits(p_down, magnitude) - with_phase) < 1e-12
-
-    def test_mismatched_classification_rejected(self, engine32):
-        spec_a = HorizonSpec(j=17, r_h=2, N=32)
-        spec_b = HorizonSpec(j=18, r_h=2, N=32)
-        cls = classify_pairs(spec_a)
-        b = engine32.pair_amplitudes(10, 25, 1.0)
-        with pytest.raises(ValueError):
-            rho_a_predictive(b, spec_b, cls)
+        assert abs(two_level_entropy_bits(rho[0, 0].real, abs(rho[0, 1])) - with_phase) < 1e-12
 
 
 class TestSiteSeries:
@@ -256,11 +233,9 @@ class TestSiteSeries:
 
     def test_magnitude_only_path_matches_full_rho(self, cfg32, engine32):
         spec = HorizonSpec(j=17, r_h=1, N=32)
-        cls = classify_pairs(spec)
         series = site_series(engine32, (10, 25), 17, (1,), 0.5, 3.0)
         for k, t in enumerate(series.times):
-            b = engine32.pair_amplitudes(10, 25, float(t))
-            rho = rho_a_predictive(b, spec, cls)
+            _, rho = generic_rhos(engine32.pair_amplitudes(10, 25, float(t)), spec)
             assert abs(series.complexity[1][k] - von_neumann_entropy(rho)) < 1e-12
 
 
