@@ -16,24 +16,9 @@ from .analysis import (
     site_series,
     spacetime_scan,
 )
-from .bethe import BetheEngine, BetheState, bethe_state, enumerate_roots
-from .chain import (
-    ChainConfig,
-    SpectralDecomposition,
-    SpectralEngine,
-    basis_state,
-    pair_index,
-    pair_unindex,
-    sector_hamiltonian,
-    state_trace_distance,
-)
-from .fullspace import full_space_oracle
-from .horizon import (
-    HorizonSpec,
-    PairClassification,
-    classify_pairs,
-    two_level_entropy_bits,
-)
+from .bethe import BetheEngine, enumerate_roots
+from .chain import ChainConfig, SpectralEngine, basis_state, pair_index
+from .horizon import HorizonSpec, two_level_entropy_bits
 from .predictive import (
     BipartiteState,
     EquivalencePartition,

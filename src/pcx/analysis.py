@@ -14,8 +14,9 @@ from .horizon import HorizonSpec, two_level_entropy_bits
 from .horizon import classify_pairs  # not called here; perfbench/tracing.py patches this name
 
 MIN_WINDOW_SAMPLES = 100
-# Largest time grid a run may ask for; every grid-sized array holds one
-# value per (site, time) cell, so this bounds memory before anything is built.
+# Most (site, time) cells a run may ask for: its time points for a series,
+# N times as many for a scan.  Every grid-sized array holds one value per
+# cell, so this bounds memory before anything is built.
 MAX_TIME_POINTS = 10**6
 # Bytes of one chunk's (T, N, N-1) probability stack in the observable
 # kernel, which batches T = CHUNK_BYTES // (8 N (N-1)) time steps (at least
@@ -57,14 +58,17 @@ class EquilibriumStats:
     window: tuple[float, float]
 
 
-def time_grid(dt: float, t_max: float) -> np.ndarray:
-    """The grid {0, dt, ..., t_max}; dt must divide t_max."""
+def time_grid(dt: float, t_max: float, sites: int = 1) -> np.ndarray:
+    """The grid {0, dt, ..., t_max}; dt must divide t_max.
+
+    The grid's points on `sites` sites count as cells against MAX_TIME_POINTS.
+    """
     if not (np.isfinite(dt) and np.isfinite(t_max) and dt > 0 and t_max > 0):
         raise ConfigError(f"dt and tmax must be finite and positive, got dt={dt} tmax={t_max}")
     n_steps = t_max / dt
-    if not np.isfinite(n_steps) or round(n_steps) >= MAX_TIME_POINTS:
-        raise ConfigError(f"dt={dt} gives more than {MAX_TIME_POINTS} time points up to "
-                          f"tmax={t_max}")
+    if not np.isfinite(n_steps) or sites * (round(n_steps) + 1) > MAX_TIME_POINTS:
+        raise ConfigError(f"dt={dt} gives more than {MAX_TIME_POINTS} (site, time) cells on "
+                          f"{sites} site(s) up to tmax={t_max}")
     if abs(round(n_steps) * dt - t_max) > 1e-9 * t_max:
         raise ConfigError(f"dt={dt} does not divide tmax={t_max}")
     return np.arange(int(round(n_steps)) + 1) * dt
@@ -72,7 +76,10 @@ def time_grid(dt: float, t_max: float) -> np.ndarray:
 
 def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_max: float,
               site: int | None = None) -> np.ndarray:
-    """Check one run's flip pair, horizon radii, focal site and times; return the time grid."""
+    """Check one run's flip pair, horizon radii, focal site and times; return the time grid.
+
+    A run without a focal site is a scan over all N sites.
+    """
     pair_index(*flips, cfg.N)
     if site is not None and not 1 <= site <= cfg.N:
         raise ConfigError(f"site {site} outside chain of {cfg.N} sites")
@@ -80,7 +87,7 @@ def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_m
         HorizonSpec(j=1, r_h=r, N=cfg.N)
     if len(set(r_h_list)) != len(r_h_list):
         raise ConfigError(f"horizon radii {tuple(r_h_list)} repeat a radius")
-    times = time_grid(dt, t_max)
+    times = time_grid(dt, t_max, cfg.N if site is None else 1)
     # 4|J| bounds the levels, so every phase E t of the run stays finite
     if not isfinite(4 * abs(float(cfg.J)) * float(t_max)):
         raise ConfigError(f"4|J| tmax is not finite for J={cfg.J} and tmax={t_max}")

@@ -7,7 +7,9 @@ PGM per grid), example (the 2x3 worked example).  Defaults mirror the
 reference recipe: N=32, J=1, flips 10 and 25, dt=0.2.
 
 Exit codes: 0 success, 2 configuration or input error, 3 I/O error, 4 solver
-failure.
+failure.  argparse parses all input, and main reports every refusal, a
+malformed or unknown argument as well as a value out of range, as one
+`error:` line on stderr with exit code 2; only --help exits through argparse.
 """
 
 from __future__ import annotations
@@ -29,28 +31,26 @@ PEAK_HINT = 9.0
 PEAK_HINT_FLIPS = (10, 25)
 
 
-def _parse_int_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so main prints it as one line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    if "" in parts:
-        raise argparse.ArgumentTypeError(f"empty horizon radius in {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _parse_float_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+def _numbers(convert, count=None):
+    """argparse type: comma-separated `convert` values, exactly `count` of them if given."""
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if "" not in parts and count in (None, len(parts)):
+            try:
+                return tuple(convert(p) for p in parts)
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(
+            f"expected {count or 'one or more'} comma-separated {convert.__name__} values, "
+            f"got {text!r}")
+    return parse
 
 
 def _add_chain(p: argparse.ArgumentParser):
@@ -62,16 +62,16 @@ def _add_chain(p: argparse.ArgumentParser):
 
 def _add_run(p: argparse.ArgumentParser):
     _add_chain(p)
-    p.add_argument("--flips", type=_parse_int_pair, default=(10, 25), metavar="a,b",
+    p.add_argument("--flips", type=_numbers(int, 2), default=(10, 25), metavar="a,b",
                    help="initially flipped sites")
-    p.add_argument("--horizon", type=_parse_int_list, default=(1, 2, 3), metavar="r[,r...]",
+    p.add_argument("--horizon", type=_numbers(int), default=(1, 2, 3), metavar="r[,r...]",
                    help="horizon radii for the complexity")
     p.add_argument("--dt", type=float, default=0.2, help="time step (hbar per energy unit)")
     p.add_argument("--tmax", type=float, default=200.0, help="final time (hbar per energy unit)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcx",
         description="Entanglement entropy and predictive complexity of single sites "
                     "in two-magnon chain dynamics.",
@@ -83,15 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="per-site S and C time series to CSV")
     _add_run(p_series)
-    p_series.add_argument("--site", type=int, default=None, metavar="j", help="focal site")
-    p_series.add_argument("--eq-window", type=_parse_float_pair, default=None, metavar="t0,t1",
+    p_series.add_argument("--site", type=int, required=True, metavar="j", help="focal site")
+    p_series.add_argument("--eq-window", type=_numbers(float, 2), default=None, metavar="t0,t1",
                           help="equilibrium window (default: second half of the run)")
 
     p_scan = sub.add_parser("scan", help="spacetime grids to CSV and PGM images")
     _add_run(p_scan)
 
     p_ex = sub.add_parser("example", help="2x3 worked example of the predictive map")
-    p_ex.add_argument("--amplitudes", default=None, metavar="a1,...,a6",
+    p_ex.add_argument("--amplitudes", type=_numbers(complex, 6), default=None, metavar="a1,...,a6",
                       help="six complex amplitudes (python literals)")
     return parser
 
@@ -185,8 +185,6 @@ def _series_footer(args, series, window) -> list[str]:
 
 def cmd_series(args) -> int:
     cfg = _chain_config(args)
-    if args.site is None:
-        raise ConfigError("series needs --site")
     analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax, args.site)
     window = _eq_window(args)
     engine = _make_engine(cfg, args.engine)
@@ -235,16 +233,6 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _parse_amplitudes(text: str):
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise ConfigError("need exactly six comma-separated amplitudes")
-    try:
-        return tuple(complex(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad amplitude: {exc}")
-
-
 def _format_matrix(m: np.ndarray) -> str:
     lines = []
     for row in np.atleast_2d(m):
@@ -253,8 +241,7 @@ def _format_matrix(m: np.ndarray) -> str:
 
 
 def cmd_example(args) -> int:
-    amps = _parse_amplitudes(args.amplitudes) if args.amplitudes else None
-    report = worked_qubit_qutrit_example(amps)
+    report = worked_qubit_qutrit_example(args.amplitudes)
     if report["renormalized"]:
         print("warning: input amplitudes were not normalized; normalizing", file=sys.stderr)
     if report["degenerate_phases"]:
@@ -274,8 +261,6 @@ def cmd_example(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "spectrum": cmd_spectrum,
         "series": cmd_series,
@@ -283,6 +268,7 @@ def main(argv=None) -> int:
         "example": cmd_example,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

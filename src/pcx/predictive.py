@@ -8,7 +8,6 @@ after this map is the predictive complexity of the interior factor.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,18 +236,6 @@ def equivalence_residual(phi1, phi2, psi, t: float, dynamics) -> float:
         state = BipartiteState.from_amplitudes(np.outer(psi, np.asarray(phi, dtype=np.complex128)))
         rhos.append(reduced_density(dynamics(state, t), side="a"))
     return trace_distance(rhos[0], rhos[1])
-
-
-def monitor_complexity_bound(s_bits: float, c_bits: float, context: str = "", slack: float = 1e-9) -> bool:
-    """Monitored conjecture C <= S; violations warn loudly, never pass silently."""
-    if c_bits > s_bits + slack:
-        warnings.warn(
-            f"complexity bound violated{': ' + context if context else ''}: "
-            f"C={c_bits!r} > S={s_bits!r}",
-            stacklevel=2,
-        )
-        return False
-    return True
 
 
 def worked_qubit_qutrit_example(amps=None) -> dict:

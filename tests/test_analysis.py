@@ -84,6 +84,13 @@ class TestSpacetimeScan:
         with pytest.raises(ConfigError, match="dt=1.0 gives more than"):
             time_grid(1.0, float(MAX_TIME_POINTS))
 
+    def test_scan_cell_budget(self):
+        """A scan counts N cells per time point; a series on the same grid counts one."""
+        cfg = ChainConfig(N=323)
+        assert len(check_run(cfg, (10, 70), (1, 2, 3), 0.001, 999.0, site=1)) == 999001
+        with pytest.raises(ConfigError, match="cells on 323 site"):
+            check_run(cfg, (10, 70), (1, 2, 3), 0.001, 999.0)
+
     def test_repeated_radius_rejected(self, small_scan):
         cfg, engine, _ = small_scan
         with pytest.raises(ConfigError, match="repeat"):

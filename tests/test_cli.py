@@ -259,17 +259,41 @@ class TestConfigErrors:
                      "--horizon", "1", "--out", str(out), *bad]) == 2
         self.assert_config_error(capsys, out)
 
-    @pytest.mark.parametrize("horizon", ["1,,2", "1,"], ids=["empty-radius", "trailing-comma"])
-    def test_empty_radius_exit_2(self, tmp_path, capsys, horizon):
-        """An empty radius is a usage error, as a short --flips pair is; nothing runs."""
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["series", "--sites", "12", "--flips", "3,7", "--site", "5",
-                  "--horizon", horizon, "--out", str(out)])
-        assert exc.value.code == 2
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert errors == [f"pcx series: error: argument --horizon: empty horizon radius in {horizon!r}"]
-        assert not out.exists()
+    @pytest.mark.parametrize("argv, fragment", [
+        (["series", "--site", "5", "--flips", "1,"], "argument --flips: "),
+        (["series", "--site", "5", "--flips", "7,3"], "invalid pair (7, 3)"),
+        (["series", "--site", "5", "--horizon", "1,,2"], "argument --horizon: "),
+        (["series", "--site", "5", "--horizon", "1,"], "argument --horizon: "),
+        (["series", "--site", "5", "--eq-window", "1"], "argument --eq-window: "),
+        (["series", "--site", "5", "--sites", "x"], "argument --sites: "),
+        (["series", "--sites", "12"], "required: --site"),
+        (["spectrum", "--sites", "8", "--dt", "0.5"], "unrecognized arguments: --dt"),
+        (["spectrum", "--sites", "8", "--flips", "7,3"], "unrecognized arguments: --flips"),
+        (["spectrum", "--sites", "8", "--horizon", "9"], "unrecognized arguments: --horizon"),
+        (["spectrum", "--sites", "8", "--tmax", "-1"], "unrecognized arguments: --tmax"),
+        (["spectrum", "--sites", "8", "--eq-window", "5,1"], "unrecognized arguments: --eq-window"),
+        (["scan", "--sites", "8", "--eq-window", "0,1"], "unrecognized arguments: --eq-window"),
+        (["scan", "--sites", "323", "--flips", "10,70", "--dt", "0.001", "--tmax", "999"],
+         "(site, time) cells on 323 site(s)"),
+        ([], "required: command"),
+        (["spectrum", "--engine", "dense"], "argument --engine: invalid choice"),
+        (["example", "--amplitudes", "1,2"], "argument --amplitudes: "),
+        (["example", "--amplitudes", "1,2,x,4,5,6"], "argument --amplitudes: "),
+    ], ids=["flips-trailing-comma", "flips-reversed", "horizon-empty-radius",
+            "horizon-trailing-comma", "eq-window-one-number", "sites-not-int", "site-missing",
+            "spectrum-dt", "spectrum-flips", "spectrum-horizon", "spectrum-tmax",
+            "spectrum-eq-window", "scan-eq-window", "scan-too-many-cells", "no-subcommand",
+            "engine-unknown", "amplitudes-too-few", "amplitudes-not-complex"])
+    def test_refused_input_exit_2(self, tmp_path, capsys, monkeypatch, argv, fragment):
+        """Malformed, unknown and out-of-range input all end in one error line from main."""
+        monkeypatch.chdir(tmp_path)  # --out defaults to the working directory
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert fragment in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_scan_repeated_radius_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -382,27 +406,6 @@ class TestExampleCommand:
         assert captured.out == ""
 
 
-class TestDroppedOptions:
-    """Each subcommand takes only the options it reads; the rest are usage errors."""
-
-    @pytest.mark.parametrize("command, option", [
-        ("spectrum", ["--dt", "0.5"]),
-        ("spectrum", ["--flips", "7,3"]),
-        ("spectrum", ["--horizon", "9"]),
-        ("spectrum", ["--tmax", "-1"]),
-        ("spectrum", ["--eq-window", "5,1"]),
-        ("scan", ["--eq-window", "0,1"]),
-    ], ids=["spectrum-dt", "spectrum-flips", "spectrum-horizon", "spectrum-tmax",
-            "spectrum-eq-window", "scan-eq-window"])
-    def test_unread_option_exit_2(self, tmp_path, capsys, command, option):
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--sites", "8", "--out", str(out), *option])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
-        assert not out.exists()
-
-
 class TestEntryPoint:
     def test_module_invocation(self, run_cli):
         result = run_cli(["example"])
@@ -412,6 +415,8 @@ class TestEntryPoint:
     def test_usage_error_exit_code(self, run_cli):
         result = run_cli(["series", "--sites", "not-a-number"])
         assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
 
 
 class TestFailureExitCodes:

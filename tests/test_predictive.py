@@ -11,7 +11,6 @@ from pcx.predictive import (
     EquivalencePartition,
     build_projector,
     equivalence_residual,
-    monitor_complexity_bound,
     predictive_map,
     reduced_density,
     trace_distance,
@@ -233,10 +232,6 @@ class TestPurityAndConjecture:
                 - von_neumann_entropy(reduced_density(psi, side="b"))
             ) < 1e-10
 
-    def test_conjecture_monitor_flags_violation(self):
-        with pytest.warns(UserWarning, match="complexity bound violated"):
-            assert not monitor_complexity_bound(0.1, 0.5, context="synthetic")
-
     def test_conjecture_on_random_states(self):
         """C <= S fails for a general predictive map: 7 of these 50 random states break it."""
         rng = np.random.default_rng(20260808)
@@ -250,8 +245,6 @@ class TestPurityAndConjecture:
         assert np.count_nonzero(c > s + 1e-9) == 7
         worst = int(np.argmax(c - s))
         assert c[worst] - s[worst] > 0.1
-        with pytest.warns(UserWarning, match="complexity bound violated"):
-            assert not monitor_complexity_bound(s[worst], c[worst], context="random 2x5 state")
 
 
 class TestEquivalenceLinearity:

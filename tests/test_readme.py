@@ -1,7 +1,10 @@
-"""The library example in README.md runs as written."""
+"""README.md's library example runs as written, and its flags table matches the parser."""
 
+import argparse
 import re
 from pathlib import Path
+
+from pcx.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +16,18 @@ def test_library_example_runs(capsys):
     values = [float(x) for x in capsys.readouterr().out.split()]
     assert len(values) == 2
     assert all(0.0 < v <= 1.0 for v in values)
+
+
+def test_flags_table_matches_parser():
+    """Each subcommand's row lists exactly the options its parser takes."""
+    table = README.read_text().split("Flags per subcommand", 1)[1].split("\n\n")[1]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.MULTILINE))
+    documented = {cmd: set(re.findall(r"`(--[\w-]+)", flags)) for cmd, flags in rows.items()}
+    for cmd, flags in rows.items():
+        if "the `spectrum` flags" in flags:
+            documented[cmd] |= documented["spectrum"]
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    parsed = {cmd: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+              for cmd, sub in commands.items()}
+    assert documented == parsed
