@@ -23,8 +23,8 @@ energy J, and its wavefunction is the closed-form alternating adjacent-pair
 state, so the Bethe basis is orthonormal as built.
 
 A root of cell (m1, m2) has total momentum K = 2 pi (m1 + m2)/N; `BetheEngine`
-puts the states of each momentum class, built as one `block_vectors` batch,
-into that momentum block of `chain.SpectralEngine`'s stack.
+puts the states of each momentum class k <= N/2, built as one `block_vectors`
+batch, into that momentum block of `chain.SpectralEngine`'s quarter stack.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ NEWTON_FINISH_STEPS = 3
 # momentum-pi cell; its wavefunction is the closed form, independent of v.
 SINGULAR_V = 17.5
 ORTHONORMALITY_TOL = 1e-10
+# largest difference between the sorted levels of Bethe classes k and N - k, in units of |J|
+CLASS_MIRROR_TOL = 1e-12
 # one row per root; kind is "k-zero" | "real-pair" | "bound"
 ROOT_DTYPE = np.dtype([("k1", np.complex128), ("k2", np.complex128), ("theta", np.complex128),
                        ("energy", np.float64), ("kind", "U9"), ("m1", np.int64), ("m2", np.int64)])
@@ -332,21 +334,24 @@ def block_vectors(roots: np.recarray, cfg: ChainConfig) -> np.ndarray:
 class BetheEngine(SpectralEngine):
     """Evolution backend built on the full set of Bethe eigenstates.
 
-    The stack of SpectralEngine is filled class by class: the roots of
-    class (m1 + m2) mod N = k, in root order, give the levels of momentum
-    block k through one `block_vectors` call, and evolution is
-    SpectralEngine's.  The stack is used as built, never repaired: each
-    block must hold one root per level and satisfy
-    max|V_k^T V_k - I| <= ORTHONORMALITY_TOL, so a missing or repeated
-    state is refused.  eigenvalues and momenta are grouped by k as in
-    SpectralEngine, in root order within a block.
+    Every root is solved, and the quarter stack of SpectralEngine is filled
+    class by class: the roots of class (m1 + m2) mod N = k <= N/2, in root
+    order, give the levels of momentum block k through one `block_vectors`
+    call, of which the rows r <= N/2 are kept; evolution is SpectralEngine's,
+    with its two mirror rules.  The stack is used as built, never repaired:
+    each class must hold one root per level, each stored block must satisfy
+    max|V_k^T V_k - I| <= ORTHONORMALITY_TOL on all N - 1 rows, and a class
+    k > N/2, which builds no vectors, must hold the levels of class N - k to
+    CLASS_MIRROR_TOL |J|; so a missing, repeated or misplaced state is refused.
+    eigenvalues holds every root's energy and momenta its class, grouped by
+    k as in SpectralEngine, in root order within a class.
     """
 
     name = "bethe"
 
     def __init__(self, cfg: ChainConfig):
         check_block_budget(cfg)
-        N, width = cfg.N, cfg.N // 2
+        N, half = cfg.N, cfg.N // 2
         self.roots = enumerate_roots(cfg)
         sizes = block_sizes(N)
         classes = (self.roots.m1 + self.roots.m2) % N
@@ -355,10 +360,17 @@ class BetheEngine(SpectralEngine):
             k = int(np.argmax(counts != sizes))
             raise SolverError(f"Bethe basis is incomplete: {counts[k]} roots for the "
                               f"{sizes[k]} levels of momentum block k={k}")
-        vectors, energies = np.zeros((N, N - 1, width)), np.zeros((N, width))
         order = np.argsort(classes, kind="stable")
-        for k, members in enumerate(np.split(order, np.cumsum(sizes)[:-1])):
-            batch = self.roots[members]
+        members = np.split(order, np.cumsum(sizes)[:-1])
+        for k in range(half + 1, N):  # no vectors above N/2; the levels must mirror class N - k
+            error = np.max(np.abs(np.sort(self.roots.energy[members[k]])
+                                  - np.sort(self.roots.energy[members[N - k]])))
+            if not error <= CLASS_MIRROR_TOL * abs(cfg.J):
+                raise SolverError(f"momentum classes k={k} and {N - k} hold different levels "
+                                  f"(max difference {error:.3e})")
+        vectors, energies = np.zeros((half + 1, half, half)), np.zeros((half + 1, half))
+        for k in range(half + 1):
+            batch = self.roots[members[k]]
             phi = block_vectors(batch, cfg)
             gram = phi @ phi.T
             gram[np.diag_indices(len(batch))] -= 1.0
@@ -366,6 +378,7 @@ class BetheEngine(SpectralEngine):
             if not error <= ORTHONORMALITY_TOL:
                 raise SolverError(f"Bethe basis is numerically incomplete in momentum block k={k} "
                                   f"(max|V_k^T V_k - I| = {error:.3e})")
-            vectors[k, :, :len(batch)] = phi.T
+            vectors[k, :, :len(batch)] = phi[:, :half].T
             energies[k, :len(batch)] = batch.energy
         self._set_blocks(cfg, vectors, energies)
+        self.eigenvalues = self.roots.energy[order]

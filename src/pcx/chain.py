@@ -11,10 +11,12 @@ first flip x (0-based) and clockwise distance r = 1..N-1 to the second
 flip sits at (x, r) and at (x + r mod N, N - r), with amplitude b/sqrt(2)
 in each place.  A Fourier transform over x then splits H into one small
 tridiagonal block per total momentum, reduced by the parity r -> N - r
-before it is diagonalized (see `SpectralEngine`).  `bethe.BetheEngine`
-fills the same block stack from the Bethe roots and shares its
-propagation.  `DenseEngine` diagonalizes the whole sector and is kept as
-the small-N oracle for both.
+before it is diagonalized.  Only the blocks k <= N/2 and their rows
+r <= N/2 are stored; the rest follow from them by the parity and by the
+mirror k -> N - k (see `SpectralEngine`).  `bethe.BetheEngine` fills the
+same block stack from the Bethe roots and shares its propagation.
+`DenseEngine` diagonalizes the whole sector and is kept as the small-N
+oracle for both.
 """
 
 from __future__ import annotations
@@ -60,16 +62,19 @@ class ChainConfig:
 # dim x dim float64 matrices, 128 MB apiece at this size).
 MAX_SECTOR_DIM = 4000
 # Largest eigenvector stack SpectralEngine and BetheEngine build,
-# 8 N (N-1) floor(N/2) bytes; N = 323 is the largest ring within it.
+# 8 (floor(N/2)+1) floor(N/2)^2 bytes; N = 511 is the largest ring within it.
 MAX_BLOCK_BYTES = 128 * 2**20
+# Blocks diagonalized per eigh call, which bounds the build's transient
+# arrays to a small part of the stack.
+EIGH_BATCH = 16
 
 
 def check_block_budget(cfg: ChainConfig):
     """Refuse a momentum-block stack above MAX_BLOCK_BYTES, before anything is built."""
-    nbytes = 8 * cfg.N * (cfg.N - 1) * (cfg.N // 2)
+    nbytes = 8 * (cfg.N // 2 + 1) * (cfg.N // 2) ** 2
     if nbytes > MAX_BLOCK_BYTES:
-        raise ConfigError(f"momentum blocks for N={cfg.N} need {nbytes / 2**20:.0f} MB of "
-                          f"eigenvectors, over the budget of {MAX_BLOCK_BYTES / 2**20:.0f} MB")
+        raise ConfigError(f"momentum blocks for N={cfg.N} need {nbytes / 2**20:.1f} MiB of "
+                          f"eigenvectors, over the budget of {MAX_BLOCK_BYTES / 2**20:.0f} MiB")
 
 
 def circular_distance(a: int, b: int, N: int) -> int:
@@ -204,6 +209,48 @@ def block_sizes(N: int) -> np.ndarray:
     return (N - 1) // 2 + ((N % 2 == 0) & (np.arange(N) % 2 == 0))
 
 
+def _reduced_blocks(cfg: ChainConfig):
+    """The parity-reduced blocks k <= N/2, at most EIGH_BATCH of one parity at a time.
+
+    Yields (ks, H), where H[i] is block ks[i] in the basis
+    (|m> + s|N-m>)/sqrt(2), m < N/2, then |N/2> when N is even and
+    s = (-1)^k = +1 (see `SpectralEngine`).
+    """
+    N, J = cfg.N, cfg.J
+    k = np.arange(N // 2 + 1)
+    n_pairs = (N - 1) // 2  # the r = m, N - m pairs with m < N/2
+    for parity in (1, -1):  # even k, then odd k: one block size each
+        middle = N % 2 == 0 and parity == 1
+        size = n_pairs + middle
+        i = np.arange(size)
+        ks_all = k[(1 - parity) // 2::2]
+        for ks in np.split(ks_all, np.arange(EIGH_BATCH, len(ks_all), EIGH_BATCH)):
+            t = -J * np.cos(np.pi * ks / N)[:, None]
+            H = np.zeros((len(ks), size, size))
+            H[:, i, i] = 2.0 * J
+            H[:, 0, 0] = J
+            H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = t
+            if middle:  # the last pair state meets |N/2> from both sides
+                H[:, -1, -2] = H[:, -2, -1] = np.sqrt(2.0) * t[:, 0]
+            elif N % 2:  # the last pair, r = (N-1)/2 and (N+1)/2, are neighbours
+                H[:, -1, -1] += parity * t[:, 0]
+            yield ks, H
+
+
+def _levels(N: int, energies: np.ndarray) -> np.ndarray:
+    """The C(N, 2) levels of a table over the blocks k <= N/2, by k = 0..N-1 (N - k above N/2)."""
+    k = np.arange(N)
+    return energies[np.minimum(k, N - k)][np.arange(N // 2) < block_sizes(N)[:, None]]
+
+
+def block_levels(cfg: ChainConfig) -> np.ndarray:
+    """SpectralEngine's eigenvalues from eigvalsh of the blocks k <= N/2, with no stack."""
+    energies = np.zeros((cfg.N // 2 + 1, cfg.N // 2))
+    for ks, H in _reduced_blocks(cfg):
+        energies[ks, :H.shape[-1]] = np.linalg.eigvalsh(H)
+    return _levels(cfg.N, energies)
+
+
 def _real_matmul(V: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Batched V @ w for a real stack of matrices V and a complex stack of vectors w."""
     parts = w.view(np.float64).reshape(*w.shape, 2)  # real and imaginary parts
@@ -222,12 +269,22 @@ class SpectralEngine:
     when N is even and s = +1, and only then diagonalized: for even N the
     K = pi block has t = 0 and degenerate levels, which an eigh of the
     unreduced block would mix across parities.  The reduced blocks hold the
-    C(N, 2) levels between them (`block_sizes`).  Their eigenvectors, mapped
-    back onto r, are stored as one real (N, N-1, floor(N/2)) stack `vectors`
-    with zero columns where a block is smaller.  A time step is one batched
-    contraction with the stack, one inverse FFT over k and a gather into the
-    flat pair order.  BetheEngine fills the same stack from the Bethe roots
-    and propagates through the same pair_amplitudes.
+    C(N, 2) levels between them (`block_sizes`).
+
+    Half the blocks and half the rows are copies, so only a quarter is
+    diagonalized and stored, the blocks k <= N/2 on their rows r <= N/2, as
+    one real (floor(N/2)+1, floor(N/2), floor(N/2)) stack `vectors` with
+    zero columns where a block is smaller.  The rest follow by two rules:
+    - parity: row N - r of block k is (-1)^k times row r;
+    - mirror: t_{N-k} = -t_k, so (-1)^r phi(r) is a state of block N - k
+      with the level of phi in block k, and block N - k of an evolved pair
+      at distance d is (-1)^{r+d} times block k, up to the ratio of the two
+      blocks' centre phases.
+    A time step is one batched contraction with the stack, the mirror fill
+    of the blocks k > N/2, one inverse FFT over k on the rows r <= N/2, and a
+    gather into the flat pair order that reads a pair at distance r > N/2
+    from its other cell (x + r, N - r).  BetheEngine fills the same stack
+    from the Bethe roots and propagates through the same pair_amplitudes.
 
     eigenvalues holds the C(N, 2) levels (relative to e0), grouped by k and
     ascending within a block; momenta holds the k of each level.
@@ -237,51 +294,56 @@ class SpectralEngine:
 
     def __init__(self, cfg: ChainConfig):
         check_block_budget(cfg)
-        N, J = cfg.N, cfg.J
-        width = N // 2  # the largest reduced block
-        k = np.arange(N)
-        hop = -J * np.cos(np.pi * k / N)
-        n_pairs = (N - 1) // 2  # the r = m, N - m pairs with m < N/2
-        vectors = np.zeros((N, N - 1, width))
-        energies = np.zeros((N, width))
-        for parity in (1, -1):  # even k, then odd k: one block size each
-            ks = k[(1 - parity) // 2::2]
-            middle = N % 2 == 0 and parity == 1
-            size = n_pairs + middle
-            t = hop[ks, None]
-            i = np.arange(size)
-            H = np.zeros((len(ks), size, size))
-            H[:, i, i] = 2.0 * J
-            H[:, 0, 0] = J
-            H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = t
-            if middle:  # the last pair state meets |N/2> from both sides
-                H[:, -1, -2] = H[:, -2, -1] = np.sqrt(2.0) * t[:, 0]
-            elif N % 2:  # the last pair, r = (N-1)/2 and (N+1)/2, are neighbours
-                H[:, -1, -1] += parity * t[:, 0]
+        half = cfg.N // 2
+        n_pairs = (cfg.N - 1) // 2
+        vectors = np.zeros((half + 1, half, half))
+        energies = np.zeros((half + 1, half))
+        for ks, H in _reduced_blocks(cfg):
+            size = H.shape[-1]
             w, U = np.linalg.eigh(H)
-            m = np.arange(n_pairs)
-            pairs = U[:, :n_pairs] / np.sqrt(2.0)
-            vectors[ks[:, None], m, :size] = pairs
-            vectors[ks[:, None], N - 2 - m, :size] = parity * pairs
-            if middle:
-                vectors[ks, N // 2 - 1, :size] = U[:, -1]
             energies[ks, :size] = w
+            vectors[ks, :n_pairs, :size] = U[:, :n_pairs] / np.sqrt(2.0)
+            if size > n_pairs:  # |N/2>, the middle row
+                vectors[ks, half - 1, :size] = U[:, -1]
         self._set_blocks(cfg, vectors, energies)
 
     def _set_blocks(self, cfg: ChainConfig, vectors: np.ndarray, energies: np.ndarray):
-        """Keep a stack and its energies, zero past block_sizes(N)[k], and the tables a step reads."""
-        N = cfg.N
-        sizes = block_sizes(N)
+        """Keep a quarter stack and its energies, zero past block_sizes(N)[k], and each pair's cell."""
+        N, half = cfg.N, cfg.N // 2
         self.cfg, self.dim = cfg, cfg.dim
         self.vectors = vectors
         self._energies = energies
-        k, r = np.arange(N), np.arange(1, N)
-        self.eigenvalues = energies[np.arange(N // 2) < sizes[:, None]]
-        self.momenta = np.repeat(k, sizes)
-        # e^{iKr/2} = e^{i pi k r/N}, its argument reduced exactly first
-        self._half_phase = np.exp(1j * np.pi * (np.outer(k, r) % (2 * N)) / N)
+        self.eigenvalues = _levels(N, energies)
+        k = np.arange(N)
+        self.momenta = np.repeat(k, block_sizes(N))
+        self._stored = np.minimum(k, N - k)  # the stored block each momentum reads
         n1s, n2s = all_pairs(N)
-        self._cell = (n1s - 1) * (N - 1) + n2s - n1s - 1  # flat (x, r) cell of each pair
+        r = n2s - n1s
+        # flat (x, r) cell of each pair on the rows r <= N/2; (x + r, N - r) above
+        self._cell = np.where(r <= half, (n1s - 1) * half + r, (n2s - 1) * half + N - r) - 1
+        self._pair = None
+
+    def _pair_tables(self, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row d = n2 - n1 of each stored block, and the phase of each (k, r <= N/2) cell.
+
+        The phase is 2 e^{-iK(n1 - 1 + d/2)} e^{iKr/2}, the initial pair's
+        centre times the layout's half phase, times the mirror sign
+        (-1)^{r+d} for k > N/2.  Both are kept for the last pair asked.
+        """
+        if self._pair != (n1, n2):
+            N, half = self.cfg.N, self.cfg.N // 2
+            pair_index(n1, n2, N)
+            d = n2 - n1
+            if d <= half:
+                row = self.vectors[:, d - 1]
+            else:
+                row = self.vectors[:, N - d - 1] * (-1.0) ** np.arange(half + 1)[:, None]
+            k, r = np.arange(N)[:, None], np.arange(1, half + 1)
+            # the argument in units of pi/N, reduced exactly first
+            turns = k * (r - d - 2 * (n1 - 1)) + N * (k > half) * (r + d)
+            phase = 2.0 * np.exp(1j * np.pi * (turns % (2 * N)) / N)
+            self._pair, self._tables = (n1, n2), (row, phase)
+        return self._tables
 
     def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
         """Amplitudes <m1,m2| e^{-iHt} |n1,n2> over the whole pair basis.
@@ -292,11 +354,6 @@ class SpectralEngine:
         """
         if t == 0:
             return basis_state(self.cfg, n1, n2)
-        N = self.cfg.N
-        d = n2 - n1
-        pair_index(n1, n2, N)
-        # e^{-iK(n1 - 1 + d/2)}, the phase of the initial pair's centre, its argument reduced exactly
-        centre = np.exp(-1j * np.pi * (np.arange(N) * (2 * (n1 - 1) + d) % (2 * N)) / N)
-        w = self.vectors[:, d - 1] * np.exp(-1j * self._energies * t) * centre[:, None]
-        G = _real_matmul(self.vectors, w)
-        return 2.0 * np.fft.ifft(self._half_phase * G, axis=0).ravel()[self._cell]
+        row, phase = self._pair_tables(n1, n2)
+        G = _real_matmul(self.vectors, row * np.exp(-1j * self._energies * t))
+        return np.fft.ifft(phase * G[self._stored], axis=0).ravel()[self._cell]

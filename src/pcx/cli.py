@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, io
 from .analysis import site_series
 from .bethe import BetheEngine, dispersion
-from .chain import ChainConfig, SpectralEngine
+from .chain import ChainConfig, SpectralEngine, block_levels, check_block_budget
 from .errors import ConfigError, NormalizationError, PeakNotFoundError, SolverError, StatsError
 from .predictive import worked_qubit_qutrit_example
 
@@ -122,14 +122,10 @@ def _run_header(args, cfg: ChainConfig) -> list[str]:
     ]
 
 
-def _levels_by_block(engine) -> np.ndarray:
-    """An engine's levels grouped by momentum block, ascending within a block."""
-    return engine.eigenvalues[np.lexsort((engine.eigenvalues, engine.momenta))]
-
-
 def cmd_spectrum(args) -> int:
     cfg = _chain_config(args)
-    levels = _levels_by_block(SpectralEngine(cfg))  # only the levels outlive this engine
+    check_block_budget(cfg)  # the ring limit of every command, though the levels build no stack
+    levels = block_levels(cfg)
     footer = []
     if args.engine == "spectral":
         rows = [(i, e, "", "") for i, e in enumerate(np.sort(levels))]
@@ -140,7 +136,8 @@ def cmd_spectrum(args) -> int:
         order = np.argsort(energy, kind="stable")  # ties keep root order
         rows = list(zip(range(len(order)), energy[order].tolist(), kind[order].tolist(),
                         residual[order].tolist()))
-        mismatch = np.abs(_levels_by_block(engine) - levels).max()
+        by_block = engine.eigenvalues[np.lexsort((engine.eigenvalues, engine.momenta))]
+        mismatch = np.abs(by_block - levels).max()
         footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(mismatch)}")
         names, counts = np.unique(kind, return_counts=True)
         footer.append("class_counts=" + " ".join(f"{k}:{v}" for k, v in zip(names, counts)))

@@ -39,6 +39,19 @@ def _cot(z):
     return np.cos(z) / np.sin(z)
 
 
+def full_stack(engine) -> np.ndarray:
+    """The (N, N-1, width) stack of every block and row that an engine's quarter stack stands for.
+
+    Rows r > N/2 by the parity (-1)^k of the stored block, blocks k > N/2
+    as (-1)^r times block N - k.
+    """
+    N, half = engine.cfg.N, engine.cfg.N // 2
+    k, r = np.arange(N)[:, None], np.arange(1, N)
+    stored = np.minimum(k, N - k)
+    sign = np.where(r > half, (-1.0) ** stored, 1.0) * np.where(k > half, (-1.0) ** r, 1.0)
+    return engine.vectors[stored, np.minimum(r, N - r) - 1] * sign[..., None]
+
+
 class TestEnumerateRoots:
     def test_count_n32(self, roots32):
         assert len(roots32) == comb(32, 2) == 496
@@ -249,18 +262,22 @@ class TestCompleteness:
         assert np.max(np.abs(A.conj().T @ A - np.eye(cfg.dim))) < 1e-10
 
     def test_engine_basis_is_raw_states(self):
+        """The stored blocks k <= N/2 hold the rows r <= N/2 of the raw block vectors."""
         engine = BetheEngine(ChainConfig(N=12))
         A = np.zeros_like(engine.vectors)
-        filled = np.zeros(12, dtype=int)
+        filled = np.zeros(7, dtype=int)
         for i, r in enumerate(engine.roots):
             k = (r.m1 + r.m2) % 12
-            A[k, :, filled[k]] = block_vectors(engine.roots[i:i + 1], engine.cfg)[0]  # one-row table
-            filled[k] += 1
+            if k <= 6:
+                phi = block_vectors(engine.roots[i:i + 1], engine.cfg)[0]  # one-row table
+                A[k, :, filled[k]] = phi[:6]
+                filled[k] += 1
         assert np.array_equal(engine.vectors, A)
 
     def test_engine_basis_orthonormal(self, bethe_engine32):
+        vectors = full_stack(bethe_engine32)
         for k, size in enumerate(np.bincount(bethe_engine32.momenta, minlength=32)):
-            Q = bethe_engine32.vectors[k, :, :size]
+            Q = vectors[k, :, :size]
             assert np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) < 1e-10
 
     def test_parseval_on_engine_basis(self, cfg32, bethe_engine32):
@@ -272,7 +289,7 @@ class TestCompleteness:
             layout = np.zeros((N, N - 1))
             layout[n1 - 1, n2 - n1 - 1] = layout[n2 - 1, N - (n2 - n1) - 1] = 1 / np.sqrt(2)
             phi = np.einsum("kxr,xr->kr", fourier, layout)
-            coeffs = np.einsum("krj,kr->kj", bethe_engine32.vectors, phi)
+            coeffs = np.einsum("krj,kr->kj", full_stack(bethe_engine32), phi)
             assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-8
 
     def test_duplicate_state_rejected(self, monkeypatch):
@@ -311,6 +328,21 @@ class TestCompleteness:
 
         monkeypatch.setattr(pcx.bethe, "block_vectors", skew_second)
         with pytest.raises(SolverError, match="incomplete"):
+            BetheEngine(ChainConfig(N=8))
+
+    def test_mirror_class_levels_checked(self, monkeypatch):
+        """A class above N/2 builds no vectors; one level 1e-9 off its mirror class is refused."""
+        import pcx.bethe
+
+        real_roots = pcx.bethe.enumerate_roots
+
+        def shifted(cfg):
+            roots = real_roots(cfg)
+            roots.energy[np.flatnonzero((roots.m1 + roots.m2) % cfg.N == 5)[0]] += 1e-9
+            return roots
+
+        monkeypatch.setattr(pcx.bethe, "enumerate_roots", shifted)
+        with pytest.raises(SolverError, match="classes k=5 and 3 hold different levels"):
             BetheEngine(ChainConfig(N=8))
 
     def test_build_uses_no_per_root_wavefunction(self, monkeypatch, bethe_engine32):

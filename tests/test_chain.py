@@ -251,7 +251,7 @@ class TestMomentumBlocks:
         with pytest.raises(ConfigError, match="budget"):
             SpectralEngine(ChainConfig(N=100_000))
         with pytest.raises(ConfigError, match="budget"):
-            SpectralEngine(ChainConfig(N=324))
+            SpectralEngine(ChainConfig(N=512))
 
 
 class TestSiteBipartition:

@@ -328,7 +328,7 @@ class TestConfigErrors:
 
         monkeypatch.setattr("pcx.bethe.enumerate_roots", no_roots)
         out = tmp_path / "out"
-        assert main([*command, "--sites", "400", "--out", str(out)]) == 2
+        assert main([*command, "--sites", "512", "--out", str(out)]) == 2
         self.assert_config_error(capsys, out)
 
 
