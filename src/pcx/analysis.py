@@ -98,8 +98,7 @@ def _layout_index(N: int) -> np.ndarray:
     """(N, N-1) flat pair index of each layout cell (x, r): sites x+1 and (x+r) mod N + 1."""
     x = np.arange(N)[:, None]
     a, b = x + 1, (x + np.arange(1, N)) % N + 1
-    n1, n2 = np.minimum(a, b), np.maximum(a, b)
-    return (n1 - 1) * N - n1 * (n1 - 1) // 2 + (n2 - n1 - 1)
+    return pair_index(np.minimum(a, b), np.maximum(a, b), N)
 
 
 def _observables(engine, flips: tuple[int, int], sites, r_h_list,

@@ -343,8 +343,8 @@ class BetheEngine(SpectralEngine):
     max|V_k^T V_k - I| <= ORTHONORMALITY_TOL on all N - 1 rows, and a class
     k > N/2, which builds no vectors, must hold the levels of class N - k to
     CLASS_MIRROR_TOL |J|; so a missing, repeated or misplaced state is refused.
-    eigenvalues holds every root's energy and momenta its class, grouped by
-    k as in SpectralEngine, in root order within a class.
+    Besides the propagation state it keeps only `roots`, the ROOT_DTYPE table
+    that `spectrum` writes and checks against `chain.block_levels`.
     """
 
     name = "bethe"
@@ -381,4 +381,3 @@ class BetheEngine(SpectralEngine):
             vectors[k, :, :len(batch)] = phi[:, :half].T
             energies[k, :len(batch)] = batch.energy
         self._set_blocks(cfg, vectors, energies)
-        self.eigenvalues = self.roots.energy[order]

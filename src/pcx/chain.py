@@ -82,9 +82,9 @@ def circular_distance(a: int, b: int, N: int) -> int:
     return min(d, N - d)
 
 
-def pair_index(n1: int, n2: int, N: int) -> int:
-    """Flat lexicographic index of the ordered pair (n1, n2), 1-based sites."""
-    if not (1 <= n1 < n2 <= N):
+def pair_index(n1, n2, N: int):
+    """Flat lexicographic index of the ordered pair (n1, n2), 1-based sites; elementwise on arrays."""
+    if not np.all((1 <= n1) & (n1 < n2) & (n2 <= N)):
         raise ConfigError(f"invalid pair ({n1}, {n2}) for N={N}: need 1 <= n1 < n2 <= N")
     return (n1 - 1) * N - n1 * (n1 - 1) // 2 + (n2 - n1 - 1)
 
@@ -237,18 +237,15 @@ def _reduced_blocks(cfg: ChainConfig):
             yield ks, H
 
 
-def _levels(N: int, energies: np.ndarray) -> np.ndarray:
-    """The C(N, 2) levels of a table over the blocks k <= N/2, by k = 0..N-1 (N - k above N/2)."""
-    k = np.arange(N)
-    return energies[np.minimum(k, N - k)][np.arange(N // 2) < block_sizes(N)[:, None]]
-
-
 def block_levels(cfg: ChainConfig) -> np.ndarray:
-    """SpectralEngine's eigenvalues from eigvalsh of the blocks k <= N/2, with no stack."""
-    energies = np.zeros((cfg.N // 2 + 1, cfg.N // 2))
+    """The C(N, 2) levels (relative to e0) by k = 0..N-1, ascending in a block; no eigenvectors."""
+    check_block_budget(cfg)  # the engines' ring limit, though no stack is built
+    N = cfg.N
+    energies = np.zeros((N // 2 + 1, N // 2))
     for ks, H in _reduced_blocks(cfg):
         energies[ks, :H.shape[-1]] = np.linalg.eigvalsh(H)
-    return _levels(cfg.N, energies)
+    k = np.arange(N)
+    return energies[np.minimum(k, N - k)][np.arange(N // 2) < block_sizes(N)[:, None]]
 
 
 def _real_matmul(V: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -286,8 +283,8 @@ class SpectralEngine:
     from its other cell (x + r, N - r).  BetheEngine fills the same stack
     from the Bethe roots and propagates through the same pair_amplitudes.
 
-    eigenvalues holds the C(N, 2) levels (relative to e0), grouped by k and
-    ascending within a block; momenta holds the k of each level.
+    The engine keeps only what a step reads: the stack and its energies
+    (relative to e0).  `block_levels` gives the levels without the stack.
     """
 
     name = "spectral"
@@ -311,11 +308,8 @@ class SpectralEngine:
         """Keep a quarter stack and its energies, zero past block_sizes(N)[k], and each pair's cell."""
         N, half = cfg.N, cfg.N // 2
         self.cfg, self.dim = cfg, cfg.dim
-        self.vectors = vectors
-        self._energies = energies
-        self.eigenvalues = _levels(N, energies)
+        self.vectors, self._energies = vectors, energies
         k = np.arange(N)
-        self.momenta = np.repeat(k, block_sizes(N))
         self._stored = np.minimum(k, N - k)  # the stored block each momentum reads
         n1s, n2s = all_pairs(N)
         r = n2s - n1s

@@ -15,6 +15,7 @@ malformed or unknown argument as well as a value out of range, as one
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -23,16 +24,21 @@ import numpy as np
 from . import analysis, io
 from .analysis import site_series
 from .bethe import BetheEngine, dispersion
-from .chain import ChainConfig, SpectralEngine, block_levels, check_block_budget
+from .chain import ChainConfig, SpectralEngine, block_levels
 from .errors import ConfigError, NormalizationError, PeakNotFoundError, SolverError, StatsError
 from .predictive import worked_qubit_qutrit_example
 
 PEAK_HINT = 9.0
 PEAK_HINT_FLIPS = (10, 25)
+ENGINES = {engine.name: engine for engine in (SpectralEngine, BetheEngine)}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a ConfigError, so main prints it as one line."""
+    """Full option names only, `-1e-3` read as a value; a usage error is a one-line ConfigError."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # no pcx option looks like a number
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -56,7 +62,7 @@ def _numbers(convert, count=None):
 def _add_chain(p: argparse.ArgumentParser):
     p.add_argument("--sites", type=int, default=32, metavar="N", help="number of chain sites")
     p.add_argument("--coupling", type=float, default=1.0, metavar="J", help="exchange coupling")
-    p.add_argument("--engine", choices=("spectral", "bethe"), default="spectral")
+    p.add_argument("--engine", choices=ENGINES, default="spectral")
     p.add_argument("--out", default=".", metavar="DIR", help="output directory")
 
 
@@ -96,14 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_engine(cfg: ChainConfig, name: str):
-    return SpectralEngine(cfg) if name == "spectral" else BetheEngine(cfg)
-
-
-def _chain_config(args) -> ChainConfig:
-    return ChainConfig(N=args.sites, J=args.coupling)
-
-
 def _eq_window(args) -> tuple[float, float]:
     """--eq-window checked against the run, or the second half of the run."""
     if args.eq_window is None:
@@ -123,20 +121,20 @@ def _run_header(args, cfg: ChainConfig) -> list[str]:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _chain_config(args)
-    check_block_budget(cfg)  # the ring limit of every command, though the levels build no stack
+    cfg = ChainConfig(N=args.sites, J=args.coupling)
     levels = block_levels(cfg)
     footer = []
     if args.engine == "spectral":
         rows = [(i, e, "", "") for i, e in enumerate(np.sort(levels))]
     else:
-        engine = BetheEngine(cfg)
-        energy, kind = engine.roots.energy, engine.roots.kind
-        residual = np.abs(energy - dispersion(cfg, engine.roots.k1, engine.roots.k2).real)
+        roots = BetheEngine(cfg).roots
+        energy, kind = roots.energy, roots.kind
+        residual = np.abs(energy - dispersion(cfg, roots.k1, roots.k2).real)
         order = np.argsort(energy, kind="stable")  # ties keep root order
         rows = list(zip(range(len(order)), energy[order].tolist(), kind[order].tolist(),
                         residual[order].tolist()))
-        by_block = engine.eigenvalues[np.lexsort((engine.eigenvalues, engine.momenta))]
+        # by class (m1 + m2) mod N, ascending within one, as block_levels lists the levels
+        by_block = energy[np.lexsort((energy, (roots.m1 + roots.m2) % cfg.N))]
         mismatch = np.abs(by_block - levels).max()
         footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(mismatch)}")
         names, counts = np.unique(kind, return_counts=True)
@@ -181,10 +179,10 @@ def _series_footer(args, series, window) -> list[str]:
 
 
 def cmd_series(args) -> int:
-    cfg = _chain_config(args)
+    cfg = ChainConfig(N=args.sites, J=args.coupling)
     analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax, args.site)
     window = _eq_window(args)
-    engine = _make_engine(cfg, args.engine)
+    engine = ENGINES[args.engine](cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     series = site_series(engine, args.flips, args.site, args.horizon, args.dt, args.tmax)
@@ -203,9 +201,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = _chain_config(args)
+    cfg = ChainConfig(N=args.sites, J=args.coupling)
     analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax)
-    engine = _make_engine(cfg, args.engine)
+    engine = ENGINES[args.engine](cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grids = analysis.spacetime_scan(engine, args.flips, args.horizon, args.dt, args.tmax)

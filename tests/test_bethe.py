@@ -21,6 +21,8 @@ from pcx.chain import (
     SpectralEngine,
     all_pairs,
     basis_state,
+    block_levels,
+    block_sizes,
     circular_distance,
     pair_index,
     pair_unindex,
@@ -112,13 +114,13 @@ class TestEnumerateRoots:
         """Roots of class (m1 + m2) mod N = k have the levels of momentum block k."""
         cfg = ChainConfig(N=N)
         roots = enumerate_roots(cfg)
-        blocks = SpectralEngine(cfg)
+        blocks, momenta = block_levels(cfg), np.repeat(np.arange(N), block_sizes(N))
         classes = (roots.m1 + roots.m2) % N
         by_class = np.lexsort((roots.energy, classes))
         splits = np.cumsum(np.bincount(classes, minlength=N))[:-1]
         for k, members in enumerate(np.split(by_class, splits)):
             bethe = roots.energy[members]  # ascending within the class
-            levels = np.sort(blocks.eigenvalues[blocks.momenta == k])
+            levels = np.sort(blocks[momenta == k])
             assert bethe.shape == levels.shape, k
             assert np.max(np.abs(bethe - levels)) < 1e-12, k
 
@@ -276,7 +278,8 @@ class TestCompleteness:
 
     def test_engine_basis_orthonormal(self, bethe_engine32):
         vectors = full_stack(bethe_engine32)
-        for k, size in enumerate(np.bincount(bethe_engine32.momenta, minlength=32)):
+        roots = bethe_engine32.roots
+        for k, size in enumerate(np.bincount((roots.m1 + roots.m2) % 32, minlength=32)):
             Q = vectors[k, :, :size]
             assert np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) < 1e-10
 

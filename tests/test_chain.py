@@ -11,6 +11,8 @@ from pcx.chain import (
     SpectralEngine,
     all_pairs,
     basis_state,
+    block_levels,
+    block_sizes,
     pair_index,
     pair_permutation,
     pair_unindex,
@@ -211,7 +213,7 @@ class TestMomentumBlocks:
         cfg = ChainConfig(N=N, J=J)
         block, dense = SpectralEngine(cfg), DenseEngine(cfg)
         E, V = dense.spectral.eigenvalues, dense.spectral.eigenvectors
-        assert np.max(np.abs(np.sort(block.eigenvalues) - E)) < 1e-12
+        assert np.max(np.abs(np.sort(block_levels(cfg)) - E)) < 1e-12
         n1s, n2s = all_pairs(N)
         for t in (1.0, 9.0, 50.0):
             # column p is DenseEngine.pair_amplitudes of pair p
@@ -223,11 +225,11 @@ class TestMomentumBlocks:
     @pytest.mark.parametrize("N", ORACLE_RINGS)
     def test_level_count(self, N):
         cfg = ChainConfig(N=N, J=1.3)
-        engine = SpectralEngine(cfg)
-        assert len(engine.eigenvalues) == len(engine.momenta) == comb(N, 2)
+        levels, momenta = block_levels(cfg), np.repeat(np.arange(N), block_sizes(N))
+        assert len(levels) == len(momenta) == comb(N, 2)
         if N % 2 == 0:
             # K = pi: no hopping, and the one level at J is the alternating adjacent pair
-            at_pi = engine.eigenvalues[engine.momenta == N // 2]
+            at_pi = levels[momenta == N // 2]
             assert np.sum(np.abs(at_pi - cfg.J) < 1e-12) == 1
 
     @pytest.mark.parametrize("N", [5, 8, 31, 32])

@@ -1,7 +1,9 @@
-"""README.md's library example runs as written, and its flags table matches the parser."""
+"""README.md's library example runs as written, its command lines parse, and its flags
+table matches the parser."""
 
 import argparse
 import re
+import shlex
 from pathlib import Path
 
 from pcx.cli import build_parser
@@ -31,3 +33,16 @@ def test_flags_table_matches_parser():
     parsed = {cmd: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
               for cmd, sub in commands.items()}
     assert documented == parsed
+
+
+def test_command_lines_parse():
+    """Every `pcx ...` line of README's shell blocks parses as written; nothing is run.
+
+    The parser takes no abbreviation, so a stale or shortened flag fails here.
+    """
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("pcx ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

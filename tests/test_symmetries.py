@@ -11,12 +11,15 @@ symmetries of the ring hold at every N and need no oracle:
 The base flips (3, N-9) are N-12 apart, more than N/2, so their initial row
 is read by parity and their arc wraps past site N; translated by SHIFT they
 are 12 apart.  N = 511 is the largest ring within the block budget.
+BetheEngine, which fills the same quarter stack from the Bethe roots, is
+checked at N = 255 and 256.
 """
 
 import numpy as np
 import pytest
 
 from pcx.analysis import spacetime_scan
+from pcx.bethe import BetheEngine
 from pcx.chain import ChainConfig, SpectralEngine
 
 RADII, DT, TMAX = (1, 2, 3), 1.0, 4.0
@@ -29,19 +32,25 @@ def _grids(engine, flips) -> np.ndarray:
     return np.stack([g.values for g in spacetime_scan(engine, flips, RADII, DT, TMAX)])
 
 
-@pytest.fixture(scope="module", params=[255, 256, 511])
+@pytest.fixture(scope="module", params=[
+    pytest.param((SpectralEngine, 255), id="255"),
+    pytest.param((SpectralEngine, 256), id="256"),
+    pytest.param((SpectralEngine, 511), id="511"),
+    pytest.param((BetheEngine, 255), id="bethe-255"),
+    pytest.param((BetheEngine, 256), id="bethe-256"),
+])
 def scans(request):
     """Grids of the base flips and of their three images; one engine is alive at a time."""
-    N = request.param
+    Engine, N = request.param
     base = (3, N - 9)
-    engine = SpectralEngine(ChainConfig(N=N))
+    engine = Engine(ChainConfig(N=N))
     grids = {
         "base": _grids(engine, base),
         "translated": _grids(engine, tuple(sorted((n + SHIFT - 1) % N + 1 for n in base))),
         "reflected": _grids(engine, (N + 1 - base[1], N + 1 - base[0])),
     }
     del engine
-    grids["negative J"] = _grids(SpectralEngine(ChainConfig(N=N, J=-1.0)), base)
+    grids["negative J"] = _grids(Engine(ChainConfig(N=N, J=-1.0)), base)
     return grids
 
 
