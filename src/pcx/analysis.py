@@ -28,7 +28,6 @@ CHUNK_BYTES = 256 * 2**10
 class SiteSeries:
     """Entropy and complexity of one site sampled on a uniform time grid."""
 
-    j: int
     times: np.ndarray
     entropy: np.ndarray
     complexity: dict  # r_h -> array of bits
@@ -54,8 +53,6 @@ class EquilibriumStats:
 
     mean: float
     std: float
-    n_samples: int
-    window: tuple[float, float]
 
 
 def time_grid(dt: float, t_max: float, sites: int = 1) -> np.ndarray:
@@ -156,7 +153,7 @@ def site_series(engine, flips: tuple[int, int], j: int, r_h_list,
     r_h_list = tuple(r_h_list)
     times = check_run(engine.cfg, flips, r_h_list, dt, t_max, site=j)
     entropy, complexity = _observables(engine, flips, (j,), r_h_list, times)
-    return SiteSeries(j=j, times=times, entropy=entropy[0],
+    return SiteSeries(times=times, entropy=entropy[0],
                       complexity={r: c[0] for r, c in complexity.items()})
 
 
@@ -184,11 +181,9 @@ def equilibrium_stats(times: np.ndarray, values: np.ndarray,
         raise StatsError(f"window holds {n} samples; need at least {MIN_WINDOW_SAMPLES}")
     sel = values[mask]
     if sel.min() == sel.max():  # constant series: avoid round-off in the mean
-        return EquilibriumStats(mean=float(sel[0]), std=0.0,
-                                n_samples=n, window=(float(t0), float(t1)))
+        return EquilibriumStats(mean=float(sel[0]), std=0.0)
     mean = float(sel.mean())
-    return EquilibriumStats(mean=mean, std=float(np.sqrt(np.mean((sel - mean) ** 2))),
-                            n_samples=n, window=(float(t0), float(t1)))
+    return EquilibriumStats(mean=mean, std=float(np.sqrt(np.mean((sel - mean) ** 2))))
 
 
 def nearest_peak(times: np.ndarray, values: np.ndarray, t_hint: float,

@@ -34,7 +34,7 @@ from math import pi
 
 import numpy as np
 
-from .chain import ChainConfig, SpectralEngine, all_pairs, block_sizes, check_block_budget
+from .chain import ChainConfig, SpectralEngine, all_pairs, block_sizes
 from .errors import DegenerateRootError, SolverError
 
 NEWTON_TOL = 1e-12
@@ -350,7 +350,6 @@ class BetheEngine(SpectralEngine):
     name = "bethe"
 
     def __init__(self, cfg: ChainConfig):
-        check_block_budget(cfg)
         N, half = cfg.N, cfg.N // 2
         self.roots = enumerate_roots(cfg)
         sizes = block_sizes(N)

@@ -28,13 +28,18 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Largest eigenvector stack SpectralEngine and BetheEngine build,
+# 8 (floor(N/2)+1) floor(N/2)^2 bytes; N = 511 is the largest ring within it.
+MAX_BLOCK_BYTES = 128 * 2**20
+
 
 @dataclass(frozen=True)
 class ChainConfig:
     """Ring of N spin-1/2 sites with nearest-neighbour coupling J.
 
     J and every energy are given in one energy unit, and time in hbar per
-    that unit; the dynamics depend on J t only.
+    that unit; the dynamics depend on J t only.  N stays within the block
+    budget MAX_BLOCK_BYTES, so every engine can be built for any config.
     """
 
     N: int
@@ -46,6 +51,10 @@ class ChainConfig:
         # 4|J| bounds the sector levels, so it must be a finite float too
         if self.J == 0 or not isfinite(4 * abs(float(self.J))):
             raise ConfigError(f"coupling J must be nonzero with 4|J| finite, got J={self.J}")
+        nbytes = 8 * (self.N // 2 + 1) * (self.N // 2) ** 2
+        if nbytes > MAX_BLOCK_BYTES:
+            raise ConfigError(f"momentum blocks for N={self.N} need {nbytes / 2**20:.1f} MiB of "
+                              f"eigenvectors, over the budget of {MAX_BLOCK_BYTES / 2**20:.0f} MiB")
 
     @property
     def dim(self) -> int:
@@ -61,20 +70,9 @@ class ChainConfig:
 # Largest two-flip sector the dense oracle DenseEngine builds (several
 # dim x dim float64 matrices, 128 MB apiece at this size).
 MAX_SECTOR_DIM = 4000
-# Largest eigenvector stack SpectralEngine and BetheEngine build,
-# 8 (floor(N/2)+1) floor(N/2)^2 bytes; N = 511 is the largest ring within it.
-MAX_BLOCK_BYTES = 128 * 2**20
 # Blocks diagonalized per eigh call, which bounds the build's transient
 # arrays to a small part of the stack.
 EIGH_BATCH = 16
-
-
-def check_block_budget(cfg: ChainConfig):
-    """Refuse a momentum-block stack above MAX_BLOCK_BYTES, before anything is built."""
-    nbytes = 8 * (cfg.N // 2 + 1) * (cfg.N // 2) ** 2
-    if nbytes > MAX_BLOCK_BYTES:
-        raise ConfigError(f"momentum blocks for N={cfg.N} need {nbytes / 2**20:.1f} MiB of "
-                          f"eigenvectors, over the budget of {MAX_BLOCK_BYTES / 2**20:.0f} MiB")
 
 
 def circular_distance(a: int, b: int, N: int) -> int:
@@ -239,7 +237,6 @@ def _reduced_blocks(cfg: ChainConfig):
 
 def block_levels(cfg: ChainConfig) -> np.ndarray:
     """The C(N, 2) levels (relative to e0) by k = 0..N-1, ascending in a block; no eigenvectors."""
-    check_block_budget(cfg)  # the engines' ring limit, though no stack is built
     N = cfg.N
     energies = np.zeros((N // 2 + 1, N // 2))
     for ks, H in _reduced_blocks(cfg):
@@ -290,7 +287,6 @@ class SpectralEngine:
     name = "spectral"
 
     def __init__(self, cfg: ChainConfig):
-        check_block_budget(cfg)
         half = cfg.N // 2
         n_pairs = (cfg.N - 1) // 2
         vectors = np.zeros((half + 1, half, half))

@@ -2,9 +2,10 @@
 
 Subcommands: spectrum (sector eigenvalues, optionally from the Bethe
 backend with per-root diagnostics), series (per-site S and C columns with
-equilibrium and peak footers), scan (long-format CSV plus one grayscale
-PGM per grid), example (the 2x3 worked example).  Defaults mirror the
-reference recipe: N=32, J=1, flips 10 and 25, dt=0.2.
+equilibrium footers, plus collision-peak lines for site 17 of the
+reference recipe), scan (long-format CSV plus one grayscale PGM per grid),
+example (the 2x3 worked example).  Defaults mirror the reference recipe:
+N=32, J=1, flips 10 and 25, dt=0.2.
 
 Exit codes: 0 success, 2 configuration or input error, 3 I/O error, 4 solver
 failure.  argparse parses all input, and main reports every refusal, a
@@ -29,16 +30,18 @@ from .errors import ConfigError, NormalizationError, PeakNotFoundError, SolverEr
 from .predictive import worked_qubit_qutrit_example
 
 PEAK_HINT = 9.0
-PEAK_HINT_FLIPS = (10, 25)
+# (N, J, flips, site) of the run whose first collision sits near PEAK_HINT
+PEAK_RECIPE = (32, 1.0, (10, 25), 17)
 ENGINES = {engine.name: engine for engine in (SpectralEngine, BetheEngine)}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Full option names only, `-1e-3` read as a value; a usage error is a one-line ConfigError."""
+    """Full option names only, `-inf` or `-j,...` read as values; a usage error is one ConfigError."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")  # no pcx option looks like a number
+        # a single dash starts a value: every pcx option but -h has two, and -h is matched first
+        self._negative_number_matcher = re.compile(r"-(?!-)")
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -165,7 +168,7 @@ def _series_footer(args, series, window) -> list[str]:
         st = stats[name]
         footer.append(f"eq_mean {name} {io.fmt(st.mean)}")
         footer.append(f"eq_std {name} {io.fmt(st.std)}")
-    if tuple(args.flips) == PEAK_HINT_FLIPS:
+    if (args.sites, args.coupling, tuple(args.flips), args.site) == PEAK_RECIPE:
         for name, vals in columns:
             try:
                 ratio = analysis.peak_ratio(series.times, vals, PEAK_HINT, stats[name])

@@ -6,9 +6,7 @@ import numpy as np
 
 
 def fmt(x) -> str:
-    """17-significant-digit decimal rendering of a number."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    """17-significant-digit decimal rendering of a number; an integer below 2^53 reads as itself."""
     return format(float(x), ".17g")
 
 

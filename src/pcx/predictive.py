@@ -160,7 +160,6 @@ def _collapse(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
 class PredictiveState(BipartiteState):
     """State on H_A (x) H'_B in the [gamma.., remainder..] coordinates."""
 
-    partition: EquivalencePartition = None
     degenerate_phases: int = 0
 
 
@@ -183,7 +182,7 @@ def predictive_map(psi: BipartiteState, part: EquivalencePartition) -> Predictiv
         blocks.append(col[:, None])
     blocks.append(psi.amplitudes @ np.conj(part.remainder))
     out = np.hstack(blocks)
-    return PredictiveState(amplitudes=out, partition=part, degenerate_phases=n_degenerate)
+    return PredictiveState(amplitudes=out, degenerate_phases=n_degenerate)
 
 
 def reduced_density(psi: BipartiteState, side: str = "a") -> np.ndarray:

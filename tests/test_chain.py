@@ -80,6 +80,12 @@ class TestChainConfig:
         with pytest.raises(ConfigError, match="finite"):
             ChainConfig(N=8, J=J)
 
+    def test_ring_limit(self):
+        """N = 511 is the largest ring whose momentum-block stack fits the budget."""
+        assert ChainConfig(N=511).N == 511
+        with pytest.raises(ConfigError, match="budget"):
+            ChainConfig(N=512)
+
 
 class TestSectorHamiltonian:
     def test_real_symmetric(self):

@@ -117,16 +117,28 @@ class TestSeriesCommand:
                      "--out", str(tmp_path)]) == 2
 
     def test_reference_recipe_footer_ratios(self, tmp_path):
-        """Default recipe footer carries the collision-peak ratios."""
+        """Default recipe footer carries the headline figures: peak ratios, peak time, std ratio."""
         code = main(["series", "--site", "17", "--out", str(tmp_path)])
         assert code == 0
         _, _, _, footer = read_csv(tmp_path / "series_site17.csv")
         s_line = next(l for l in footer if l.startswith("peak S_bits"))
         ratio = float(s_line.split("ratio_to_eq_mean=")[1])
-        assert ratio == pytest.approx(2.08, rel=0.10)
+        assert ratio == pytest.approx(2.08, rel=0.10)  # AC-1
         c_line = next(l for l in footer if l.startswith("peak C_bits_rh1"))
         c_ratio = float(c_line.split("ratio_to_eq_mean=")[1])
-        assert c_ratio == pytest.approx(4.13, rel=0.10)
+        assert c_ratio == pytest.approx(4.13, rel=0.10)  # AC-2
+        s_time = float(s_line.split("t=")[1].split()[0])
+        assert abs(s_time - 9.0) <= 0.5  # AC-3
+        std = {l.split()[1]: float(l.split()[2]) for l in footer if l.startswith("eq_std ")}
+        assert 1.5 <= std["S_bits"] / std["C_bits_rh1"] <= 2.5  # AC-4
+
+    def test_peak_lines_only_for_recipe_site(self, tmp_path):
+        """The recipe's flips at a site between no collision get no collision-peak lines."""
+        assert main(["series", "--sites", "64", "--flips", "10,25", "--site", "3", "--tmax", "20",
+                     "--eq-window", "0,20", "--out", str(tmp_path)]) == 0
+        _, _, _, footer = read_csv(tmp_path / "series_site3.csv")
+        assert any(l.startswith("eq_mean S_bits") for l in footer)
+        assert not [l for l in footer if l.startswith("peak")]
 
 
 class TestScanCommand:
@@ -273,12 +285,14 @@ class TestConfigErrors:
         (["example", "--amplitudes", "1,2,x,4,5,6"], "argument --amplitudes: "),
         (["scan", "--site", "30", "--tmax", "2", "--dt", "1"], "unrecognized arguments: --site"),
         (["series", "--site", "5", "--flip", "1,2"], "unrecognized arguments: --flip"),
+        (["spectrum", "--sites", "8", "--coupling", "-inf"],
+         "coupling J must be nonzero with 4|J| finite"),
     ], ids=["flips-trailing-comma", "flips-reversed", "horizon-empty-radius",
             "horizon-trailing-comma", "eq-window-one-number", "sites-not-int", "site-missing",
             "spectrum-dt", "spectrum-flips", "spectrum-horizon", "spectrum-tmax",
             "spectrum-eq-window", "scan-eq-window", "scan-too-many-cells", "no-subcommand",
             "engine-unknown", "amplitudes-too-few", "amplitudes-not-complex",
-            "scan-site-not-abbreviated", "series-flip-not-abbreviated"])
+            "scan-site-not-abbreviated", "series-flip-not-abbreviated", "coupling-minus-inf"])
     def test_refused_input_exit_2(self, tmp_path, capsys, monkeypatch, argv, fragment):
         """Malformed, unknown and out-of-range input all end in one error line from main."""
         monkeypatch.chdir(tmp_path)  # --out defaults to the working directory
@@ -293,7 +307,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("option, value, argv", [
         ("--amplitudes", "-0.5,0.5,0,0.5,0,0.5", ["example"]),
         ("--coupling", "-1e-3", ["spectrum", "--sites", "8"]),
-    ], ids=["amplitudes-negative-first", "coupling-negative-exponent"])
+        ("--amplitudes", "-j,0,0,0,0,1", ["example"]),
+    ], ids=["amplitudes-negative-first", "coupling-negative-exponent", "amplitudes-minus-j"])
     def test_value_with_leading_minus_is_a_value(self, tmp_path, capsys, monkeypatch,
                                                  option, value, argv):
         """`--opt -1e-3` reads -1e-3 as the value, and gives the output of `--opt=-1e-3`."""

@@ -1,5 +1,5 @@
-"""README.md's library example runs as written, its command lines parse, and its flags
-table matches the parser."""
+"""README.md's library example runs as written, its command lines parse, its flags
+table matches the parser, and its layout names only paths that exist."""
 
 import argparse
 import re
@@ -46,3 +46,24 @@ def test_command_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_layout_paths_exist():
+    """Each path of the Layout block is in the checkout.
+
+    An unindented entry is a path from the repository root; an entry indented
+    by two spaces lists the files of the directory above it, comma-separated;
+    deeper lines continue a description.
+    """
+    block = re.search(r"## Layout\n\n```\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+    root, paths = README.parent, []
+    for line in block.splitlines():
+        entry = re.split(r"\s{2,}", line.strip())[0]
+        indent = len(line) - len(line.lstrip())
+        if indent == 0:
+            directory = root / entry
+            paths.append(directory)
+        elif indent == 2:
+            paths += [directory / name for name in entry.split(", ")]
+    assert root / "src/pcx/cli.py" in paths
+    assert [str(p.relative_to(root)) for p in paths if not p.exists()] == []
