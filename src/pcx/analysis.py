@@ -22,6 +22,9 @@ MAX_TIME_POINTS = 10**6
 # kernel, which batches T = CHUNK_BYTES // (8 N (N-1)) time steps (at least
 # one); this bounds the kernel's working memory at any N.
 CHUNK_BYTES = 256 * 2**10
+# Tolerance, relative to the last time, of a grid point t = k dt: of tmax as a
+# multiple of dt and of a window edge; MAX_TIME_POINTS keeps it below 1e-3 dt.
+GRID_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ def time_grid(dt: float, t_max: float, sites: int = 1) -> np.ndarray:
     if not np.isfinite(n_steps) or sites * (round(n_steps) + 1) > MAX_TIME_POINTS:
         raise ConfigError(f"dt={dt} gives more than {MAX_TIME_POINTS} (site, time) cells on "
                           f"{sites} site(s) up to tmax={t_max}")
-    if abs(round(n_steps) * dt - t_max) > 1e-9 * t_max:
+    if abs(round(n_steps) * dt - t_max) > GRID_RTOL * t_max:
         raise ConfigError(f"dt={dt} does not divide tmax={t_max}")
     return np.arange(int(round(n_steps)) + 1) * dt
 
@@ -171,11 +174,12 @@ def spacetime_scan(engine, flips: tuple[int, int], r_h_list,
 
 def equilibrium_stats(times: np.ndarray, values: np.ndarray,
                       window: tuple[float, float]) -> EquilibriumStats:
-    """Arithmetic mean and population std over samples with t in [t0, t1]."""
+    """Arithmetic mean and population std over samples with t in [t0, t1] (edges to GRID_RTOL)."""
     t0, t1 = window
-    if t0 > t1 or t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
+    tol = GRID_RTOL * abs(times[-1])
+    if t0 > t1 or t0 < times[0] - tol or t1 > times[-1] + tol:
         raise StatsError(f"window {window} not contained in the time grid")
-    mask = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
+    mask = (times >= t0 - tol) & (times <= t1 + tol)
     n = int(mask.sum())
     if n < MIN_WINDOW_SAMPLES:
         raise StatsError(f"window holds {n} samples; need at least {MIN_WINDOW_SAMPLES}")

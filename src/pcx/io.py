@@ -4,33 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 
+FLOAT = "%.17g"  # the one number format of tables, footers and preambles; reads back exactly
+
 
 def fmt(x) -> str:
-    """17-significant-digit decimal rendering of a number; an integer below 2^53 reads as itself."""
-    return format(float(x), ".17g")
+    """FLOAT rendering of a number; an integer below 2^53 reads as itself."""
+    return FLOAT % float(x)
 
 
 def fmt_all(values: np.ndarray) -> list[str]:
     """fmt of every element of a float array, in order."""
-    return [format(x, ".17g") for x in np.asarray(values, dtype=np.float64).tolist()]
+    return [FLOAT % x for x in np.asarray(values, dtype=np.float64).tolist()]
 
 
-def write_csv(path, columns, rows, preamble=(), footer=()):
+def write_csv(path, columns, chunks, preamble=(), footer=()):
     """Plain comma-separated file: '#' preamble, header row, data, '#' footer.
 
-    Each item of rows is either a sequence of cells, written with fmt
-    (str cells as given), or a str of complete lines already formatted,
-    written as is.
+    Each chunk is (template, numbers): the text of one or more rows with one
+    FLOAT field per number, filled by one `%` and written as is.
     """
     with open(path, "w", newline="\n") as fh:
         for line in preamble:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            if isinstance(row, str):
-                fh.write(row)
-            else:
-                fh.write(",".join(fmt(x) if not isinstance(x, str) else x for x in row) + "\n")
+        for template, numbers in chunks:
+            fh.write(template % tuple(np.asarray(numbers, dtype=np.float64).ravel().tolist()))
         for line in footer:
             fh.write(f"# {line}\n")
 

@@ -276,6 +276,16 @@ class TestEquilibriumStats:
         with pytest.raises(StatsError):
             equilibrium_stats(times, np.ones_like(times), (100.0, 300.0))
 
+    def test_window_edges_at_late_times(self):
+        """Edges match grid points past t = 16384, and a window one step past the run is refused."""
+        times = np.arange(15001) * 1.1
+        values = np.arange(15001.0)
+        stats = equilibrium_stats(times, values, (16276.7, 16385.6))
+        assert stats.mean == np.mean(values[14797:14897])
+        for window in [(16276.7, times[-1] + 1.1), (times[0] - 1.1, 16385.6)]:
+            with pytest.raises(StatsError, match="not contained"):
+                equilibrium_stats(times, values, window)
+
     def test_mean_stable_under_window_shift(self, recipe_series):
         """Thermalized mean moves little when the window shifts by one step."""
         s = recipe_series.entropy

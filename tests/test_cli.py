@@ -1,11 +1,11 @@
-from math import comb
+from math import comb, inf, nan
 
 import numpy as np
 import pytest
 
 from pcx import io
-from pcx.analysis import spacetime_scan
-from pcx.chain import ChainConfig, SpectralEngine
+from pcx.analysis import site_series, spacetime_scan
+from pcx.chain import ChainConfig, SpectralEngine, block_levels
 from pcx.cli import main
 
 
@@ -20,6 +20,15 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return preamble, header, rows, footer
+
+
+def cell_by_cell_csv(preamble, columns, rows, footer=()):
+    """The bytes of a CSV written one cell at a time: a number as format(float(x), ".17g"), a str as is."""
+    lines = [f"# {line}" for line in preamble] + [",".join(columns)]
+    lines += [",".join(x if isinstance(x, str) else format(float(x), ".17g") for x in row)
+              for row in rows]
+    lines += [f"# {line}" for line in footer]
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestSpectrumCommand:
@@ -53,6 +62,22 @@ class TestSpectrumCommand:
         _, _, rows, _ = read_csv(tmp_path / "spectrum.csv")
         assert rows[-1] == ["27", "0", "k-zero", "0"]
         assert not any(r[1].startswith("-0") and float(r[1]) == 0 for r in rows)
+
+    def test_spectral_csv_matches_cell_by_cell_writer(self, tmp_path):
+        """The spectral table is the sorted block levels, one formatted cell at a time."""
+        assert main(["spectrum", "--sites", "9", "--out", str(tmp_path)]) == 0
+        levels = np.sort(block_levels(ChainConfig(N=9)))
+        rows = [(i, e, "", "") for i, e in enumerate(levels)]
+        preamble, header, _, footer = read_csv(tmp_path / "spectrum.csv")
+        reference = cell_by_cell_csv(preamble, header, rows, footer)
+        assert reference == (tmp_path / "spectrum.csv").read_bytes()
+
+    def test_bethe_numeric_cells_in_one_format(self, tmp_path):
+        assert main(["spectrum", "--sites", "12", "--engine", "bethe", "--out", str(tmp_path)]) == 0
+        _, _, rows, _ = read_csv(tmp_path / "spectrum.csv")
+        cells = [cell for row in rows for cell in (row[0], row[1], row[3])]
+        assert len(cells) == 3 * comb(12, 2)
+        assert all(format(float(cell), ".17g") == cell for cell in cells)
 
     def test_bethe_footer_compares_blocks(self, tmp_path, monkeypatch):
         """A level filed under the wrong momentum shows in the footer, though the spectrum is whole."""
@@ -106,6 +131,34 @@ class TestSeriesCommand:
         _, _, _, footer = series_csv
         assert any(l.startswith("eq_mean S_bits") for l in footer)
         assert any(l.startswith("eq_std C_bits_rh1") for l in footer)
+
+    def test_csv_matches_cell_by_cell_writer(self, tmp_path):
+        """The series body is the site_series values, one formatted cell at a time."""
+        argv = ["--sites", "16", "--flips", "4,11", "--site", "8", "--horizon", "1,2",
+                "--dt", "0.2", "--tmax", "40", "--eq-window", "20,40"]
+        assert main(["series", *argv, "--out", str(tmp_path)]) == 0
+        series = site_series(SpectralEngine(ChainConfig(N=16)), (4, 11), 8, (1, 2), 0.2, 40.0)
+        rows = zip(series.times, series.entropy, series.complexity[1], series.complexity[2])
+        preamble, header, _, footer = read_csv(tmp_path / "series_site8.csv")
+        reference = cell_by_cell_csv(preamble, header, rows, footer)
+        assert reference == (tmp_path / "series_site8.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["--dt", "1.1", "--tmax", "16500", "--eq-window", "16276.7,16385.6"],
+        ["--dt", "1.7", "--tmax", "18669.4"],
+    ], ids=["explicit-window", "default-window"])
+    def test_eq_window_at_late_times(self, tmp_path, argv):
+        """Past t = 16384 a grid point t = k dt sits more than 1e-12 off its decimal; the window keeps it."""
+        assert main(["series", "--sites", "8", "--flips", "1,3", "--site", "2", "--horizon", "1",
+                     *argv, "--out", str(tmp_path)]) == 0
+        _, _, rows, footer = read_csv(tmp_path / "series_site2.csv")
+        window = next(l for l in footer if l.startswith("equilibrium window"))
+        t0, t1 = (float(x) for x in window.split("[")[1].split("]")[0].split(","))
+        inside = [float(r[1]) for r in rows if t0 - 1e-6 <= float(r[0]) <= t1 + 1e-6]
+        assert len(inside) >= 100
+        assert not [l for l in footer if "omitted" in l]
+        mean = next(float(l.split()[2]) for l in footer if l.startswith("eq_mean S_bits"))
+        assert mean == pytest.approx(np.mean(inside), rel=1e-12)
 
     def test_degenerate_horizon_exit_code(self, tmp_path):
         assert main(["series", "--sites", "8", "--flips", "1,4", "--site", "2",
@@ -172,16 +225,15 @@ class TestScanCommand:
         assert "0..1 bits" in text
         assert "dt=0.5" in text
 
-    def test_csv_matches_cell_by_cell_writer(self, scan_dir, tmp_path):
-        """The bulk writer gives the bytes of one formatted row per cell."""
+    def test_csv_matches_cell_by_cell_writer(self, scan_dir):
+        """The template writer gives the bytes of one formatted row per cell."""
         cfg = ChainConfig(N=12)
         grids = spacetime_scan(SpectralEngine(cfg), (3, 7), (2,), 0.5, 10.0)
         rows = [(grid.times[k], j, grid.label, grid.values[j - 1, k])
                 for grid in grids for j in range(1, 13) for k in range(len(grid.times))]
         preamble, _, _, _ = read_csv(scan_dir / "scan.csv")
-        io.write_csv(tmp_path / "scan.csv", ("t", "site", "kind", "value_bits"), rows,
-                     preamble=preamble)
-        assert (tmp_path / "scan.csv").read_bytes() == (scan_dir / "scan.csv").read_bytes()
+        reference = cell_by_cell_csv(preamble, ("t", "site", "kind", "value_bits"), rows)
+        assert reference == (scan_dir / "scan.csv").read_bytes()
 
     def test_pixel_quantization(self, scan_dir):
         _, _, rows, _ = read_csv(scan_dir / "scan.csv")
@@ -190,6 +242,14 @@ class TestScanCommand:
         pixels = (scan_dir / "scan_S.pgm").read_bytes().split(b"\n", 3)[3]
         img = np.frombuffer(pixels, dtype=np.uint8).reshape(12, 21)
         assert np.array_equal(img, np.rint(255 * values).astype(np.uint8))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1 / 3, 2.0**53 - 1, 1e308, inf, nan, 3])
+def test_template_and_fmt_agree(tmp_path, x):
+    """A table cell and a footer or preamble number print alike."""
+    io.write_csv(tmp_path / "one.csv", ("x",), [(io.FLOAT + "\n", [x])])
+    cell = (tmp_path / "one.csv").read_text().splitlines()[1]
+    assert cell == io.fmt(x) == format(float(x), ".17g")
 
 
 class TestBetheEngineRuns:
