@@ -8,13 +8,13 @@ the scattering relation 2 cot(theta/2) = cot(k1/2) - cot(k2/2).
 Quantum-number cells fall into three families, each solved as arrays
 over all of its cells at once:
   * (0, m): one momentum zero, theta = 0, closed form ("k-zero");
-  * m2 - m1 >= 2 with both >= 1: real momentum pairs, solved by one masked
-    array Newton over all cells, bracketed on theta in (0, pi)
-    ("real-pair");
+  * m2 - m1 >= 2 with both >= 1: real momentum pairs, bracketed on theta
+    in (0, pi) ("real-pair");
   * one cell per total momentum class 2..N-2: mostly complex-conjugate
     momenta K/2 +- i v ("bound"), whose depths v solve one real equation
     each, by one array bisection over the cells; where that equation has
-    no root the cell is a real close pair, solved by the same array Newton.
+    no root the cell is a real close pair, solved with the real pairs by
+    one masked array Newton, each cell on its own bracket.
 
 `enumerate_roots` returns the roots as one record array over ROOT_DTYPE.
 For even N the momentum-pi cell is the singular limit v -> infinity of
@@ -23,8 +23,9 @@ energy J, and its wavefunction is the closed-form alternating adjacent-pair
 state, so the Bethe basis is orthonormal as built.
 
 A root of cell (m1, m2) has total momentum K = 2 pi (m1 + m2)/N; `BetheEngine`
-puts the states of each momentum class k <= N/2, built as one `block_vectors`
-batch, into that momentum block of `chain.SpectralEngine`'s quarter stack.
+puts the states of each momentum class k <= N/2 into that momentum block of
+`chain.SpectralEngine`'s quarter stack, with one `block_vectors` call per
+`chain.block_batches` batch of same-parity classes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import pi
 
 import numpy as np
 
-from .chain import ChainConfig, SpectralEngine, all_pairs, block_sizes
+from .chain import ChainConfig, SpectralEngine, all_pairs, block_batches, block_sizes
 from .errors import DegenerateRootError, SolverError
 
 NEWTON_TOL = 1e-12
@@ -200,14 +201,11 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
     to below c at v = ln(2/c), so there is at most one root and bisection
     on that bracket needs no seed.  Only the sinh form can miss
     (c >= 1 - 2/N): the bound state has then dissolved into a real close
-    pair, solved like the real pairs on (1e-6, pi - 1e-4).
+    pair, solved in the real pairs' Newton pass on (1e-6, pi - 1e-4).
     """
     N = cfg.N
     m1, m2 = np.triu_indices(N, 2)
     m1, m2 = m1[m1 >= 1], m2[m1 >= 1]  # real pairs: m2 - m1 >= 2, both >= 1
-    theta = _real_cell_roots(m1, m2, N, 1e-9, pi - 1e-12)
-    _refuse_unsolved(theta, m1, m2, "real-pair cell ({},{}) did not converge")
-
     mclass = np.arange(2, N - 1)
     sigma = mclass[2 * mclass != N]
     sigma = np.where(sigma < N / 2, sigma, sigma + N)
@@ -215,15 +213,19 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
     b2 = sigma - b1
     c = np.cos(pi * sigma / N)
     close = (b1 != b2) & (c >= 1 - 2 / N)
-    theta_close = _real_cell_roots(b1[close], b2[close], N, 1e-6, pi - 1e-4)
-    _refuse_unsolved(theta_close, b1[close], b2[close],
+    # one Newton over the real pairs on (1e-9, pi - 1e-12), then the close pairs on (1e-6, pi - 1e-4)
+    is_close = np.arange(len(m1) + np.count_nonzero(close)) >= len(m1)
+    m1, m2 = np.concatenate((m1, b1[close])), np.concatenate((m2, b2[close]))
+    theta = _real_cell_roots(m1, m2, N, np.where(is_close, 1e-6, 1e-9),
+                             np.where(is_close, pi - 1e-4, pi - 1e-12))
+    _refuse_unsolved(theta[~is_close], m1, m2, "real-pair cell ({},{}) did not converge")
+    _refuse_unsolved(theta[is_close], m1[is_close], m2[is_close],
                      "no solution found for momentum-class cell ({},{})")
     bound = ~close
     v = _bound_depths(c[bound], b1[bound] == b2[bound], N)
 
-    m1 = np.concatenate((m1, b1[close], b1[bound]))
-    m2 = np.concatenate((m2, b2[close], b2[bound]))
-    theta = np.concatenate((theta, theta_close, pi * (b2 - b1)[bound] + 1j * (N * v)))
+    m1, m2 = np.concatenate((m1, b1[bound])), np.concatenate((m2, b2[bound]))
+    theta = np.concatenate((theta, pi * (b2 - b1)[bound] + 1j * (N * v)))
     # k_i = (2 pi m_i +- theta)/N with each part divided by N: numpy's complex
     # division would multiply by 1/N instead and round differently
     k1 = (2 * pi * m1 + theta.real) / N + 1j * (theta.imag / N)
@@ -302,7 +304,8 @@ def block_vectors(roots: np.recarray, cfg: ChainConfig) -> np.ndarray:
     # (-1)^{jr} cos(q r + theta/2) = cos((q - pi j) r + theta/2)
     phi = np.multiply.outer(q.real - pi * j, r)
     phi += theta.real[:, None] / 2
-    phi = 2 * np.cos(phi, out=phi)
+    np.cos(phi, out=phi)
+    phi *= 2  # in place: a batch holds many classes
     phi[singular] = 0.0
     phi[singular, 0], phi[singular, -1] = 1.0, (-1.0) ** (N // 2)
     z = np.multiply.outer(q[cplx], r) + theta[cplx, None] / 2
@@ -335,13 +338,14 @@ class BetheEngine(SpectralEngine):
     """Evolution backend built on the full set of Bethe eigenstates.
 
     Every root is solved, and the quarter stack of SpectralEngine is filled
-    class by class: the roots of class (m1 + m2) mod N = k <= N/2, in root
-    order, give the levels of momentum block k through one `block_vectors`
-    call, of which the rows r <= N/2 are kept; evolution is SpectralEngine's,
-    with its two mirror rules.  The stack is used as built, never repaired:
-    each class must hold one root per level, each stored block must satisfy
-    max|V_k^T V_k - I| <= ORTHONORMALITY_TOL on all N - 1 rows, and a class
-    k > N/2, which builds no vectors, must hold the levels of class N - k to
+    by one `block_vectors` call per `chain.block_batches` batch of classes:
+    the roots of class (m1 + m2) mod N = k <= N/2, in root order, give the
+    levels of momentum block k on its rows r <= N/2; evolution is
+    SpectralEngine's, with its two mirror rules.  The stack is used as
+    built, never repaired: each class must hold one root per level, each
+    stored block must satisfy max|V_k^T V_k - I| <= ORTHONORMALITY_TOL on
+    all N - 1 rows, checked class by class, and a class k > N/2, which
+    builds no vectors, must hold the levels of class N - k to
     CLASS_MIRROR_TOL |J|; so a missing, repeated or misplaced state is refused.
     Besides the propagation state it keeps only `roots`, the ROOT_DTYPE table
     that `spectrum` writes and checks against `chain.block_levels`.
@@ -360,23 +364,23 @@ class BetheEngine(SpectralEngine):
             raise SolverError(f"Bethe basis is incomplete: {counts[k]} roots for the "
                               f"{sizes[k]} levels of momentum block k={k}")
         order = np.argsort(classes, kind="stable")
-        members = np.split(order, np.cumsum(sizes)[:-1])
+        members, energy = np.split(order, np.cumsum(sizes)[:-1]), self.roots.energy
         for k in range(half + 1, N):  # no vectors above N/2; the levels must mirror class N - k
-            error = np.max(np.abs(np.sort(self.roots.energy[members[k]])
-                                  - np.sort(self.roots.energy[members[N - k]])))
+            error = np.max(np.abs(np.sort(energy[members[k]]) - np.sort(energy[members[N - k]])))
             if not error <= CLASS_MIRROR_TOL * abs(cfg.J):
                 raise SolverError(f"momentum classes k={k} and {N - k} hold different levels "
                                   f"(max difference {error:.3e})")
         vectors, energies = np.zeros((half + 1, half, half)), np.zeros((half + 1, half))
-        for k in range(half + 1):
-            batch = self.roots[members[k]]
-            phi = block_vectors(batch, cfg)
-            gram = phi @ phi.T
-            gram[np.diag_indices(len(batch))] -= 1.0
-            error = np.max(np.abs(gram))
-            if not error <= ORTHONORMALITY_TOL:
-                raise SolverError(f"Bethe basis is numerically incomplete in momentum block k={k} "
-                                  f"(max|V_k^T V_k - I| = {error:.3e})")
-            vectors[k, :, :len(batch)] = phi[:, :half].T
-            energies[k, :len(batch)] = batch.energy
+        for ks, size in block_batches(N):
+            batch = self.roots[np.concatenate([members[k] for k in ks])]
+            phi = block_vectors(batch, cfg).reshape(len(ks), size, N - 1)
+            for k, block in zip(ks, phi):
+                gram = block @ block.T
+                gram.flat[::size + 1] -= 1.0
+                error = np.max(np.abs(gram))
+                if not error <= ORTHONORMALITY_TOL:
+                    raise SolverError(f"Bethe basis is numerically incomplete in momentum block "
+                                      f"k={k} (max|V_k^T V_k - I| = {error:.3e})")
+            vectors[ks, :, :size] = phi[..., :half].transpose(0, 2, 1)
+            energies[ks, :size] = batch.energy.reshape(len(ks), size)
         self._set_blocks(cfg, vectors, energies)

@@ -70,9 +70,11 @@ class ChainConfig:
 # Largest two-flip sector the dense oracle DenseEngine builds (several
 # dim x dim float64 matrices, 128 MB apiece at this size).
 MAX_SECTOR_DIM = 4000
-# Blocks diagonalized per eigh call, which bounds the build's transient
-# arrays to a small part of the stack.
-EIGH_BATCH = 16
+# Bytes that one batch of same-parity blocks may take on all N - 1 rows,
+# 8 (N - 1) per level; both engine builds go batch by batch, which keeps
+# their transient arrays to a few times this.  A block at N = 511 takes
+# 0.99 MiB, so there every block is a batch of its own.
+BATCH_BYTES = 2**20
 
 
 def circular_distance(a: int, b: int, N: int) -> int:
@@ -207,32 +209,40 @@ def block_sizes(N: int) -> np.ndarray:
     return (N - 1) // 2 + ((N % 2 == 0) & (np.arange(N) % 2 == 0))
 
 
+def block_batches(N: int):
+    """The blocks k <= N/2, even k then odd k, in runs of one size within BATCH_BYTES.
+
+    Yields (ks, size), size the number of levels of each block ks[i].
+    """
+    for parity in (0, 1):
+        size = int(block_sizes(N)[parity])
+        step = max(1, BATCH_BYTES // (8 * size * (N - 1)))
+        ks = np.arange(parity, N // 2 + 1, 2)
+        for start in range(0, len(ks), step):
+            yield ks[start:start + step], size
+
+
 def _reduced_blocks(cfg: ChainConfig):
-    """The parity-reduced blocks k <= N/2, at most EIGH_BATCH of one parity at a time.
+    """The parity-reduced blocks k <= N/2, one `block_batches` batch at a time.
 
     Yields (ks, H), where H[i] is block ks[i] in the basis
     (|m> + s|N-m>)/sqrt(2), m < N/2, then |N/2> when N is even and
     s = (-1)^k = +1 (see `SpectralEngine`).
     """
     N, J = cfg.N, cfg.J
-    k = np.arange(N // 2 + 1)
     n_pairs = (N - 1) // 2  # the r = m, N - m pairs with m < N/2
-    for parity in (1, -1):  # even k, then odd k: one block size each
-        middle = N % 2 == 0 and parity == 1
-        size = n_pairs + middle
+    for ks, size in block_batches(N):
         i = np.arange(size)
-        ks_all = k[(1 - parity) // 2::2]
-        for ks in np.split(ks_all, np.arange(EIGH_BATCH, len(ks_all), EIGH_BATCH)):
-            t = -J * np.cos(np.pi * ks / N)[:, None]
-            H = np.zeros((len(ks), size, size))
-            H[:, i, i] = 2.0 * J
-            H[:, 0, 0] = J
-            H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = t
-            if middle:  # the last pair state meets |N/2> from both sides
-                H[:, -1, -2] = H[:, -2, -1] = np.sqrt(2.0) * t[:, 0]
-            elif N % 2:  # the last pair, r = (N-1)/2 and (N+1)/2, are neighbours
-                H[:, -1, -1] += parity * t[:, 0]
-            yield ks, H
+        t = -J * np.cos(np.pi * ks / N)[:, None]
+        H = np.zeros((len(ks), size, size))
+        H[:, i, i] = 2.0 * J
+        H[:, 0, 0] = J
+        H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = t
+        if size > n_pairs:  # the last pair state meets |N/2> from both sides
+            H[:, -1, -2] = H[:, -2, -1] = np.sqrt(2.0) * t[:, 0]
+        elif N % 2:  # the last pair, r = (N-1)/2 and (N+1)/2, are neighbours
+            H[:, -1, -1] += (-1.0) ** ks[0] * t[:, 0]
+        yield ks, H
 
 
 def block_levels(cfg: ChainConfig) -> np.ndarray:

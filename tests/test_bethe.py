@@ -143,6 +143,40 @@ class TestEnumerateRoots:
         improved = np.abs(_cell_function(further, m1, m2, N)) < np.abs(f)
         assert np.sum(improved) <= 0.01 * len(theta)
 
+    @pytest.mark.parametrize("lost, message", [
+        ("close", r"no solution found for momentum-class cell \(1,2\)"),
+        ("both", r"real-pair cell \(3,7\) did not converge"),
+    ])
+    def test_close_pair_refused(self, monkeypatch, lost, message):
+        """An unsolved close pair (m2 = m1 + 1) is refused by name; an unsolved real pair first."""
+        import pcx.bethe
+
+        real_roots = pcx.bethe._real_cell_roots
+
+        def unsolved(m1, m2, N, lo, hi):
+            theta = real_roots(m1, m2, N, lo, hi)
+            theta[(m2 - m1 == 1) | ((lost == "both") & (m1 == 3) & (m2 == 7))] = np.nan
+            return theta
+
+        monkeypatch.setattr(pcx.bethe, "_real_cell_roots", unsolved)
+        with pytest.raises(SolverError, match=message):
+            enumerate_roots(ChainConfig(N=32))
+
+    def test_merged_cells_keep_their_bits(self):
+        """Real and close pairs solved in one pass give the bits of each family solved alone."""
+        N = 32
+        m1, m2 = np.triu_indices(N, 2)
+        m1, m2 = m1[m1 >= 1], m2[m1 >= 1]
+        b1, b2 = np.array([1, 30]), np.array([2, 31])  # the close pairs at N = 32
+        real = _real_cell_roots(m1, m2, N, 1e-9, pi - 1e-12)
+        close = _real_cell_roots(b1, b2, N, 1e-6, pi - 1e-4)
+        is_close = np.arange(len(m1) + 2) >= len(m1)
+        merged = _real_cell_roots(np.r_[m1, b1], np.r_[m2, b2], N, np.where(is_close, 1e-6, 1e-9),
+                                  np.where(is_close, pi - 1e-4, pi - 1e-12))
+        assert not np.isnan(merged).any()
+        assert merged.tobytes() == np.r_[real, close].tobytes()
+        assert _real_cell_roots(m1[::7], m2[::7], N, 1e-9, pi - 1e-12).tobytes() == real[::7].tobytes()
+
     def test_bracket_without_sign_change_refused(self):
         """A bracket whose ends share a sign is refused, even with the root at its midpoint."""
         m1, m2 = np.array([1]), np.array([3])
@@ -310,7 +344,7 @@ class TestCompleteness:
             return real_vectors(batch, cfg)
 
         monkeypatch.setattr(pcx.bethe, "block_vectors", repeat_partner)
-        with pytest.raises(SolverError, match="incomplete"):
+        with pytest.raises(SolverError, match=r"incomplete in momentum block k=1 \("):
             BetheEngine(ChainConfig(N=8))
 
     def test_slightly_skewed_basis_rejected(self, monkeypatch):
@@ -330,7 +364,7 @@ class TestCompleteness:
             return phi
 
         monkeypatch.setattr(pcx.bethe, "block_vectors", skew_second)
-        with pytest.raises(SolverError, match="incomplete"):
+        with pytest.raises(SolverError, match=r"incomplete in momentum block k=1 \("):
             BetheEngine(ChainConfig(N=8))
 
     def test_mirror_class_levels_checked(self, monkeypatch):
@@ -370,15 +404,30 @@ class TestCompleteness:
         assert peak < 16 * 2**20
 
     def test_build_peak_near_stack(self):
-        """Building at N=128 holds little beyond the stack it keeps, 8 N (N-1) floor(N/2) bytes."""
-        N = 128
+        """Building at N=256 holds at most as much again as the quarter stack it keeps."""
         tracemalloc.start()
         try:
-            BetheEngine(ChainConfig(N=N))
+            engine = BetheEngine(ChainConfig(N=256))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * N * (N - 1) * (N // 2)
+        assert peak <= 2 * engine.vectors.nbytes
+
+    @pytest.mark.parametrize("N", [8, 31, 48, 64])
+    def test_batching_changes_nothing(self, monkeypatch, N):
+        """One class per batch builds the same bits as the default batches, in both engines."""
+        import pcx.chain
+
+        cfg = ChainConfig(N=N)
+        assert max(len(ks) for ks, _ in pcx.chain.block_batches(N)) > 1
+        batched = BetheEngine(cfg), SpectralEngine(cfg)
+        monkeypatch.setattr(pcx.chain, "BATCH_BYTES", 0)
+        assert max(len(ks) for ks, _ in pcx.chain.block_batches(N)) == 1
+        single = BetheEngine(cfg), SpectralEngine(cfg)
+        for a, b in zip(batched, single):
+            assert a.vectors.tobytes() == b.vectors.tobytes()
+            assert a._energies.tobytes() == b._energies.tobytes()
+        assert batched[0].roots.tobytes() == single[0].roots.tobytes()
 
 
 class TestBetheEvolve:

@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pcx.chain import (
+    BATCH_BYTES,
     ChainConfig,
     DenseEngine,
     SpectralEngine,
     all_pairs,
     basis_state,
+    block_batches,
     block_levels,
     block_sizes,
     pair_index,
@@ -249,6 +251,21 @@ class TestMomentumBlocks:
                 psi = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
                 psi /= np.linalg.norm(psi)
                 assert np.max(np.abs(U @ psi - dense.evolve(psi, t))) < 1e-12
+
+    @pytest.mark.parametrize("N", [4, 5, 48, 128, 511])
+    def test_block_batches(self, N):
+        """Each block k <= N/2 once, even k then odd k, each batch of one size within BATCH_BYTES."""
+        batches = list(block_batches(N))
+        half = N // 2
+        assert np.array_equal(np.concatenate([ks for ks, _ in batches]),
+                              np.r_[0:half + 1:2, 1:half + 1:2])
+        for ks, size in batches:
+            assert np.all(block_sizes(N)[ks] == size)
+            assert len(ks) == 1 or 8 * size * (N - 1) * len(ks) <= BATCH_BYTES
+        if N == 48:  # one batch per parity
+            assert len(batches) == 2
+        if N == 511:  # a block of 0.99 MiB on its own
+            assert all(len(ks) == 1 for ks, _ in batches)
 
     def test_t0_is_exact(self):
         engine = SpectralEngine(ChainConfig(N=9))
