@@ -12,9 +12,9 @@ over all of its cells at once:
     in (0, pi) ("real-pair");
   * one cell per total momentum class 2..N-2: mostly complex-conjugate
     momenta K/2 +- i v ("bound"), whose depths v solve one real equation
-    each, by one array bisection over the cells; where that equation has
-    no root the cell is a real close pair, solved with the real pairs by
-    one masked array Newton, each cell on its own bracket.
+    each; where that equation has no root the cell is a real close pair.
+One masked, safeguarded array Newton, each cell on its own bracket, solves
+the real and close pairs in one pass and the bound depths in another.
 
 `enumerate_roots` returns the roots as one record array over ROOT_DTYPE.
 For even N the momentum-pi cell is the singular limit v -> infinity of
@@ -88,8 +88,24 @@ def _cell_derivative(theta, m1, m2, N: int):
     )
 
 
-def _real_cell_roots(m1: np.ndarray, m2: np.ndarray, N: int, lo: float, hi: float) -> np.ndarray:
-    """Real roots theta in (lo, hi) of the cell functions of the cells (m1, m2); NaN where none.
+def _depth_function(v, log_c, cosh_form, N: int):
+    """log rhs(v) - log c of bound depths v (see `enumerate_roots`).  Elementwise on arrays.
+
+    In powers of e^{-v}, which cannot overflow; the sinh form is 0/0 at v = 0.
+    """
+    return np.where(cosh_form,
+                    np.log1p(np.exp(-(N - 2) * v)) - np.log1p(np.exp(-N * v)),
+                    np.log(-np.expm1(-(N - 2) * v)) - np.log(-np.expm1(-N * v))) - v - log_c
+
+
+def _depth_derivative(v, log_c, cosh_form, N: int):
+    a, b = (N / 2 - 1) * v, N / 2 * v
+    return np.where(cosh_form, (N / 2 - 1) * np.tanh(a) - N / 2 * np.tanh(b),
+                    (N / 2 - 1) / np.tanh(a) - N / 2 / np.tanh(b))
+
+
+def _cell_roots(function, derivative, params: tuple, N: int, lo, hi) -> np.ndarray:
+    """Roots x in (lo, hi) of function(x, *params, N), one per cell of the arrays `params`; NaN where none.
 
     One safeguarded Newton iteration over all cells at once, masked per
     cell: each cell keeps its own sign-change bracket, and a step that
@@ -99,41 +115,43 @@ def _real_cell_roots(m1: np.ndarray, m2: np.ndarray, N: int, lo: float, hi: floa
     not finite at both ends or keeps its sign, or if |F| is still 1e-9 or
     more after NEWTON_MAX_ITER steps.
     """
-    f_lo, f_hi = _cell_function(lo, m1, m2, N), _cell_function(hi, m1, m2, N)
+    shape = params[0].shape
+    f_lo, f_hi = function(lo, *params, N), function(hi, *params, N)
     bracketed = np.isfinite(f_lo) & np.isfinite(f_hi) & ~(f_lo * f_hi > 0)
-    a, b, fa = np.full(m1.shape, lo), np.full(m1.shape, hi), f_lo
-    theta, f = np.full(m1.shape, 0.5 * (lo + hi)), np.zeros(m1.shape)
+    a, b, fa = np.full(shape, lo), np.full(shape, hi), f_lo
+    x, f = np.full(shape, 0.5 * (lo + hi)), np.zeros(shape)
     cells = np.flatnonzero(bracketed)  # the cells still iterating
     for _ in range(NEWTON_MAX_ITER):
         if not cells.size:
             break
-        t = theta[cells]
-        f[cells] = ft = _cell_function(t, m1[cells], m2[cells], N)
+        t = x[cells]
+        args = [p[cells] for p in params]
+        f[cells] = ft = function(t, *args, N)
         going = ~(np.abs(ft) < NEWTON_TOL)
         cells, t, ft = cells[going], t[going], ft[going]
-        left = fa[cells] * ft < 0  # the root lies between a and theta
+        left = fa[cells] * ft < 0  # the root lies between a and x
         b[cells] = np.where(left, t, b[cells])
         a[cells] = np.where(left, a[cells], t)
         fa[cells] = np.where(left, fa[cells], ft)
-        step = t - ft / _cell_derivative(t, m1[cells], m2[cells], N)
+        step = t - ft / derivative(t, *[p[going] for p in args], N)
         inside = (a[cells] < step) & (step < b[cells])
-        theta[cells] = np.where(inside, step, 0.5 * (a[cells] + b[cells]))
+        x[cells] = np.where(inside, step, 0.5 * (a[cells] + b[cells]))
     converged = bracketed.copy()
     converged[cells] = False
     if cells.size:  # out of iterations: kept only if |F| < 1e-9, with no finish steps
-        f_end = _cell_function(theta[cells], m1[cells], m2[cells], N)
-        theta[cells[~(np.abs(f_end) < 1e-9)]] = np.nan
-    theta[~bracketed] = np.nan
+        f_end = function(x[cells], *[p[cells] for p in params], N)
+        x[cells[~(np.abs(f_end) < 1e-9)]] = np.nan
+    x[~bracketed] = np.nan
     cells = np.flatnonzero(converged)
     ft = f[cells]
     for _ in range(NEWTON_FINISH_STEPS):
-        t = theta[cells]
-        trial = t - ft / _cell_derivative(t, m1[cells], m2[cells], N)
-        f_trial = _cell_function(trial, m1[cells], m2[cells], N)
+        t, args = x[cells], [p[cells] for p in params]
+        trial = t - ft / derivative(t, *args, N)
+        f_trial = function(trial, *args, N)
         falls = np.abs(f_trial) < np.abs(ft)
         cells, ft = cells[falls], f_trial[falls]
-        theta[cells] = trial[falls]
-    return theta
+        x[cells] = trial[falls]
+    return x
 
 
 def _refuse_unsolved(theta: np.ndarray, m1: np.ndarray, m2: np.ndarray, message: str):
@@ -141,29 +159,6 @@ def _refuse_unsolved(theta: np.ndarray, m1: np.ndarray, m2: np.ndarray, message:
     if np.isnan(theta).any():
         i = int(np.argmax(np.isnan(theta)))
         raise SolverError(message.format(m1[i], m2[i]))
-
-
-def _bound_depths(c: np.ndarray, cosh_form: np.ndarray, N: int) -> np.ndarray:
-    """Depths v of bound cells: c = cosh((N/2 - 1) v)/cosh(N v/2), or the sinh form.
-
-    One bisection over all cells on [0, ln(2/c)]; a cell stops when its
-    midpoint meets an endpoint (see `enumerate_roots`).
-    """
-    lo, hi = np.zeros(c.shape), np.log(2 / c)
-    v = 0.5 * (lo + hi)
-    cells = np.flatnonzero((lo < v) & (v < hi))
-    while cells.size:
-        w = v[cells]
-        # the right-hand sides in powers of e^{-v}, which cannot overflow
-        rhs = np.where(cosh_form[cells],
-                       np.exp(-w) * (1 + np.exp(-(N - 2) * w)) / (1 + np.exp(-N * w)),
-                       np.exp(-w) * np.expm1(-(N - 2) * w) / np.expm1(-N * w))
-        above = rhs > c[cells]
-        lo[cells] = np.where(above, w, lo[cells])
-        hi[cells] = np.where(above, hi[cells], w)
-        v[cells] = w = 0.5 * (lo[cells] + hi[cells])
-        cells = cells[(lo[cells] < w) & (w < hi[cells])]
-    return v
 
 
 def _singular_pi_cell(cfg: ChainConfig) -> tuple:
@@ -198,10 +193,11 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
       c = cosh((N/2 - 1) v) / cosh(N v/2)  for m1 = m2,
       c = sinh((N/2 - 1) v) / sinh(N v/2)  for m2 = m1 + 1.
     Both right-hand sides fall strictly in v, from 1 and 1 - 2/N at v = 0
-    to below c at v = ln(2/c), so there is at most one root and bisection
-    on that bracket needs no seed.  Only the sinh form can miss
-    (c >= 1 - 2/N): the bound state has then dissolved into a real close
-    pair, solved in the real pairs' Newton pass on (1e-6, pi - 1e-4).
+    to below c at v = ln(2/c), so there is at most one root of
+    log rhs(v) - log c on the bracket (1e-300, ln(2/c)).  Only the sinh form
+    can miss (c >= 1 - 2/N): the bound state has then dissolved into a real
+    close pair, solved in the real pairs' Newton pass on (1e-6, pi - 1e-4).
+    An unsolved cell is refused by name, real pairs first.
     """
     N = cfg.N
     m1, m2 = np.triu_indices(N, 2)
@@ -214,18 +210,20 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
     c = np.cos(pi * sigma / N)
     close = (b1 != b2) & (c >= 1 - 2 / N)
     # one Newton over the real pairs on (1e-9, pi - 1e-12), then the close pairs on (1e-6, pi - 1e-4)
-    is_close = np.arange(len(m1) + np.count_nonzero(close)) >= len(m1)
+    n_real = len(m1)
+    is_close = np.arange(n_real + np.count_nonzero(close)) >= n_real
     m1, m2 = np.concatenate((m1, b1[close])), np.concatenate((m2, b2[close]))
-    theta = _real_cell_roots(m1, m2, N, np.where(is_close, 1e-6, 1e-9),
-                             np.where(is_close, pi - 1e-4, pi - 1e-12))
-    _refuse_unsolved(theta[~is_close], m1, m2, "real-pair cell ({},{}) did not converge")
-    _refuse_unsolved(theta[is_close], m1[is_close], m2[is_close],
-                     "no solution found for momentum-class cell ({},{})")
+    theta = _cell_roots(_cell_function, _cell_derivative, (m1, m2), N,
+                        np.where(is_close, 1e-6, 1e-9), np.where(is_close, pi - 1e-4, pi - 1e-12))
+    _refuse_unsolved(theta[:n_real], m1, m2, "real-pair cell ({},{}) did not converge")
     bound = ~close
-    v = _bound_depths(c[bound], b1[bound] == b2[bound], N)
+    v = _cell_roots(_depth_function, _depth_derivative, (np.log(c[bound]), (b1 == b2)[bound]), N,
+                    1e-300, np.log(2 / c[bound]))
 
     m1, m2 = np.concatenate((m1, b1[bound])), np.concatenate((m2, b2[bound]))
     theta = np.concatenate((theta, pi * (b2 - b1)[bound] + 1j * (N * v)))
+    _refuse_unsolved(theta[n_real:], m1[n_real:], m2[n_real:],
+                     "no solution found for momentum-class cell ({},{})")
     # k_i = (2 pi m_i +- theta)/N with each part divided by N: numpy's complex
     # division would multiply by 1/N instead and round differently
     k1 = (2 * pi * m1 + theta.real) / N + 1j * (theta.imag / N)

@@ -207,5 +207,6 @@ def test_criterion_10_determinism(tmp_path, run_cli):
         payloads.append((out / "scan.csv").read_bytes())
     identical = payloads[0] == payloads[1] == payloads[2]
     report("AC-10 determinism",
-           f"scan.csv byte-identical across reruns in this and a fresh process: {identical}",
+           f"scan.csv byte-identical across reruns in this and a fresh process "
+           f"(one machine, numpy build and BLAS kernel): {identical}",
            identical)

@@ -9,7 +9,9 @@ from pcx.bethe import (
     BetheEngine,
     _cell_derivative,
     _cell_function,
-    _real_cell_roots,
+    _cell_roots,
+    _depth_derivative,
+    _depth_function,
     bethe_state,
     block_vectors,
     dispersion,
@@ -109,7 +111,7 @@ class TestEnumerateRoots:
         assert np.all((dm1 > 0) | ((dm1 == 0) & (dm2 > 0)))  # strictly increasing, so distinct
         assert roots.nbytes < 120 * comb(N, 2)
 
-    @pytest.mark.parametrize("N", [8, 9, 12, 13, 32, 33, 48, 77, 80, 89, 128, 256])
+    @pytest.mark.parametrize("N", [8, 9, 12, 13, 32, 33, 48, 77, 80, 89, 128, 256, 511])
     def test_energies_match_blocks_class_by_class(self, N):
         """Roots of class (m1 + m2) mod N = k have the levels of momentum block k."""
         cfg = ChainConfig(N=N)
@@ -137,7 +139,7 @@ class TestEnumerateRoots:
         N = 32
         m1, m2 = np.triu_indices(N, 2)
         m1, m2 = m1[m1 >= 1], m2[m1 >= 1]
-        theta = _real_cell_roots(m1, m2, N, 1e-9, pi - 1e-12)
+        theta = _cell_roots(_cell_function, _cell_derivative, (m1, m2), N, 1e-9, pi - 1e-12)
         f = _cell_function(theta, m1, m2, N)
         further = theta - f / _cell_derivative(theta, m1, m2, N)
         improved = np.abs(_cell_function(further, m1, m2, N)) < np.abs(f)
@@ -151,14 +153,16 @@ class TestEnumerateRoots:
         """An unsolved close pair (m2 = m1 + 1) is refused by name; an unsolved real pair first."""
         import pcx.bethe
 
-        real_roots = pcx.bethe._real_cell_roots
+        cell_roots = pcx.bethe._cell_roots
 
-        def unsolved(m1, m2, N, lo, hi):
-            theta = real_roots(m1, m2, N, lo, hi)
-            theta[(m2 - m1 == 1) | ((lost == "both") & (m1 == 3) & (m2 == 7))] = np.nan
-            return theta
+        def unsolved(function, derivative, params, N, lo, hi):
+            roots = cell_roots(function, derivative, params, N, lo, hi)
+            if function is _cell_function:
+                m1, m2 = params
+                roots[(m2 - m1 == 1) | ((lost == "both") & (m1 == 3) & (m2 == 7))] = np.nan
+            return roots
 
-        monkeypatch.setattr(pcx.bethe, "_real_cell_roots", unsolved)
+        monkeypatch.setattr(pcx.bethe, "_cell_roots", unsolved)
         with pytest.raises(SolverError, match=message):
             enumerate_roots(ChainConfig(N=32))
 
@@ -168,23 +172,65 @@ class TestEnumerateRoots:
         m1, m2 = np.triu_indices(N, 2)
         m1, m2 = m1[m1 >= 1], m2[m1 >= 1]
         b1, b2 = np.array([1, 30]), np.array([2, 31])  # the close pairs at N = 32
-        real = _real_cell_roots(m1, m2, N, 1e-9, pi - 1e-12)
-        close = _real_cell_roots(b1, b2, N, 1e-6, pi - 1e-4)
+        equation = _cell_function, _cell_derivative
+        real = _cell_roots(*equation, (m1, m2), N, 1e-9, pi - 1e-12)
+        close = _cell_roots(*equation, (b1, b2), N, 1e-6, pi - 1e-4)
         is_close = np.arange(len(m1) + 2) >= len(m1)
-        merged = _real_cell_roots(np.r_[m1, b1], np.r_[m2, b2], N, np.where(is_close, 1e-6, 1e-9),
-                                  np.where(is_close, pi - 1e-4, pi - 1e-12))
+        merged = _cell_roots(*equation, (np.r_[m1, b1], np.r_[m2, b2]), N, np.where(is_close, 1e-6, 1e-9),
+                             np.where(is_close, pi - 1e-4, pi - 1e-12))
         assert not np.isnan(merged).any()
         assert merged.tobytes() == np.r_[real, close].tobytes()
-        assert _real_cell_roots(m1[::7], m2[::7], N, 1e-9, pi - 1e-12).tobytes() == real[::7].tobytes()
+        every_seventh = _cell_roots(*equation, (m1[::7], m2[::7]), N, 1e-9, pi - 1e-12)
+        assert every_seventh.tobytes() == real[::7].tobytes()
 
     def test_bracket_without_sign_change_refused(self):
         """A bracket whose ends share a sign is refused, even with the root at its midpoint."""
         m1, m2 = np.array([1]), np.array([3])
-        root = _real_cell_roots(m1, m2, 8, 1e-9, pi - 1e-12)[0]
+        root = _cell_roots(_cell_function, _cell_derivative, (m1, m2), 8, 1e-9, pi - 1e-12)[0]
         assert abs(_cell_function(root, 1, 3, 8)) < 1e-12
         lo, hi = -0.5, 2 * root + 0.5  # across the pole at theta = 0: F < 0 at both ends
         assert _cell_function(lo, 1, 3, 8) < 0 and _cell_function(hi, 1, 3, 8) < 0
-        assert np.isnan(_real_cell_roots(m1, m2, 8, lo, hi)).all()
+        assert np.isnan(_cell_roots(_cell_function, _cell_derivative, (m1, m2), 8, lo, hi)).all()
+
+    @pytest.mark.parametrize("N", [48, 511])
+    def test_bound_depths_at_rounding(self, N):
+        """After the finish steps, a further Newton step lowers |F| for almost no bound cell."""
+        mclass = np.arange(2, N - 1)
+        sigma = mclass[2 * mclass != N]
+        sigma = np.where(sigma < N / 2, sigma, sigma + N)
+        c = np.cos(pi * sigma / N)
+        bound = (sigma % 2 == 0) | (c < 1 - 2 / N)  # the sinh form (odd sigma) misses above 1 - 2/N
+        params = np.log(c[bound]), sigma[bound] % 2 == 0
+        v = _cell_roots(_depth_function, _depth_derivative, params, N, 1e-300, np.log(2 / c[bound]))
+        assert not np.isnan(v).any()
+        f = _depth_function(v, *params, N)
+        further = v - f / _depth_derivative(v, *params, N)
+        improved = np.abs(_depth_function(further, *params, N)) < np.abs(f)
+        assert np.sum(improved) <= 0.01 * len(v)
+
+    @pytest.mark.parametrize("lost, message", [
+        ("bound", r"no solution found for momentum-class cell \(5,5\)"),
+        ("both", r"real-pair cell \(3,7\) did not converge"),
+    ])
+    def test_bound_cell_without_root_refused(self, monkeypatch, lost, message):
+        """A bound cell whose depth equation keeps its sign is refused by name; a real pair first."""
+        import pcx.bethe
+
+        N, target = 32, np.log(np.cos(pi * 10 / 32))  # cell (5,5), momentum class 10
+
+        def no_depth(v, log_c, cosh_form, N):
+            f = _depth_function(v, log_c, cosh_form, N)
+            return np.where(log_c == target, np.abs(f) + 1, f)
+
+        def no_theta(theta, m1, m2, N):
+            f = _cell_function(theta, m1, m2, N)
+            return np.where((m1 == 3) & (m2 == 7), np.abs(f) + 1, f)
+
+        monkeypatch.setattr(pcx.bethe, "_depth_function", no_depth)
+        if lost == "both":
+            monkeypatch.setattr(pcx.bethe, "_cell_function", no_theta)
+        with pytest.raises(SolverError, match=message):
+            enumerate_roots(ChainConfig(N=N))
 
     @pytest.mark.parametrize("J", [-1.0, 2.5])
     def test_coupling_scales_spectrum(self, J):
