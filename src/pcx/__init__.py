@@ -24,10 +24,8 @@ from .predictive import (
     EquivalencePartition,
     PredictiveState,
     build_projector,
-    equivalence_residual,
     predictive_map,
     reduced_density,
-    trace_distance,
     von_neumann_entropy,
     worked_qubit_qutrit_example,
 )

@@ -197,17 +197,20 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
     log rhs(v) - log c on the bracket (1e-300, ln(2/c)).  Only the sinh form
     can miss (c >= 1 - 2/N): the bound state has then dissolved into a real
     close pair, solved in the real pairs' Newton pass on (1e-6, pi - 1e-4).
-    An unsolved cell is refused by name, real pairs first.
+    An unsolved cell is refused by name, real pairs first.  A bound cell's
+    energy is J (2 - 2 c cosh v), from c and its depth; the dispersion of
+    its complex labels would lose digits to cosines near momentum pi.
     """
     N = cfg.N
     m1, m2 = np.triu_indices(N, 2)
     m1, m2 = m1[m1 >= 1], m2[m1 >= 1]  # real pairs: m2 - m1 >= 2, both >= 1
     mclass = np.arange(2, N - 1)
-    sigma = mclass[2 * mclass != N]
-    sigma = np.where(sigma < N / 2, sigma, sigma + N)
+    mclass = mclass[2 * mclass != N]
+    sigma = np.where(mclass < N / 2, mclass, mclass + N)
     b1 = sigma // 2
     b2 = sigma - b1
-    c = np.cos(pi * sigma / N)
+    # cos(pi sigma/N) as a sine, to an ulp where the cosine's argument is near pi/2
+    c = np.sin(pi * np.abs(N - 2 * mclass) / (2 * N))
     close = (b1 != b2) & (c >= 1 - 2 / N)
     # one Newton over the real pairs on (1e-9, pi - 1e-12), then the close pairs on (1e-6, pi - 1e-4)
     n_real = len(m1)
@@ -221,6 +224,7 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
                     1e-300, np.log(2 / c[bound]))
 
     m1, m2 = np.concatenate((m1, b1[bound])), np.concatenate((m2, b2[bound]))
+    n_theta = len(theta)
     theta = np.concatenate((theta, pi * (b2 - b1)[bound] + 1j * (N * v)))
     _refuse_unsolved(theta[n_real:], m1[n_real:], m2[n_real:],
                      "no solution found for momentum-class cell ({},{})")
@@ -228,10 +232,9 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
     # division would multiply by 1/N instead and round differently
     k1 = (2 * pi * m1 + theta.real) / N + 1j * (theta.imag / N)
     k2 = (2 * pi * m2 - theta.real) / N - 1j * (theta.imag / N)
-    energy = dispersion(cfg, k1, k2)
-    if np.any(np.abs(energy.imag) > 1e-8):
-        i = int(np.argmax(np.abs(energy.imag) > 1e-8))
-        raise SolverError(f"cell ({m1[i]},{m2[i]}): complex energy {energy[i]!r}")
+    # the depth-solved rows from c and v: cos k1 + cos k2 = 2 c cosh v
+    energy = np.concatenate((dispersion(cfg, k1[:n_theta], k2[:n_theta]).real,
+                             cfg.J * (2.0 - 2.0 * c[bound] * np.cosh(v))))
     kind = np.where(np.abs(k1.imag) > 1e-6, "bound", "real-pair")
 
     k_zero = 2 * pi * np.arange(N) / N
@@ -239,7 +242,7 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
         # + 0.0: the (0, 0) energy is J * 0.0, which is -0.0 for J < 0
         (np.zeros(N), k_zero, np.zeros(N), dispersion(cfg, 0.0, k_zero).real + 0.0,
          np.full(N, "k-zero"), np.zeros(N, dtype=int), np.arange(N)),
-        (k1, k2, theta, energy.real, kind, m1, m2),
+        (k1, k2, theta, energy, kind, m1, m2),
     ]
     if N % 2 == 0:
         columns.append(_singular_pi_cell(cfg))

@@ -15,14 +15,12 @@ before it is diagonalized.  Only the blocks k <= N/2 and their rows
 r <= N/2 are stored; the rest follow from them by the parity and by the
 mirror k -> N - k (see `SpectralEngine`).  `bethe.BetheEngine` fills the
 same block stack from the Bethe roots and shares its propagation.
-`DenseEngine` diagonalizes the whole sector and is kept as the small-N
-oracle for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -67,9 +65,6 @@ class ChainConfig:
         return -self.J * self.N / 4.0
 
 
-# Largest two-flip sector the dense oracle DenseEngine builds (several
-# dim x dim float64 matrices, 128 MB apiece at this size).
-MAX_SECTOR_DIM = 4000
 # Bytes that one batch of same-parity blocks may take on all N - 1 rows,
 # 8 (N - 1) per level; both engine builds go batch by batch, which keeps
 # their transient arrays to a few times this.  A block at N = 511 takes
@@ -89,14 +84,6 @@ def pair_index(n1, n2, N: int):
     return (n1 - 1) * N - n1 * (n1 - 1) // 2 + (n2 - n1 - 1)
 
 
-def pair_unindex(flat: int, N: int) -> tuple[int, int]:
-    """Inverse of pair_index."""
-    if not (0 <= flat < comb(N, 2)):
-        raise ConfigError(f"flat index {flat} out of range for N={N}")
-    n1s, n2s = all_pairs(N)
-    return int(n1s[flat]), int(n2s[flat])
-
-
 def all_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Site arrays (n1, n2) for every pair, in flat-index order."""
     n1s, n2s = np.triu_indices(N, 1)
@@ -110,16 +97,8 @@ def basis_state(cfg: ChainConfig, n1: int, n2: int) -> np.ndarray:
     return psi
 
 
-def pair_permutation(N: int, site_map) -> np.ndarray:
-    """Pair-index permutation induced by a site permutation.
-
-    site_map is any callable site -> site (1-based).  Returns perm with
-    perm[pair_index(n1, n2)] = pair_index(sorted(site_map(n1), site_map(n2))).
-    """
-    return np.array([pair_index(*sorted((site_map(int(a)), site_map(int(b)))), N)
-                     for a, b in zip(*all_pairs(N))])
-
-
+# sector_hamiltonian and SpectralDecomposition build no engine: they are kept for
+# perfbench/tracing.py, which patches both by name, and for the tests' dense oracle.
 def sector_hamiltonian(cfg: ChainConfig) -> np.ndarray:
     """Dense real-symmetric sector Hamiltonian, relative to e0.
 
@@ -159,49 +138,6 @@ class SpectralDecomposition:
     def from_hamiltonian(cls, H: np.ndarray) -> "SpectralDecomposition":
         evals, evecs = np.linalg.eigh(H)
         return cls(eigenvalues=evals, eigenvectors=evecs)
-
-
-def state_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Trace distance between the pure states |u><u| and |v><v|.
-
-    Equals sqrt(1 - |<u|v>|^2); computed from the component of v
-    orthogonal to u, which stays accurate for nearly identical states.
-    """
-    overlap = np.vdot(u, v)
-    residual = np.linalg.norm(v - overlap * u)
-    return float(min(1.0, residual))
-
-
-class DenseEngine:
-    """Evolution b(t) = V e^{-iEt} V^dagger b(0) from one dense eigh of the whole sector.
-
-    The small-N oracle for SpectralEngine and BetheEngine, and the only engine
-    bound by MAX_SECTOR_DIM; a larger sector is refused before it is built.
-    """
-
-    name = "dense"
-
-    def __init__(self, cfg: ChainConfig):
-        if cfg.dim > MAX_SECTOR_DIM:
-            raise ConfigError(f"sector dimension {cfg.dim} (N={cfg.N}) exceeds the sector budget "
-                              f"of {MAX_SECTOR_DIM}")
-        self.cfg, self.dim = cfg, cfg.dim
-        self.hamiltonian = sector_hamiltonian(cfg)
-        self.spectral = SpectralDecomposition.from_hamiltonian(self.hamiltonian)
-
-    def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        """e^{-iHt} psi0 in the sector."""
-        psi0 = np.asarray(psi0, dtype=np.complex128)
-        if psi0.shape != (self.dim,):
-            raise ValueError(f"state shape {psi0.shape} does not match sector dimension {self.dim}")
-        if t == 0:
-            return psi0.copy()
-        V = self.spectral.eigenvectors
-        return V @ (np.exp(-1j * self.spectral.eigenvalues * t) * (V.conj().T @ psi0))
-
-    def pair_amplitudes(self, n1: int, n2: int, t: float) -> np.ndarray:
-        """Amplitudes <m1,m2| e^{-iHt} |n1,n2> over the whole pair basis."""
-        return self.evolve(basis_state(self.cfg, n1, n2), t)
 
 
 def block_sizes(N: int) -> np.ndarray:

@@ -8,14 +8,12 @@ reduced operator acquire an off-diagonal element.  Exterior states with
 exactly one flip inside the horizon are equivalent per inside site, and
 states with two inside flips stay distinct.
 
-`classify_pairs` sorts the pair basis into these classes, and
-`exterior_state_and_partition` hands the state and its partition to the
-generic `predictive_map` and `reduced_density`: the paper's definition
-of rho'_A, kept as the oracle for the observable kernel.  There rho_A is
-diagonal (a pair state cannot be in two magnon sectors of the exterior
-at once), and rho'_A keeps that diagonal but gains an off-diagonal of
-magnitude sqrt(m_out * m_focus), where m_out is the probability of both
-flips outside and m_focus that of one flip on j and the other outside.
+`classify_pairs` sorts the pair basis into these classes.  For a pair
+state, rho_A is diagonal (the state cannot be in two magnon sectors of
+the exterior at once), and rho'_A keeps that diagonal but gains an
+off-diagonal of magnitude sqrt(m_out * m_focus), where m_out is the
+probability of both flips outside and m_focus that of one flip on j and
+the other outside.
 The eigenvalues need only that magnitude, which is all
 `two_level_entropy_bits` reads.
 """
@@ -29,7 +27,6 @@ import numpy as np
 
 from .chain import all_pairs, circular_distance
 from .errors import ConfigError
-from .predictive import BipartiteState, EquivalencePartition
 
 
 @dataclass(frozen=True)
@@ -145,33 +142,3 @@ def two_level_entropy_bits(p_down, offdiag_abs=0.0):
     terms = np.where(positive, lams * np.log2(np.where(positive, lams, 1.0)), 0.0)
     return -(terms[0] + terms[1]) + 0.0
 
-
-def exterior_state_and_partition(b: np.ndarray, spec: HorizonSpec):
-    """Generic-pipeline view of the chain state for one focal site.
-
-    Returns a BipartiteState on C^2 (x) H_B, where H_B enumerates
-    [vacuum, one-flip exterior states, two-flip exterior states], and the
-    horizon-induced EquivalencePartition of that H_B, whose classes come
-    from classify_pairs.  This is the paper's route to rho'_A, against
-    which the observable kernel is checked.
-    """
-    N, j = spec.N, spec.j
-    n1s, n2s = all_pairs(N)
-    holds_j = (n1s == j) | (n2s == j)
-    other = np.where(n1s == j, n2s, n1s)[holds_j]
-    # a pair holding j is site j down and one exterior flip: slot 1 + its exterior rank;
-    # any other pair is site j up and two exterior flips, kept in flat order after those
-    slot = np.empty(len(n1s), dtype=np.int64)
-    slot[holds_j] = other - (other > j)
-    slot[~holds_j] = N + np.arange(comb(N - 1, 2))
-    dim_b = N + comb(N - 1, 2)
-    amps = np.zeros((2, dim_b), dtype=np.complex128)
-    amps[np.where(holds_j, 0, 1), slot] = b
-    cls = classify_pairs(spec)
-    groups = [slot[np.concatenate([cls.focus_out, cls.type_i])]]
-    groups += [slot[idx] for _, idx in cls.type_ii]
-    # collapsing a one-member class is the identity map; leave it in the remainder
-    groups = [g for g in groups if len(g) >= 2]
-    state = BipartiteState(amplitudes=amps)
-    part = EquivalencePartition.from_index_groups(dim_b, groups)
-    return state, part

@@ -216,27 +216,6 @@ def von_neumann_entropy(rho: np.ndarray, base: str = "bits") -> float:
     raise ValueError("base must be 'bits' or 'nats'")
 
 
-def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """(1/2) ||rho1 - rho2||_1 for Hermitian operators."""
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho1 - rho2))))
-
-
-def equivalence_residual(phi1, phi2, psi, t: float, dynamics) -> float:
-    """How far two exterior states are from predicting the same interior.
-
-    Builds the products psi (x) phi_i, evolves both with the supplied
-    dynamics callback (BipartiteState, t) -> BipartiteState, and returns
-    the trace distance of the two interior reduced operators at time t.
-    Zero means the pair is predictively equivalent at t for this psi.
-    """
-    psi = np.asarray(psi, dtype=np.complex128)
-    rhos = []
-    for phi in (phi1, phi2):
-        state = BipartiteState.from_amplitudes(np.outer(psi, np.asarray(phi, dtype=np.complex128)))
-        rhos.append(reduced_density(dynamics(state, t), side="a"))
-    return trace_distance(rhos[0], rhos[1])
-
-
 def worked_qubit_qutrit_example(amps=None) -> dict:
     """2 x 3 worked example with the first two exterior states equivalent.
 

@@ -8,7 +8,8 @@ import pytest
 
 import pcx
 from pcx.analysis import site_series, spacetime_scan
-from pcx.chain import ChainConfig, DenseEngine, SpectralEngine
+from oracles import DenseEngine
+from pcx.chain import ChainConfig, SpectralEngine
 
 RECIPE_FLIPS = (10, 25)
 RECIPE_SITE = 17
@@ -76,14 +77,17 @@ def run_python():
 
     The directory holding the imported pcx package goes first on the
     child's PYTHONPATH, so the child runs the same code as this process
-    and never another install.
+    and never another install.  ``env`` sets variables of the child's
+    environment; a value None removes one.
     """
     pcx_root = str(Path(pcx.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (pcx_root, env.get("PYTHONPATH")) if p)
+    base = dict(os.environ)
+    base["PYTHONPATH"] = os.pathsep.join(p for p in (pcx_root, base.get("PYTHONPATH")) if p)
 
-    def run(args):
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    def run(args, env=None):
+        child = {**base, **(env or {})}
+        child = {k: v for k, v in child.items() if v is not None}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child)
 
     return run
 
@@ -91,4 +95,4 @@ def run_python():
 @pytest.fixture(scope="session")
 def run_cli(run_python):
     """Runs ``python -m pcx`` in a child process on the source tree under test."""
-    return lambda args: run_python(["-m", "pcx", *args])
+    return lambda args, env=None: run_python(["-m", "pcx", *args], env)

@@ -8,20 +8,11 @@ from math import comb
 
 import numpy as np
 
+from oracles import exterior_state_and_partition, full_space_oracle, state_trace_distance
 from pcx.analysis import equilibrium_stats, peak_ratio, spacetime_scan
-from pcx.chain import (
-    ChainConfig,
-    SpectralEngine,
-    state_trace_distance,
-)
+from pcx.chain import ChainConfig, SpectralEngine
 from pcx.cli import main
-from pcx.fullspace import full_space_oracle
-from pcx.horizon import (
-    HorizonSpec,
-    classify_pairs,
-    exterior_state_and_partition,
-    two_level_entropy_bits,
-)
+from pcx.horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
 from pcx.predictive import (
     predictive_map,
     reduced_density,

@@ -14,15 +14,11 @@ from pcx.analysis import (
     spacetime_scan,
     time_grid,
 )
+from oracles import DenseEngine, exterior_state_and_partition
 from pcx.bethe import BetheEngine
-from pcx.chain import ChainConfig, DenseEngine, SpectralEngine
+from pcx.chain import ChainConfig, SpectralEngine
 from pcx.errors import ConfigError, PeakNotFoundError, StatsError
-from pcx.horizon import (
-    HorizonSpec,
-    classify_pairs,
-    exterior_state_and_partition,
-    two_level_entropy_bits,
-)
+from pcx.horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
 from pcx.predictive import predictive_map, reduced_density, von_neumann_entropy
 
 

@@ -5,10 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import (
+    DenseEngine,
+    full_hamiltonian,
+    full_space_oracle,
+    joint_product_state,
+    pair_permutation,
+    sector_indices,
+    site_bipartition,
+    site_bit,
+    state_trace_distance,
+)
 from pcx.chain import (
     BATCH_BYTES,
     ChainConfig,
-    DenseEngine,
     SpectralEngine,
     all_pairs,
     basis_state,
@@ -16,13 +26,9 @@ from pcx.chain import (
     block_levels,
     block_sizes,
     pair_index,
-    pair_permutation,
-    pair_unindex,
     sector_hamiltonian,
-    state_trace_distance,
 )
 from pcx.errors import ConfigError
-from pcx.fullspace import full_hamiltonian, full_space_oracle, sector_indices
 
 
 def propagator(engine, t):
@@ -39,9 +45,9 @@ class TestPairIndexing:
         assert pair_index(31, 32, 32) == comb(32, 2) - 1 == 495
 
     def test_roundtrip_exhaustive_n32(self):
+        n1s, n2s = all_pairs(32)
         for flat in range(comb(32, 2)):
-            n1, n2 = pair_unindex(flat, 32)
-            assert pair_index(n1, n2, 32) == flat
+            assert pair_index(int(n1s[flat]), int(n2s[flat]), 32) == flat
 
     def test_lexicographic_order(self):
         n1s, n2s = all_pairs(6)
@@ -57,7 +63,9 @@ class TestPairIndexing:
     def test_roundtrip_property(self, N, data):
         n1 = data.draw(st.integers(min_value=1, max_value=N - 1))
         n2 = data.draw(st.integers(min_value=n1 + 1, max_value=N))
-        assert pair_unindex(pair_index(n1, n2, N), N) == (n1, n2)
+        n1s, n2s = all_pairs(N)
+        flat = pair_index(n1, n2, N)
+        assert (n1s[flat], n2s[flat]) == (n1, n2)
 
 
 class TestChainConfig:
@@ -281,8 +289,6 @@ class TestMomentumBlocks:
 
 class TestSiteBipartition:
     def test_round_trip(self, rng):
-        from pcx.fullspace import joint_product_state, site_bipartition
-
         N, j = 6, 4
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
@@ -293,8 +299,6 @@ class TestSiteBipartition:
         assert np.allclose(back, np.outer(psi, phi), atol=1e-14)
 
     def test_down_row_is_flipped_site(self):
-        from pcx.fullspace import site_bit, site_bipartition
-
         N, j = 5, 3
         full = np.zeros(1 << N, dtype=complex)
         full[site_bit(j, N)] = 1.0  # only site j flipped

@@ -1,3 +1,4 @@
+import re
 from math import comb, inf, nan
 
 import numpy as np
@@ -35,7 +36,7 @@ class TestSpectrumCommand:
     def test_row_count_small(self, tmp_path):
         assert main(["spectrum", "--sites", "5", "--out", str(tmp_path)]) == 0
         _, header, rows, _ = read_csv(tmp_path / "spectrum.csv")
-        assert header == ["index", "energy", "class", "dispersion_residual"]
+        assert header == ["index", "energy", "class", "energy_mismatch"]
         assert len(rows) == comb(5, 2) == 10
 
     def test_row_count_reference(self, tmp_path):
@@ -55,12 +56,24 @@ class TestSpectrumCommand:
         energies = [float(r[1]) for r in rows]
         assert energies == sorted(energies)
 
+    def test_bethe_energy_mismatch_column(self, tmp_path):
+        """Each Bethe row's |E - its block level| is small, and the footer is the column's max."""
+        assert main(["spectrum", "--sites", "48", "--engine", "bethe",
+                     "--out", str(tmp_path)]) == 0
+        _, _, rows, footer = read_csv(tmp_path / "spectrum.csv")
+        column = [float(r[3]) for r in rows]
+        assert len(column) == comb(48, 2)
+        assert max(column) <= 1e-12
+        mismatch_line = next(l for l in footer if l.startswith("max_abs_energy_mismatch"))
+        assert float(mismatch_line.split("=")[1]) == max(column)
+
     def test_bethe_zero_level_unsigned_for_negative_coupling(self, tmp_path):
         """At J < 0 the (0, 0) root's level J * 0 is written as 0, not -0."""
         assert main(["spectrum", "--sites", "8", "--coupling", "-1", "--engine", "bethe",
                      "--out", str(tmp_path)]) == 0
         _, _, rows, _ = read_csv(tmp_path / "spectrum.csv")
-        assert rows[-1] == ["27", "0", "k-zero", "0"]
+        assert rows[-1][:3] == ["27", "0", "k-zero"]
+        assert float(rows[-1][3]) <= 1e-12  # |0 - its block level|
         assert not any(r[1].startswith("-0") and float(r[1]) == 0 for r in rows)
 
     def test_spectral_csv_matches_cell_by_cell_writer(self, tmp_path):
@@ -501,6 +514,56 @@ class TestEntryPoint:
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
+
+
+def _blas_core_type_forcible() -> bool:
+    """Whether numpy's BLAS is OpenBLAS built with DYNAMIC_ARCH, which reads OPENBLAS_CORETYPE."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        return False
+    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def _max_number_gap(a: str, b: str) -> float:
+    """Largest |x - y| over the numbers of two texts that agree token by token otherwise."""
+    ta, tb = re.split(r"[,=\s]+", a), re.split(r"[,=\s]+", b)
+    assert len(ta) == len(tb)
+    return max((abs(float(x) - float(y)) for x, y in zip(ta, tb) if x != y), default=0.0)
+
+
+def _pgm_pixels(path) -> tuple[bytes, np.ndarray]:
+    """Header (P5, size, maxval) and pixels of a binary PGM."""
+    data = path.read_bytes()
+    header_end = re.match(rb"P5\s+\d+\s+\d+\s+\d+\s", data).end()
+    return data[:header_end], np.frombuffer(data[header_end:], dtype=np.uint8).astype(int)
+
+
+@pytest.mark.skipif(not _blas_core_type_forcible(),
+                    reason="numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH, "
+                           "so its core type cannot be forced")
+def test_outputs_agree_across_blas_kernels(tmp_path, run_cli):
+    """The recipe scan and series --site 17 under the default and a forced OpenBLAS core type.
+
+    Bytes may differ between BLAS kernels; every value must agree to 1e-14
+    and every PGM pixel to one gray level (round(255 v) at a rounding edge).
+    """
+    commands = {"scan": ["scan", "--horizon", "1,2,3"], "series": ["series", "--site", "17"]}
+    for core in (None, "Sandybridge"):
+        for name, args in commands.items():
+            out = tmp_path / str(core) / name
+            result = run_cli(args + ["--out", str(out)],
+                             {"OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1"})
+            assert result.returncode == 0, result.stderr
+    default, forced = tmp_path / "None", tmp_path / "Sandybridge"
+    for csv in ("scan/scan.csv", "series/series_site17.csv"):
+        assert _max_number_gap((default / csv).read_text(), (forced / csv).read_text()) <= 1e-14
+    pgms = sorted(p.relative_to(default) for p in default.rglob("*.pgm"))
+    assert len(pgms) == 4
+    for pgm in pgms:
+        (head, pixels), (forced_head, forced_pixels) = map(_pgm_pixels, (default / pgm, forced / pgm))
+        assert head == forced_head
+        assert np.max(np.abs(pixels - forced_pixels)) <= 1
 
 
 class TestFailureExitCodes:

@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import exterior_state_and_partition, full_space_oracle, pair_permutation
 from pcx.analysis import _observables, site_series
-from pcx.chain import ChainConfig, SpectralEngine, pair_index, pair_permutation
+from pcx.chain import ChainConfig, SpectralEngine, all_pairs, pair_index
 from pcx.errors import ConfigError
-from pcx.horizon import (
-    HorizonSpec,
-    classify_pairs,
-    exterior_state_and_partition,
-    two_level_entropy_bits,
-)
+from pcx.horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
 from pcx.predictive import (
     predictive_map,
     reduced_density,
@@ -100,11 +96,10 @@ class TestClassifyPairs:
         spec = HorizonSpec(j=5, r_h=1, N=10)
         cls = classify_pairs(spec)
         assert tuple(s for s, _ in cls.type_ii) == (4, 6)
+        n1s, n2s = all_pairs(10)
         for s_in, idx in cls.type_ii:
             for flat in idx:
-                from pcx.chain import pair_unindex
-
-                a, b = pair_unindex(int(flat), 10)
+                a, b = int(n1s[flat]), int(n2s[flat])
                 assert s_in in (a, b)
                 other = b if a == s_in else a
                 assert not spec.is_inside(other)
@@ -129,8 +124,6 @@ class TestAmplitudes:
         assert np.max(np.abs(b[reflect] - b)) < 1e-10
 
     def test_matches_full_space_oracle(self, engine8):
-        from pcx.fullspace import full_space_oracle
-
         b = engine8.pair_amplitudes(1, 4, 2.0)
         oracle = full_space_oracle(engine8.cfg, 1, 4, 2.0)
         assert np.max(np.abs(b - oracle)) < 1e-10

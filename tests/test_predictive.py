@@ -3,17 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    equivalence_residual,
+    full_evolve,
+    joint_product_state,
+    site_bipartition,
+    trace_distance,
+)
 from pcx.chain import ChainConfig
 from pcx.errors import GeometryError, NormalizationError
-from pcx.fullspace import full_evolve, joint_product_state, site_bipartition
 from pcx.predictive import (
     BipartiteState,
     EquivalencePartition,
     build_projector,
-    equivalence_residual,
     predictive_map,
     reduced_density,
-    trace_distance,
     von_neumann_entropy,
     worked_qubit_qutrit_example,
 )
