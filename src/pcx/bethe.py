@@ -17,15 +17,14 @@ One masked, safeguarded array Newton, each cell on its own bracket, solves
 the real and close pairs in one pass and the bound depths in another.
 
 `enumerate_roots` returns the roots as one record array over ROOT_DTYPE.
-For even N the momentum-pi cell is the singular limit v -> infinity of
-the bound branch: its row holds finite labels and the exact
-energy J, and its wavefunction is the closed-form alternating adjacent-pair
-state, so the Bethe basis is orthonormal as built.
+For even N the momentum-pi cell is the singular limit v -> infinity of the
+bound branch: its row holds finite labels and the exact energy J, and its
+state is the closed-form alternating adjacent-pair state.
 
-A root of cell (m1, m2) has total momentum K = 2 pi (m1 + m2)/N; `BetheEngine`
-puts the states of each momentum class k <= N/2 into that momentum block of
-`chain.SpectralEngine`'s quarter stack, with one `block_vectors` call per
-`chain.block_batches` batch of same-parity classes.
+A root of cell (m1, m2) has total momentum K = 2 pi (m1 + m2)/N.  One pass,
+`checked_blocks`, checks a root table class by class and yields the block
+vectors of the classes k <= N/2 batch by batch: `BetheEngine` stores them
+in `chain.SpectralEngine`'s quarter stack, `spectrum` keeps only figures.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from math import pi
 
 import numpy as np
 
-from .chain import ChainConfig, SpectralEngine, all_pairs, block_batches, block_sizes
+from .chain import ChainConfig, SpectralEngine, all_pairs, block_batches, block_hopping, block_sizes
 from .errors import DegenerateRootError, SolverError
 
 NEWTON_TOL = 1e-12
@@ -45,6 +44,7 @@ NEWTON_FINISH_STEPS = 3
 # Depth v of the finite (k1, k2, theta) labels recorded for the singular
 # momentum-pi cell; its wavefunction is the closed form, independent of v.
 SINGULAR_V = 17.5
+# largest max|V_k^T V_k - I| of a class's block vectors, and largest eigen-residual of one, in |J|
 ORTHONORMALITY_TOL = 1e-10
 # largest difference between the sorted levels of Bethe classes k and N - k, in units of |J|
 CLASS_MIRROR_TOL = 1e-12
@@ -282,106 +282,102 @@ def bethe_state(root: np.record, cfg: ChainConfig) -> BetheState:
 def block_vectors(roots: np.recarray, cfg: ChainConfig) -> np.ndarray:
     """Real unit block vectors phi(r), r = 1..N-1, of a batch of root rows, one row per root.
 
-    The state of a root is e^{iKx} a(1, 1 + r) on the pair (x + 1, x + 1 + r),
-    and a(1, 1 + r) = 2 e^{iK} e^{iPr} cos(q r + theta/2) with P = (k1 + k2)/2
-    and q = (k2 - k1)/2.  phi is a(1, 1 + r) in SpectralEngine's gauge
-    e^{-i pi k r/N} of block k = (m1 + m2) mod N, where e^{iPr} leaves
-    (-1)^{jr}, j = (m1 + m2) // N, when the momenta add up to
-    2 pi (m1 + m2)/N; a root whose momenta miss that by more than
-    1e-10/(N - 1) per site would leave a phase that varies with r, and is
-    refused (SolverError, "not real").  Real labels give a real cosine.
-    Complex labels (bound roots) have cos z split into e^{iz} and e^{-iz},
-    each scaled by e^{-max|Im z|} so deep bound states do not overflow, and
-    the global phase removed; SolverError if an imaginary part over 1e-10
-    is left.  The even-N momentum-pi cell is the closed form
-    (|1> + (-1)^{N/2} |N-1>)/sqrt(2).  DegenerateRootError if a wavefunction
-    vanishes.  A row's overall sign is arbitrary.
+    phi is a(1, 1 + r) = 2 e^{iK} e^{iPr} cos(q r + theta/2), P = (k1 + k2)/2,
+    q = (k2 - k1)/2, in the gauge e^{-i pi k r/N} of block k = (m1 + m2) mod N,
+    which leaves (-1)^{jr}, j = (m1 + m2) // N, of e^{iPr}.  A bound row of
+    depth v = Im theta / N is (e^{-v r} + s e^{-v (N - r)}) (-1)^{jr}, s = +1
+    for m1 = m2 and -1 for m2 = m1 + 1, which cannot overflow; the even-N
+    momentum-pi cell is (|1> + (-1)^{N/2} |N-1>)/sqrt(2).  Built from the
+    labels alone (`checked_blocks` checks the rows); DegenerateRootError if
+    a wavefunction vanishes.  A row's sign is arbitrary.
     """
     N, r = cfg.N, np.arange(1, cfg.N)
-    k1, k2, theta, m1, m2 = roots.k1, roots.k2, roots.theta, roots.m1, roots.m2
+    m1, m2, theta = roots.m1, roots.m2, roots.theta
     singular = (roots.kind == "bound") & (2 * (m1 + m2) == N)
-    cplx = ~((k1.imag == 0) & (k2.imag == 0) & (theta.imag == 0) | singular)
-    q, j = (k2 - k1) / 2, (m1 + m2) // N
+    bound = (theta.imag != 0) & ~singular
+    j = (m1 + m2) // N
     # (-1)^{jr} cos(q r + theta/2) = cos((q - pi j) r + theta/2)
-    phi = np.multiply.outer(q.real - pi * j, r)
+    phi = np.multiply.outer((roots.k2.real - roots.k1.real) / 2 - pi * j, r)
     phi += theta.real[:, None] / 2
     np.cos(phi, out=phi)
-    phi *= 2  # in place: a batch holds many classes
+    v = theta.imag[bound, None] / N
+    s = np.where(m1[bound] == m2[bound], 1.0, -1.0)[:, None]
+    phi[bound] = (np.exp(-v * r) + s * np.exp(-v * (N - r))) * (-1.0) ** np.outer(j[bound], r)
     phi[singular] = 0.0
     phi[singular, 0], phi[singular, -1] = 1.0, (-1.0) ** (N // 2)
-    z = np.multiply.outer(q[cplx], r) + theta[cplx, None] / 2
-    scale = np.max(np.abs(z.imag), axis=1, keepdims=True)
-    waves = (np.exp(1j * z - scale) + np.exp(-1j * z - scale)) * (-1.0) ** np.outer(j[cplx], r)
     norm = np.linalg.norm(phi, axis=1)
-    norm[cplx] = np.linalg.norm(waves, axis=1)
     if not np.all(norm >= 1e-13 * np.sqrt(N - 1)):
         i = int(np.argmax(~(norm >= 1e-13 * np.sqrt(N - 1))))
         raise DegenerateRootError(f"cell ({m1[i]},{m2[i]}) gives a vanishing wavefunction")
-    drift = np.where(singular, 0.0, np.abs((k1 + k2) / 2 - pi * (m1 + m2) / N))
-    if not np.all(drift * (N - 1) <= 1e-10):
-        i = int(np.argmax(~(drift * (N - 1) <= 1e-10)))
-        raise SolverError(f"cell ({m1[i]},{m2[i]}): block vector is not real (its momenta "
-                          f"miss 2 pi (m1 + m2)/N by {2 * drift[i]:.3e})")
-    waves /= norm[cplx, None]
-    peak = waves[np.arange(len(waves)), np.argmax(np.abs(waves), axis=1)]
-    waves *= (np.abs(peak) / peak)[:, None]
-    leak = np.max(np.abs(waves.imag), axis=1, initial=0.0)
-    if not np.all(leak <= 1e-10):
-        i = int(np.argmax(~(leak <= 1e-10)))
-        raise SolverError(f"cell ({m1[cplx][i]},{m2[cplx][i]}): block vector is not real "
-                          f"(max|Im| = {leak[i]:.3e})")
-    phi /= norm[:, None]
-    phi[cplx] = waves.real
-    return phi
+    return phi / norm[:, None]
+
+
+def checked_blocks(roots: np.recarray, cfg: ChainConfig):
+    """Check a whole root table class by class; yield the block vectors of the classes k <= N/2.
+
+    SolverError, naming the class, unless each class (m1 + m2) mod N = k holds
+    one root per level of block k; each class k > N/2 holds the levels of
+    class N - k to CLASS_MIRROR_TOL |J|; and each class k <= N/2 has
+    `block_vectors` V_k (all N - 1 rows) with max|V_k^T V_k - I| and each
+    vector's eigen-residual max_r |(H_k phi - E phi)(r)| / |J| at most
+    ORTHONORMALITY_TOL.  H_k is the unreduced block, diagonal 2 (1 at r = 1
+    and N - 1), hopping `chain.block_hopping`; (H_k/J) phi - (E/J) phi neither
+    overflows nor loses digits at any J.  Yields (ks, phi, energy, residual)
+    per `chain.block_batches` batch: phi[i] the vectors of class ks[i] in
+    root order, energy[i] their levels, residual the batch's largest.
+    """
+    N, J, energies = cfg.N, cfg.J, roots.energy
+    sizes = block_sizes(N)
+    classes = (roots.m1 + roots.m2) % N
+    counts = np.bincount(classes, minlength=N)
+    if not np.array_equal(counts, sizes):
+        k = int(np.argmax(counts != sizes))
+        raise SolverError(f"Bethe basis is incomplete: {counts[k]} roots for the "
+                          f"{sizes[k]} levels of momentum block k={k}")
+    members = np.split(np.argsort(classes, kind="stable"), np.cumsum(sizes)[:-1])
+    for k in range(N // 2 + 1, N):
+        error = np.max(np.abs(np.sort(energies[members[k]]) - np.sort(energies[members[N - k]])))
+        if not error <= CLASS_MIRROR_TOL * abs(J):
+            raise SolverError(f"momentum classes k={k} and {N - k} hold different levels "
+                              f"(max difference {error:.3e})")
+    for ks, size in block_batches(N):
+        batch = roots[np.concatenate([members[k] for k in ks])]
+        phi = block_vectors(batch, cfg).reshape(len(ks), size, N - 1)
+        gram = np.max(np.abs(phi @ phi.transpose(0, 2, 1) - np.eye(size)), axis=(1, 2))
+        if not np.all(gram <= ORTHONORMALITY_TOL):
+            i = int(np.argmax(~(gram <= ORTHONORMALITY_TOL)))
+            raise SolverError(f"Bethe basis is numerically incomplete in momentum block "
+                              f"k={ks[i]} (max|V_k^T V_k - I| = {gram[i]:.3e})")
+        energy = batch.energy.reshape(len(ks), size)
+        hopped = block_hopping(ks, N)[:, None, None] * phi
+        defect = (2.0 - energy / J)[..., None] * phi
+        defect[..., [0, -1]] -= phi[..., [0, -1]]  # the diagonal is 1 at r = 1 and N - 1
+        defect[..., 1:] += hopped[..., :-1]
+        defect[..., :-1] += hopped[..., 1:]
+        residual = np.max(np.abs(defect), axis=2).ravel()  # one per row of batch
+        if not np.all(residual <= ORTHONORMALITY_TOL):
+            i = int(np.argmax(~(residual <= ORTHONORMALITY_TOL)))
+            raise SolverError(f"cell ({batch.m1[i]},{batch.m2[i]}) of momentum block k={ks[i // size]} "
+                              f"is not an eigenvector (max|H_k phi - E phi| = {residual[i]:.3e} |J|)")
+        yield ks, phi, energy, residual.max()
 
 
 class BetheEngine(SpectralEngine):
     """Evolution backend built on the full set of Bethe eigenstates.
 
-    Every root is solved, and the quarter stack of SpectralEngine is filled
-    by one `block_vectors` call per `chain.block_batches` batch of classes:
-    the roots of class (m1 + m2) mod N = k <= N/2, in root order, give the
-    levels of momentum block k on its rows r <= N/2; evolution is
-    SpectralEngine's, with its two mirror rules.  The stack is used as
-    built, never repaired: each class must hold one root per level, each
-    stored block must satisfy max|V_k^T V_k - I| <= ORTHONORMALITY_TOL on
-    all N - 1 rows, checked class by class, and a class k > N/2, which
-    builds no vectors, must hold the levels of class N - k to
-    CLASS_MIRROR_TOL |J|; so a missing, repeated or misplaced state is refused.
-    Besides the propagation state it keeps only `roots`, the ROOT_DTYPE table
-    that `spectrum` writes and checks against `chain.block_levels`.
+    Every root is solved, and `checked_blocks` checks them and hands over the
+    block vectors that fill SpectralEngine's quarter stack: the roots of class
+    (m1 + m2) mod N = k <= N/2, in root order, give the levels of block k on
+    its rows r <= N/2.  The stack is used as built, never repaired; evolution
+    is SpectralEngine's, and the engine keeps only what a step reads.
     """
 
     name = "bethe"
 
     def __init__(self, cfg: ChainConfig):
-        N, half = cfg.N, cfg.N // 2
-        self.roots = enumerate_roots(cfg)
-        sizes = block_sizes(N)
-        classes = (self.roots.m1 + self.roots.m2) % N
-        counts = np.bincount(classes, minlength=N)
-        if not np.array_equal(counts, sizes):
-            k = int(np.argmax(counts != sizes))
-            raise SolverError(f"Bethe basis is incomplete: {counts[k]} roots for the "
-                              f"{sizes[k]} levels of momentum block k={k}")
-        order = np.argsort(classes, kind="stable")
-        members, energy = np.split(order, np.cumsum(sizes)[:-1]), self.roots.energy
-        for k in range(half + 1, N):  # no vectors above N/2; the levels must mirror class N - k
-            error = np.max(np.abs(np.sort(energy[members[k]]) - np.sort(energy[members[N - k]])))
-            if not error <= CLASS_MIRROR_TOL * abs(cfg.J):
-                raise SolverError(f"momentum classes k={k} and {N - k} hold different levels "
-                                  f"(max difference {error:.3e})")
+        half = cfg.N // 2
         vectors, energies = np.zeros((half + 1, half, half)), np.zeros((half + 1, half))
-        for ks, size in block_batches(N):
-            batch = self.roots[np.concatenate([members[k] for k in ks])]
-            phi = block_vectors(batch, cfg).reshape(len(ks), size, N - 1)
-            for k, block in zip(ks, phi):
-                gram = block @ block.T
-                gram.flat[::size + 1] -= 1.0
-                error = np.max(np.abs(gram))
-                if not error <= ORTHONORMALITY_TOL:
-                    raise SolverError(f"Bethe basis is numerically incomplete in momentum block "
-                                      f"k={k} (max|V_k^T V_k - I| = {error:.3e})")
-            vectors[ks, :, :size] = phi[..., :half].transpose(0, 2, 1)
-            energies[ks, :size] = batch.energy.reshape(len(ks), size)
+        for ks, phi, energy, _ in checked_blocks(enumerate_roots(cfg), cfg):
+            vectors[ks, :, :phi.shape[1]] = phi[..., :half].transpose(0, 2, 1)
+            energies[ks, :phi.shape[1]] = energy
         self._set_blocks(cfg, vectors, energies)

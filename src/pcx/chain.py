@@ -158,6 +158,11 @@ def block_batches(N: int):
             yield ks[start:start + step], size
 
 
+def block_hopping(ks, N: int) -> np.ndarray:
+    """Hopping of the momentum blocks ks in units of J, t_k/J = -cos(pi k/N)."""
+    return -np.cos(np.pi * ks / N)
+
+
 def _reduced_blocks(cfg: ChainConfig):
     """The parity-reduced blocks k <= N/2, one `block_batches` batch at a time.
 
@@ -169,7 +174,7 @@ def _reduced_blocks(cfg: ChainConfig):
     n_pairs = (N - 1) // 2  # the r = m, N - m pairs with m < N/2
     for ks, size in block_batches(N):
         i = np.arange(size)
-        t = -J * np.cos(np.pi * ks / N)[:, None]
+        t = J * block_hopping(ks, N)[:, None]
         H = np.zeros((len(ks), size, size))
         H[:, i, i] = 2.0 * J
         H[:, 0, 0] = J
@@ -223,8 +228,7 @@ class SpectralEngine:
     A time step is one batched contraction with the stack, the mirror fill
     of the blocks k > N/2, one inverse FFT over k on the rows r <= N/2, and a
     gather into the flat pair order that reads a pair at distance r > N/2
-    from its other cell (x + r, N - r).  BetheEngine fills the same stack
-    from the Bethe roots and propagates through the same pair_amplitudes.
+    from its other cell (x + r, N - r).
 
     The engine keeps only what a step reads: the stack and its energies
     (relative to e0).  `block_levels` gives the levels without the stack.

@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, io
+from . import analysis, bethe, io
 from .analysis import site_series
-from .bethe import BetheEngine
 from .chain import ChainConfig, SpectralEngine, block_levels
 from .errors import ConfigError, NormalizationError, PeakNotFoundError, SolverError, StatsError
 from .predictive import worked_qubit_qutrit_example
@@ -32,7 +31,7 @@ from .predictive import worked_qubit_qutrit_example
 PEAK_HINT = 9.0
 # (N, J, flips, site) of the run whose first collision sits near PEAK_HINT
 PEAK_RECIPE = (32, 1.0, (10, 25), 17)
-ENGINES = {engine.name: engine for engine in (SpectralEngine, BetheEngine)}
+ENGINES = {engine.name: engine for engine in (SpectralEngine, bethe.BetheEngine)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,12 +125,13 @@ def _run_header(args, cfg: ChainConfig) -> list[str]:
 def cmd_spectrum(args) -> int:
     cfg = ChainConfig(N=args.sites, J=args.coupling)
     levels = block_levels(cfg)
-    footer = []
-    n = len(levels)
+    n, footer = len(levels), []
     if args.engine == "spectral":
-        template, values = f"{io.FLOAT},{io.FLOAT},,\n" * n, (np.sort(levels),)
+        columns, template, values = ("index", "energy"), f"{io.FLOAT},{io.FLOAT}\n" * n, (np.sort(levels),)
     else:
-        roots = BetheEngine(cfg).roots
+        roots = bethe.enumerate_roots(cfg)
+        # the engine's checks, one batch of block vectors at a time, keeping only the largest residual
+        residual = max(residual for *_, residual in bethe.checked_blocks(roots, cfg))
         energy, kind = roots.energy, roots.kind
         # by class (m1 + m2) mod N, ascending within one, as block_levels lists the levels
         by_block = np.lexsort((energy, (roots.m1 + roots.m2) % cfg.N))
@@ -140,19 +140,18 @@ def cmd_spectrum(args) -> int:
         order = np.argsort(energy, kind="stable")  # ties keep root order
         names, counts = np.unique(kind, return_counts=True)
         row = {k: f"{io.FLOAT},{io.FLOAT},{k},{io.FLOAT}\n" for k in names.tolist()}
+        columns = ("index", "energy", "class", "energy_mismatch")
         template = "".join(map(row.get, kind[order].tolist()))
         values = (energy[order], mismatch[order])
         footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(mismatch.max())}")
+        footer.append(f"max_eigen_residual_over_abs_J={io.fmt(residual)}")
         footer.append("class_counts=" + " ".join(f"{k}:{v}" for k, v in zip(names, counts)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    io.write_csv(
-        out / "spectrum.csv",
-        ("index", "energy", "class", "energy_mismatch"),
-        [(template, np.column_stack((np.arange(n), *values)))],
-        preamble=[f"sector eigenvalues relative to e0; energies in the same unit as J; N={cfg.N} J={io.fmt(cfg.J)} engine={args.engine}"],
-        footer=footer,
-    )
+    preamble = (f"sector eigenvalues relative to e0; energies in the same unit as J; "
+                f"N={cfg.N} J={io.fmt(cfg.J)} engine={args.engine}")
+    io.write_csv(out / "spectrum.csv", columns, [(template, np.column_stack((np.arange(n), *values)))],
+                 preamble=[preamble], footer=footer)
     print(f"wrote {out / 'spectrum.csv'} ({n} rows)")
     return 0
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from oracles import exterior_state_and_partition, full_space_oracle, state_trace_distance
 from pcx.analysis import equilibrium_stats, peak_ratio, spacetime_scan
+from pcx.bethe import enumerate_roots
 from pcx.chain import ChainConfig, SpectralEngine
 from pcx.cli import main
 from pcx.horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
@@ -110,9 +111,10 @@ def test_criterion_6_small_instance_oracles(rng):
 
 
 def test_criterion_7_bethe_backend_parity(cfg32, engine32, dense_engine32, bethe_engine32):
-    n_roots = len(bethe_engine32.roots)
+    roots = enumerate_roots(cfg32)
+    n_roots = len(roots)
     diag = np.sort(dense_engine32.spectral.eigenvalues)
-    bethe = np.sort(bethe_engine32.roots.energy)
+    bethe = np.sort(roots.energy)
     mismatch = float(np.max(np.abs(diag - bethe)))
     worst = 0.0
     for t in (1.0, 9.0, 50.0):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import comb, pi
 
@@ -15,6 +16,7 @@ from pcx.bethe import (
     _depth_function,
     bethe_state,
     block_vectors,
+    checked_blocks,
     dispersion,
     enumerate_roots,
 )
@@ -29,7 +31,64 @@ from pcx.chain import (
     pair_index,
     sector_hamiltonian,
 )
+from pcx.cli import main
 from pcx.errors import SolverError
+
+# corrupt classes: the ring each is built on, and the message that refuses it
+CORRUPT_CLASSES = {
+    "duplicate-state": (8, r"incomplete in momentum block k=1 \("),
+    "skewed-basis": (8, r"incomplete in momentum block k=1 \("),
+    "mirror-shift": (8, "classes k=5 and 3 hold different levels"),
+    "shifted-theta": (32, r"cell \(1,2\) of momentum block k=3 is not an eigenvector"),
+}
+
+
+def corrupt(monkeypatch, case: str):
+    """Patch pcx.bethe so that one class of the ring CORRUPT_CLASSES[case] names is corrupt.
+
+    duplicate-state: a class-1 row is replaced by another row of its class;
+    skewed-basis: that row is tilted by 1e-8 toward the other and renormalized;
+    mirror-shift: one level of class 5 moves by 1e-9;
+    shifted-theta: theta of the class-3 real pair (1,2) moves by 1e-7.
+    """
+    import pcx.bethe
+
+    real_vectors, real_roots = pcx.bethe.block_vectors, pcx.bethe.enumerate_roots
+    roots = real_roots(ChainConfig(N=8))
+    classes = (roots.m1 + roots.m2) % 8
+    partner = roots[2 + np.flatnonzero(classes[2:] == classes[1])[:1]]  # same block as roots[1]
+
+    def target(batch):
+        return (batch.m1 == roots[1].m1) & (batch.m2 == roots[1].m2)
+
+    def duplicate_state(batch, cfg):
+        batch = batch.copy()
+        batch[target(batch)] = partner
+        return real_vectors(batch, cfg)
+
+    def skewed_basis(batch, cfg):
+        phi = real_vectors(batch, cfg)
+        for i in np.flatnonzero(target(batch)):
+            tilted = phi[i] + 1e-8 * real_vectors(partner, cfg)[0]
+            phi[i] = tilted / np.linalg.norm(tilted)
+        return phi
+
+    def mirror_shift(cfg):
+        roots = real_roots(cfg)
+        roots.energy[np.flatnonzero((roots.m1 + roots.m2) % cfg.N == 5)[0]] += 1e-9
+        return roots
+
+    def shifted_theta(cfg):
+        roots = real_roots(cfg)
+        roots.theta[(roots.m1 == 1) & (roots.m2 == 2)] += 1e-7
+        return roots
+
+    if case in ("duplicate-state", "skewed-basis"):
+        monkeypatch.setattr(pcx.bethe, "block_vectors",
+                            duplicate_state if case == "duplicate-state" else skewed_basis)
+    else:
+        monkeypatch.setattr(pcx.bethe, "enumerate_roots",
+                            mirror_shift if case == "mirror-shift" else shifted_theta)
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +160,8 @@ class TestEnumerateRoots:
 
     @pytest.mark.parametrize("N", [31, 48])
     def test_engine_roots_are_one_table(self, N):
-        """The engine keeps its roots as one ROOT_DTYPE table: one row per cell, sorted by (m1, m2)."""
-        roots = BetheEngine(ChainConfig(N=N)).roots
+        """The roots are one ROOT_DTYPE table: one row per cell, sorted by (m1, m2)."""
+        roots = enumerate_roots(ChainConfig(N=N))
         assert roots.dtype == ROOT_DTYPE
         assert len(roots) == comb(N, 2)
         dm1, dm2 = np.diff(roots.m1), np.diff(roots.m2)
@@ -280,10 +339,39 @@ class TestBetheState:
             block_vectors(bogus, cfg32)
 
     def test_block_vector_off_momentum_rejected(self, cfg32):
-        """Momenta that do not add up to 2 pi (m1 + m2)/N leave a phase that varies with r."""
-        bogus = np.rec.array([(0.5, 1.0, 0.3, 0.9, "real-pair", 1, 3)], dtype=ROOT_DTYPE)
-        with pytest.raises(SolverError, match="not real"):
-            block_vectors(bogus, cfg32)
+        """Momenta that miss 2 pi (m1 + m2)/N by 2e-7 give an energy off the block's level.
+
+        The row is built from k2 - k1 and theta, so only the residual sees it;
+        class N/2 has no mirror class whose levels would differ first.
+        """
+        roots = enumerate_roots(cfg32)
+        i = np.flatnonzero((roots.m1 == 1) & (roots.m2 == 15))[0]
+        roots.k1[i] += 1e-7
+        roots.k2[i] += 1e-7
+        roots.energy[i] = dispersion(cfg32, roots.k1[i], roots.k2[i]).real
+        with pytest.raises(SolverError, match=r"cell \(1,15\) of momentum block k=16 is not an eigenvector"):
+            list(checked_blocks(roots, cfg32))
+
+    @pytest.mark.parametrize("J", [1.0, -1.3])
+    @pytest.mark.parametrize("N", [48, 323])
+    def test_eigen_residual_at_rounding(self, N, J):
+        """Every row the pass yields is an eigenvector of its block to 1e-12 |J|."""
+        cfg = ChainConfig(N=N, J=J)
+        assert max(residual for *_, residual in checked_blocks(enumerate_roots(cfg), cfg)) <= 1e-12
+
+    def test_bound_rows_closed_form(self):
+        """At the ring limit, bound rows (e^{-v r} + s e^{-v (N - r)}) (-1)^{jr} are bethe_state on (1, 1 + r)."""
+        N = 511
+        cfg = ChainConfig(N=N)
+        roots = enumerate_roots(cfg)
+        bound = roots[(roots.kind == "bound") & (2 * (roots.m1 + roots.m2) != N)][::7]
+        r = np.arange(1, N)
+        flat = pair_index(1, 1 + r, N)
+        for root, phi in zip(bound, block_vectors(bound, cfg)):
+            k = (root.m1 + root.m2) % N
+            psi = bethe_state(root, cfg).amplitudes[flat] * np.exp(-1j * np.pi * k * r / N)
+            psi /= np.linalg.norm(psi)
+            assert abs(abs(np.vdot(phi, psi)) - 1) < 1e-12, (root.m1, root.m2)
 
     @pytest.mark.parametrize("N", [12, 31, 32])
     def test_block_vectors_match_position_wavefunction(self, N):
@@ -344,20 +432,20 @@ class TestCompleteness:
     def test_engine_basis_is_raw_states(self):
         """The stored blocks k <= N/2 hold the rows r <= N/2 of the raw block vectors."""
         engine = BetheEngine(ChainConfig(N=12))
+        roots = enumerate_roots(engine.cfg)
         A = np.zeros_like(engine.vectors)
         filled = np.zeros(7, dtype=int)
-        for i, r in enumerate(engine.roots):
+        for i, r in enumerate(roots):
             k = (r.m1 + r.m2) % 12
             if k <= 6:
-                phi = block_vectors(engine.roots[i:i + 1], engine.cfg)[0]  # one-row table
+                phi = block_vectors(roots[i:i + 1], engine.cfg)[0]  # one-row table
                 A[k, :, filled[k]] = phi[:6]
                 filled[k] += 1
         assert np.array_equal(engine.vectors, A)
 
-    def test_engine_basis_orthonormal(self, bethe_engine32):
+    def test_engine_basis_orthonormal(self, bethe_engine32, roots32):
         vectors = full_stack(bethe_engine32)
-        roots = bethe_engine32.roots
-        for k, size in enumerate(np.bincount((roots.m1 + roots.m2) % 32, minlength=32)):
+        for k, size in enumerate(np.bincount((roots32.m1 + roots32.m2) % 32, minlength=32)):
             Q = vectors[k, :, :size]
             assert np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) < 1e-10
 
@@ -375,56 +463,39 @@ class TestCompleteness:
 
     def test_duplicate_state_rejected(self, monkeypatch):
         """A repeated wavefunction leaves the basis incomplete; the engine refuses it."""
-        import pcx.bethe
-
-        real_vectors = pcx.bethe.block_vectors
-        roots = enumerate_roots(ChainConfig(N=8))
-        classes = (roots.m1 + roots.m2) % 8
-        partner = roots[2 + np.flatnonzero(classes[2:] == classes[1])[:1]]  # same block
-
-        def repeat_partner(batch, cfg):
-            batch = batch.copy()
-            batch[(batch.m1 == roots[1].m1) & (batch.m2 == roots[1].m2)] = partner
-            return real_vectors(batch, cfg)
-
-        monkeypatch.setattr(pcx.bethe, "block_vectors", repeat_partner)
+        corrupt(monkeypatch, "duplicate-state")
         with pytest.raises(SolverError, match=r"incomplete in momentum block k=1 \("):
             BetheEngine(ChainConfig(N=8))
 
     def test_slightly_skewed_basis_rejected(self, monkeypatch):
         """A column tilted by 1e-8 keeps full rank but is not orthonormal; the engine refuses it."""
-        import pcx.bethe
-
-        real_vectors = pcx.bethe.block_vectors
-        roots = enumerate_roots(ChainConfig(N=8))
-        classes = (roots.m1 + roots.m2) % 8
-        partner = roots[2 + np.flatnonzero(classes[2:] == classes[1])[:1]]  # same block
-
-        def skew_second(batch, cfg):
-            phi = real_vectors(batch, cfg)
-            for i in np.flatnonzero((batch.m1 == roots[1].m1) & (batch.m2 == roots[1].m2)):
-                tilted = phi[i] + 1e-8 * real_vectors(partner, cfg)[0]
-                phi[i] = tilted / np.linalg.norm(tilted)
-            return phi
-
-        monkeypatch.setattr(pcx.bethe, "block_vectors", skew_second)
+        corrupt(monkeypatch, "skewed-basis")
         with pytest.raises(SolverError, match=r"incomplete in momentum block k=1 \("):
             BetheEngine(ChainConfig(N=8))
 
     def test_mirror_class_levels_checked(self, monkeypatch):
         """A class above N/2 builds no vectors; one level 1e-9 off its mirror class is refused."""
-        import pcx.bethe
-
-        real_roots = pcx.bethe.enumerate_roots
-
-        def shifted(cfg):
-            roots = real_roots(cfg)
-            roots.energy[np.flatnonzero((roots.m1 + roots.m2) % cfg.N == 5)[0]] += 1e-9
-            return roots
-
-        monkeypatch.setattr(pcx.bethe, "enumerate_roots", shifted)
+        corrupt(monkeypatch, "mirror-shift")
         with pytest.raises(SolverError, match="classes k=5 and 3 hold different levels"):
             BetheEngine(ChainConfig(N=8))
+
+    def test_shifted_theta_refused(self, monkeypatch):
+        """A real pair whose theta is 1e-7 off keeps an orthonormal block; its residual refuses it."""
+        N, message = CORRUPT_CLASSES["shifted-theta"]
+        corrupt(monkeypatch, "shifted-theta")
+        with pytest.raises(SolverError, match=message):
+            BetheEngine(ChainConfig(N=N))
+
+    @pytest.mark.parametrize("case", CORRUPT_CLASSES)
+    def test_corrupt_class_refused_by_spectrum(self, monkeypatch, tmp_path, capsys, case):
+        """`spectrum --engine bethe` runs the engine's checks: one solver error line naming the class."""
+        N, message = CORRUPT_CLASSES[case]
+        corrupt(monkeypatch, case)
+        assert main(["spectrum", "--engine", "bethe", "--sites", str(N), "--out", str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver error: ") and len(captured.err.splitlines()) == 1
+        assert re.search(message, captured.err)
+        assert not (tmp_path / "spectrum.csv").exists()
 
     def test_build_uses_no_per_root_wavefunction(self, monkeypatch, bethe_engine32):
         """The engine builds its blocks from batches alone; the per-root path is never taken."""
@@ -471,7 +542,10 @@ class TestCompleteness:
         for a, b in zip(batched, single):
             assert a.vectors.tobytes() == b.vectors.tobytes()
             assert a._energies.tobytes() == b._energies.tobytes()
-        assert batched[0].roots.tobytes() == single[0].roots.tobytes()
+        roots = enumerate_roots(cfg)
+        single_residual = max(residual for *_, residual in checked_blocks(roots, cfg))
+        monkeypatch.undo()
+        assert single_residual == max(residual for *_, residual in checked_blocks(roots, cfg))
 
 
 class TestBetheEvolve:

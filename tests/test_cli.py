@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from math import comb, inf, nan
 
 import numpy as np
@@ -36,8 +37,15 @@ class TestSpectrumCommand:
     def test_row_count_small(self, tmp_path):
         assert main(["spectrum", "--sites", "5", "--out", str(tmp_path)]) == 0
         _, header, rows, _ = read_csv(tmp_path / "spectrum.csv")
-        assert header == ["index", "energy", "class", "energy_mismatch"]
+        assert header == ["index", "energy"]
         assert len(rows) == comb(5, 2) == 10
+
+    def test_spectral_rows_have_two_fields(self, tmp_path):
+        """The spectral table has no Bethe columns: every row is index,energy."""
+        assert main(["spectrum", "--sites", "48", "--out", str(tmp_path)]) == 0
+        _, _, rows, _ = read_csv(tmp_path / "spectrum.csv")
+        assert len(rows) == comb(48, 2)
+        assert all(len(row) == 2 and row[1] for row in rows)
 
     def test_row_count_reference(self, tmp_path):
         assert main(["spectrum", "--out", str(tmp_path)]) == 0
@@ -80,7 +88,7 @@ class TestSpectrumCommand:
         """The spectral table is the sorted block levels, one formatted cell at a time."""
         assert main(["spectrum", "--sites", "9", "--out", str(tmp_path)]) == 0
         levels = np.sort(block_levels(ChainConfig(N=9)))
-        rows = [(i, e, "", "") for i, e in enumerate(levels)]
+        rows = list(enumerate(levels))
         preamble, header, _, footer = read_csv(tmp_path / "spectrum.csv")
         reference = cell_by_cell_csv(preamble, header, rows, footer)
         assert reference == (tmp_path / "spectrum.csv").read_bytes()
@@ -92,21 +100,41 @@ class TestSpectrumCommand:
         assert len(cells) == 3 * comb(12, 2)
         assert all(format(float(cell), ".17g") == cell for cell in cells)
 
-    def test_bethe_footer_compares_blocks(self, tmp_path, monkeypatch):
-        """A level filed under the wrong momentum shows in the footer, though the spectrum is whole."""
-        from pcx.bethe import BetheEngine
+    def test_bethe_footer_compares_blocks(self, tmp_path, monkeypatch, capsys):
+        """A level filed under the wrong momentum is refused by the class count, naming the class."""
+        import pcx.bethe
 
-        class MislabelledEngine(BetheEngine):
-            def __init__(self, cfg):
-                super().__init__(cfg)
-                i = np.flatnonzero((self.roots.m1 + self.roots.m2) % cfg.N == 1)[0]
-                self.roots.m2[i] += 1  # one root of class 1 now claims class 2
+        real_roots = pcx.bethe.enumerate_roots
 
-        monkeypatch.setattr("pcx.cli.BetheEngine", MislabelledEngine)
-        assert main(["spectrum", "--sites", "12", "--engine", "bethe", "--out", str(tmp_path)]) == 0
+        def mislabelled(cfg):
+            roots = real_roots(cfg)
+            roots.m2[np.flatnonzero((roots.m1 + roots.m2) % cfg.N == 1)[0]] += 1  # class 1 -> 2
+            return roots
+
+        monkeypatch.setattr(pcx.bethe, "enumerate_roots", mislabelled)
+        assert main(["spectrum", "--sites", "12", "--engine", "bethe", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and len(err.splitlines()) == 1
+        assert "momentum block k=1" in err
+
+    @pytest.mark.parametrize("coupling", ["1e-310", "-1.3", "4e307"])
+    def test_bethe_footer_eigen_residual(self, tmp_path, coupling):
+        """The footer states the largest eigen-residual of the Bethe rows, in units of |J|."""
+        assert main(["spectrum", "--sites", "48", "--engine", "bethe", "--coupling", coupling,
+                     "--out", str(tmp_path)]) == 0
         _, _, _, footer = read_csv(tmp_path / "spectrum.csv")
-        mismatch_line = next(l for l in footer if l.startswith("max_abs_energy_mismatch"))
-        assert float(mismatch_line.split("=")[1]) > 1e-3
+        residual_line = next(l for l in footer if l.startswith("max_eigen_residual_over_abs_J="))
+        assert 0 < float(residual_line.split("=")[1]) <= 1e-12
+
+    def test_bethe_spectrum_builds_no_stack(self, tmp_path):
+        """At N=256 the command peaks below the 8 * 129 * 128^2 bytes of the engine's quarter stack."""
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "--sites", "256", "--engine", "bethe", "--out", str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 129 * 128**2
 
 
 @pytest.fixture(scope="module")
@@ -525,6 +553,20 @@ def _blas_core_type_forcible() -> bool:
     return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
+# prints the core type of numpy's bundled OpenBLAS, or nothing where no *_get_corename* symbol is found
+OPENBLAS_CORE_PROBE = """
+import ctypes, glob, os, numpy
+for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")):
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                 "openblas_get_corename64_", "openblas_get_corename"):
+        corename = getattr(ctypes.CDLL(path), name, None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            print(corename().decode())
+            raise SystemExit
+"""
+
+
 def _max_number_gap(a: str, b: str) -> float:
     """Largest |x - y| over the numbers of two texts that agree token by token otherwise."""
     ta, tb = re.split(r"[,=\s]+", a), re.split(r"[,=\s]+", b)
@@ -542,18 +584,26 @@ def _pgm_pixels(path) -> tuple[bytes, np.ndarray]:
 @pytest.mark.skipif(not _blas_core_type_forcible(),
                     reason="numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH, "
                            "so its core type cannot be forced")
-def test_outputs_agree_across_blas_kernels(tmp_path, run_cli):
+def test_outputs_agree_across_blas_kernels(tmp_path, run_cli, run_python):
     """The recipe scan and series --site 17 under the default and a forced OpenBLAS core type.
 
+    A child process with the same environment as each run reads the core
+    that OpenBLAS runs, so the test knows the forced core was honoured.
     Bytes may differ between BLAS kernels; every value must agree to 1e-14
     and every PGM pixel to one gray level (round(255 v) at a rounding edge).
     """
     commands = {"scan": ["scan", "--horizon", "1,2,3"], "series": ["series", "--site", "17"]}
-    for core in (None, "Sandybridge"):
+    envs = {core: {"OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1"} for core in (None, "Sandybridge")}
+    cores = {core: run_python(["-c", OPENBLAS_CORE_PROBE], env).stdout.strip() for core, env in envs.items()}
+    if not cores[None]:
+        pytest.skip("numpy's OpenBLAS exports no *_get_corename* symbol, so its core cannot be read")
+    if cores[None] == "Sandybridge":
+        pytest.skip("the default OpenBLAS core already is Sandybridge, so forcing it changes nothing")
+    assert cores["Sandybridge"] == "Sandybridge"
+    for core, env in envs.items():
         for name, args in commands.items():
             out = tmp_path / str(core) / name
-            result = run_cli(args + ["--out", str(out)],
-                             {"OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1"})
+            result = run_cli(args + ["--out", str(out)], env)
             assert result.returncode == 0, result.stderr
     default, forced = tmp_path / "None", tmp_path / "Sandybridge"
     for csv in ("scan/scan.csv", "series/series_site17.csv"):
@@ -576,10 +626,10 @@ class TestFailureExitCodes:
     def test_solver_error_exit_4(self, tmp_path, monkeypatch):
         from pcx.errors import SolverError
 
-        def broken_engine(cfg):
+        def broken_roots(cfg):
             raise SolverError("real-pair cell (1,3) did not converge")
 
-        monkeypatch.setattr("pcx.cli.BetheEngine", broken_engine)
+        monkeypatch.setattr("pcx.bethe.enumerate_roots", broken_roots)
         code = main(["spectrum", "--sites", "8", "--engine", "bethe",
                      "--out", str(tmp_path)])
         assert code == 4
