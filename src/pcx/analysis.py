@@ -15,12 +15,14 @@ from .horizon import classify_pairs  # not called here; perfbench/tracing.py pat
 
 MIN_WINDOW_SAMPLES = 100
 # Most (site, time) cells a run may ask for: its time points for a series,
-# N times as many for a scan.  Every grid-sized array holds one value per
-# cell, so this bounds memory before anything is built.
+# N times as many for a scan.  A grid holds one value per cell, and the
+# kernel holds (1 + len(r_h)) grids, so this bounds memory before anything
+# is built.
 MAX_TIME_POINTS = 10**6
 # Bytes of one chunk's (T, N, N-1) probability stack in the observable
 # kernel, which batches T = CHUNK_BYTES // (8 N (N-1)) time steps (at least
-# one); this bounds the kernel's working memory at any N.
+# one).  Besides the engine's stack and its output grids, the kernel holds a
+# few arrays of this size at a time, at any N.
 CHUNK_BYTES = 256 * 2**10
 # Tolerance, relative to the last time, of a grid point t = k dt: of tmax as a
 # multiple of dt and of a window edge; MAX_TIME_POINTS keeps it below 1e-3 dt.
@@ -106,10 +108,12 @@ def _observables(engine, flips: tuple[int, int], sites, r_h_list,
     """S and C(r_h) in bits, arrays of shape (len(sites), len(times)).
 
     Each time step takes one engine.pair_amplitudes call; the arithmetic
-    runs on chunks of T steps, T from CHUNK_BYTES.  The probabilities |b|^2
-    of a chunk are gathered into P[T, x, r] on the (x, r) layout, where
-    row j-1 lists the pairs of site j by clockwise distance r.  With W_j
-    the window of radius r_h around site j:
+    runs on chunks of T steps, T from CHUNK_BYTES, and each chunk's S and
+    C(r_h) go straight into the output grids, so the kernel holds those
+    (1 + len(r_h)) grids and a few CHUNK_BYTES-sized arrays.  The
+    probabilities |b|^2 of a chunk are gathered into P[T, x, r] on the
+    (x, r) layout, where row j-1 lists the pairs of site j by clockwise
+    distance r.  With W_j the window of radius r_h around site j:
     - p_down, the probability that j is flipped, is the sum of row j-1;
     - m_focus (one flip on j, the other outside W_j) is the sum of row j-1
       over r_h < r < N - r_h;
@@ -124,7 +128,6 @@ def _observables(engine, flips: tuple[int, int], sites, r_h_list,
     sites share the call.
     """
     N = engine.cfg.N
-    n1, n2 = flips
     layout = _layout_index(N)
     rows = np.asarray(sites) - 1
     arcs = {}  # r_h -> flat (x, r) cells of the cumulative sums m_out reads
@@ -132,22 +135,34 @@ def _observables(engine, flips: tuple[int, int], sites, r_h_list,
         i = np.arange(N - 2 * r - 2)  # every outside site but the last
         arcs[r] = (rows[:, None] + r + 1 + i) % N * (N - 1) + N - 2 * r - 3 - i
     n_steps = max(1, CHUNK_BYTES // (8 * N * (N - 1)))
-    p_down = np.empty((len(rows), len(times)))
-    offdiag = {r: np.empty_like(p_down) for r in arcs}
+    grids = np.empty((1 + len(arcs), len(rows), len(times)))  # S, then C(r_h) per radius
     for k in range(0, len(times), n_steps):
-        chunk = slice(k, k + n_steps)
-        amps = np.stack([engine.pair_amplitudes(n1, n2, float(t)) for t in times[chunk]])
-        # np.take keeps every gather C-ordered, so each sum runs along a contiguous row
-        prob = np.take(amps.real ** 2 + amps.imag ** 2, layout, axis=1)
-        own = np.take(prob, rows, axis=1)
-        p_down[:, chunk] = own.sum(axis=2).T
-        cumulative = np.cumsum(prob, axis=2).reshape(len(amps), -1)
-        for r, arc in arcs.items():
-            m_focus = own[:, :, r:N - r - 1].sum(axis=2)
-            m_out = np.take(cumulative, arc, axis=1).sum(axis=2)
-            offdiag[r][:, chunk] = np.sqrt(m_out * m_focus).T
-    entropy = two_level_entropy_bits(p_down)
-    return entropy, {r: two_level_entropy_bits(p_down, m) for r, m in offdiag.items()}
+        p_down, offdiag = _reduced_elements(engine, flips, layout, rows, arcs, times[k:k + n_steps])
+        grids[:, :, k:k + n_steps] = two_level_entropy_bits(p_down, offdiag).transpose(0, 2, 1)
+    return grids[0], dict(zip(arcs, grids[1:]))
+
+
+def _reduced_elements(engine, flips, layout, rows, arcs, times) -> tuple[np.ndarray, np.ndarray]:
+    """p_down, shape (T, len(rows)), and the |off-diagonals|, shape (1 + len(arcs), T, len(rows)).
+
+    The first off-diagonal slice is 0 and the others follow arcs, so one entropy call on the
+    pair gives S and every C(r_h).  The chunk's arrays go when it returns, before the next
+    chunk's amplitudes are stacked.
+    """
+    N = engine.cfg.N
+    amps = np.stack([engine.pair_amplitudes(*flips, float(t)) for t in times])
+    # np.take keeps every gather C-ordered, so each sum runs along a contiguous row
+    prob = np.take(amps.real ** 2 + amps.imag ** 2, layout, axis=1)
+    del amps
+    own = np.take(prob, rows, axis=1)
+    cumulative = np.cumsum(prob, axis=2).reshape(len(times), -1)
+    del prob
+    offdiag = np.zeros((1 + len(arcs), len(times), len(rows)))
+    for m, (r, arc) in zip(offdiag[1:], arcs.items()):
+        m_focus = own[:, :, r:N - r - 1].sum(axis=2)
+        m_out = np.take(cumulative, arc, axis=1).sum(axis=2)
+        np.sqrt(m_out * m_focus, out=m)
+    return own.sum(axis=2), offdiag
 
 
 def site_series(engine, flips: tuple[int, int], j: int, r_h_list,

@@ -133,7 +133,7 @@ def classify_pairs(spec: HorizonSpec) -> PairClassification:
 def two_level_entropy_bits(p_down, offdiag_abs=0.0):
     """Entropy of a 2x2 density matrix from its diagonal and |off-diagonal|.
 
-    Takes scalars or arrays of matching shape; a scalar call returns a float.
+    Takes scalars or arrays that broadcast; a scalar call returns a float.
     """
     half_gap = np.sqrt(0.25 * (2.0 * np.asarray(p_down, dtype=float) - 1.0) ** 2
                        + np.asarray(offdiag_abs, dtype=float) ** 2)

@@ -39,7 +39,9 @@ def write_pgm(path, values01: np.ndarray):
     The gray scale is fixed to [0, 1] bits so different grids are directly
     comparable; values outside are clipped.
     """
-    pixels = np.rint(255.0 * np.clip(values01, 0.0, 1.0)).astype(np.uint8)
+    scaled = np.clip(values01, 0.0, 1.0)  # the one grid-sized scratch array
+    scaled *= 255.0
+    pixels = np.rint(scaled, out=scaled).astype(np.uint8)
     height, width = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

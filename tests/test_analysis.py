@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pcx.analysis
 import pcx.horizon
 from pcx.analysis import (
+    CHUNK_BYTES,
     MAX_TIME_POINTS,
     _observables,
     check_run,
@@ -246,6 +249,19 @@ class TestObservableKernel:
             for r in radii:
                 assert np.array_equal(c[r][:, 0], complexity[r][:, k])
 
+    def test_scan_memory_bound_by_grids_and_chunks(self):
+        """A long N=16 scan peaks below its 4 output grids plus 8 chunks of working memory."""
+        engine = SpectralEngine(ChainConfig(N=16))
+        grid_bytes = 8 * 16 * 10001  # 1.22 MiB per grid; the 8 chunks below are 2 MiB
+        tracemalloc.start()
+        try:
+            grids = spacetime_scan(engine, (3, 9), (1, 2, 3), 0.2, 2000.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [g.values.shape for g in grids] == [(16, 10001)] * 4
+        assert peak < 4 * grid_bytes + 8 * CHUNK_BYTES
+
 
 class TestEquilibriumStats:
     def test_constant_series(self):
@@ -254,6 +270,14 @@ class TestEquilibriumStats:
         stats = equilibrium_stats(times, values, (10.0, 140.0))
         assert stats.mean == pytest.approx(0.42, abs=1e-15)
         assert stats.std == 0.0
+
+    def test_near_constant_series_keeps_its_std(self):
+        """Two values 2^-40 (about 1e-12) apart are not a constant series; every step is exact."""
+        times = np.arange(200.0)
+        values = np.tile([0.5, 0.5 + 2.0**-40], 100)
+        stats = equilibrium_stats(times, values, (0.0, 199.0))
+        assert stats.mean == 0.5 + 2.0**-41
+        assert stats.std == 2.0**-41
 
     def test_population_std(self):
         times = np.arange(200.0)

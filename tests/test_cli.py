@@ -201,6 +201,20 @@ class TestSeriesCommand:
         mean = next(float(l.split()[2]) for l in footer if l.startswith("eq_mean S_bits"))
         assert mean == pytest.approx(np.mean(inside), rel=1e-12)
 
+    def test_default_eq_window_is_second_half(self, tmp_path):
+        """Without --eq-window the footer names [tmax/2, tmax] and its stats are over that half."""
+        assert main(["series", "--sites", "16", "--flips", "4,11", "--site", "8", "--horizon", "1",
+                     "--dt", "0.2", "--tmax", "40", "--out", str(tmp_path)]) == 0
+        _, _, _, footer = read_csv(tmp_path / "series_site8.csv")
+        assert "equilibrium window: [20, 40], std=population" in footer
+        series = site_series(SpectralEngine(ChainConfig(N=16)), (4, 11), 8, (1,), 0.2, 40.0)
+        mask = np.arange(len(series.times)) >= 100  # t = 20 is grid point 100 of 0..200
+        for name, values in (("S_bits", series.entropy), ("C_bits_rh1", series.complexity[1])):
+            sel = values[mask]
+            mean = float(sel.mean())
+            assert f"eq_mean {name} {io.fmt(mean)}" in footer
+            assert f"eq_std {name} {io.fmt(np.sqrt(np.mean((sel - mean) ** 2)))}" in footer
+
     def test_degenerate_horizon_exit_code(self, tmp_path):
         assert main(["series", "--sites", "8", "--flips", "1,4", "--site", "2",
                      "--horizon", "4", "--out", str(tmp_path)]) == 2
@@ -363,6 +377,15 @@ class TestConfigErrors:
         assert main(["series", "--sites", "12", "--flips", "3,7", "--site", "5",
                      "--horizon", "1", "--out", str(out), *bad]) == 2
         self.assert_config_error(capsys, out)
+
+    def test_odd_ring_degenerate_horizon_exit_2(self, tmp_path, capsys):
+        """At N = 31, r_h = 15 covers the ring (2 r_h + 1 = N): refused, not written as C = S."""
+        out = tmp_path / "out"
+        assert main(["series", "--sites", "31", "--site", "5", "--horizon", "15",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: degenerate horizon: 2*15+1 sites cover the 31-site ring\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, fragment", [
         (["series", "--site", "5", "--flips", "1,"], "argument --flips: "),

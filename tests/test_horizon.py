@@ -43,6 +43,12 @@ class TestHorizonSpec:
         with pytest.raises(ConfigError):
             HorizonSpec(j=1, r_h=16, N=32)
 
+    def test_odd_ring_horizon_covering_it_rejected(self):
+        """2 r_h + 1 = N on an odd ring leaves no site outside the window."""
+        with pytest.raises(ConfigError, match="degenerate horizon"):
+            HorizonSpec(j=5, r_h=15, N=31)
+        HorizonSpec(j=5, r_h=14, N=31)
+
     def test_site_range_checked(self):
         with pytest.raises(ConfigError):
             HorizonSpec(j=0, r_h=1, N=32)

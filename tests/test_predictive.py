@@ -95,6 +95,14 @@ class TestPredictiveMap:
         assert np.allclose(primed.amplitudes, [[1.0, 0.0], [0.0, 0.0]], atol=1e-14)
         assert primed.degenerate_phases == 1
 
+    def test_small_in_class_sum_keeps_its_phase(self):
+        """A class sum of 1.4e-9 sqrt(mass), between the 1e-12 cutoff and 1e-6, keeps its phase."""
+        z = 1e-9 * np.exp(0.7j)
+        amps = np.array([[0.5 + z / 2, -0.5 + z / 2, 0.0], [0.0, 0.0, 1 / SQ2]], dtype=complex)
+        primed = predictive_map(BipartiteState(amps), qutrit_partition())
+        assert primed.degenerate_phases == 0
+        assert np.angle(primed.amplitudes[0, 0]) == pytest.approx(0.7, abs=1e-6)
+
     def test_output_normalized(self, rng):
         part = qutrit_partition()
         for _ in range(20):
