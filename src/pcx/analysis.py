@@ -108,12 +108,14 @@ def _observables(engine, flips: tuple[int, int], sites, r_h_list,
     """S and C(r_h) in bits, arrays of shape (len(sites), len(times)).
 
     Each time step takes one engine.pair_amplitudes call; the arithmetic
-    runs on chunks of T steps, T from CHUNK_BYTES, and each chunk's S and
-    C(r_h) go straight into the output grids, so the kernel holds those
-    (1 + len(r_h)) grids and a few CHUNK_BYTES-sized arrays.  The
-    probabilities |b|^2 of a chunk are gathered into P[T, x, r] on the
-    (x, r) layout, where row j-1 lists the pairs of site j by clockwise
-    distance r.  With W_j the window of radius r_h around site j:
+    runs on chunks of T steps, T from CHUNK_BYTES, in arrays allocated once
+    per call.  Each chunk writes p_down and the |off-diagonals| straight into
+    the output grids, and S and C(r_h) replace them in place at the end, a
+    block of cells at a time, so the kernel holds those (1 + len(r_h)) grids
+    and a few CHUNK_BYTES-sized arrays.  The probabilities |b|^2 of a chunk
+    are gathered into P[T, x, r] on the (x, r) layout, where row j-1 lists
+    the pairs of site j by clockwise distance r.  With W_j the window of
+    radius r_h around site j:
     - p_down, the probability that j is flipped, is the sum of row j-1;
     - m_focus (one flip on j, the other outside W_j) is the sum of row j-1
       over r_h < r < N - r_h;
@@ -134,35 +136,56 @@ def _observables(engine, flips: tuple[int, int], sites, r_h_list,
     for r in r_h_list:
         i = np.arange(N - 2 * r - 2)  # every outside site but the last
         arcs[r] = (rows[:, None] + r + 1 + i) % N * (N - 1) + N - 2 * r - 3 - i
-    n_steps = max(1, CHUNK_BYTES // (8 * N * (N - 1)))
-    grids = np.empty((1 + len(arcs), len(rows), len(times)))  # S, then C(r_h) per radius
-    for k in range(0, len(times), n_steps):
-        p_down, offdiag = _reduced_elements(engine, flips, layout, rows, arcs, times[k:k + n_steps])
-        grids[:, :, k:k + n_steps] = two_level_entropy_bits(p_down, offdiag).transpose(0, 2, 1)
+    # p_down and the |off-diagonal| per radius, then in place S and C(r_h) per radius
+    grids = np.empty((1 + len(arcs), len(rows), len(times)))
+    _reduced_elements(engine, flips, layout, rows, arcs, times, grids)
+    # the entropy of a block of CHUNK_BYTES / 4 needs a few CHUNK_BYTES of temporaries
+    width = max(1, CHUNK_BYTES // (32 * grids.shape[0] * len(rows)))
+    for k in range(0, len(times), width):
+        block = grids[:, :, k:k + width]
+        p_down = block[0].copy()
+        block[0] = 0.0  # the off-diagonal of S
+        block[...] = two_level_entropy_bits(p_down, block)
     return grids[0], dict(zip(arcs, grids[1:]))
 
 
-def _reduced_elements(engine, flips, layout, rows, arcs, times) -> tuple[np.ndarray, np.ndarray]:
-    """p_down, shape (T, len(rows)), and the |off-diagonals|, shape (1 + len(arcs), T, len(rows)).
+def _reduced_elements(engine, flips, layout, rows, arcs, times, out):
+    """Write p_down to out[0] and the |off-diagonal| of each arc to out[1:], chunk by chunk.
 
-    The first off-diagonal slice is 0 and the others follow arcs, so one entropy call on the
-    pair gives S and every C(r_h).  The chunk's arrays go when it returns, before the next
-    chunk's amplitudes are stacked.
+    out has shape (1 + len(arcs), len(rows), len(times)).  The chunk arrays are
+    allocated once per call, and a last, shorter chunk uses their leading
+    slices: the amplitudes, |b|^2, the (T, N, N-1) layout and its cumulative
+    sums, plus the rows asked for unless they are all N.  im^2 is held in the
+    cumulative sums' memory until they are formed, and the cells that m_out
+    gathers in the amplitudes' memory, which is free by then.
     """
     N = engine.cfg.N
-    amps = np.stack([engine.pair_amplitudes(*flips, float(t)) for t in times])
-    # np.take keeps every gather C-ordered, so each sum runs along a contiguous row
-    prob = np.take(amps.real ** 2 + amps.imag ** 2, layout, axis=1)
-    del amps
-    own = np.take(prob, rows, axis=1)
-    cumulative = np.cumsum(prob, axis=2).reshape(len(times), -1)
-    del prob
-    offdiag = np.zeros((1 + len(arcs), len(times), len(rows)))
-    for m, (r, arc) in zip(offdiag[1:], arcs.items()):
-        m_focus = own[:, :, r:N - r - 1].sum(axis=2)
-        m_out = np.take(cumulative, arc, axis=1).sum(axis=2)
-        np.sqrt(m_out * m_focus, out=m)
-    return own.sum(axis=2), offdiag
+    n_steps = min(len(times), max(1, CHUNK_BYTES // (8 * N * (N - 1))))
+    amps = np.empty((n_steps, layout.size // 2), dtype=complex)
+    prob = np.empty(amps.shape)
+    layout_prob = np.empty((n_steps, N, N - 1))
+    cumulative = np.empty(layout_prob.shape)
+    own = None if np.array_equal(rows, np.arange(N)) else np.empty((n_steps, len(rows), N - 1))
+    free = amps.view(np.float64).reshape(-1)
+    for k in range(0, len(times), n_steps):
+        chunk = times[k:k + n_steps]
+        T = len(chunk)
+        for b, t in zip(amps, chunk):
+            b[...] = engine.pair_amplitudes(*flips, float(t))
+        re, im = amps[:T].real, amps[:T].imag
+        im2 = cumulative.reshape(-1)[:re.size].reshape(re.shape)
+        np.add(np.multiply(re, re, out=prob[:T]), np.multiply(im, im, out=im2), out=prob[:T])
+        # mode="clip" (every index is in range) lets np.take write straight into its out array
+        P = np.take(prob[:T], layout, axis=1, out=layout_prob[:T], mode="clip")
+        mine = P if own is None else np.take(P, rows, axis=1, out=own[:T], mode="clip")
+        flat = np.cumsum(P, axis=2, out=cumulative[:T]).reshape(T, -1)
+        block = out[:, :, k:k + T]
+        block[0] = mine.sum(axis=2).T
+        for m, (r, arc) in zip(block[1:], arcs.items()):
+            m_focus = mine[:, :, r:N - r - 1].sum(axis=2)
+            cells = free[:T * arc.size].reshape(T, *arc.shape)
+            m_out = np.take(flat, arc, axis=1, out=cells, mode="clip").sum(axis=2)
+            np.sqrt(m_out * m_focus, out=m.T)
 
 
 def site_series(engine, flips: tuple[int, int], j: int, r_h_list,

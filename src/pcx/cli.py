@@ -32,6 +32,8 @@ PEAK_HINT = 9.0
 # (N, J, flips, site) of the run whose first collision sits near PEAK_HINT
 PEAK_RECIPE = (32, 1.0, (10, 25), 17)
 ENGINES = {engine.name: engine for engine in (SpectralEngine, bethe.BetheEngine)}
+# rows of a table per write_csv chunk; a chunk's numbers are formatted together
+ROW_BLOCK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,7 +129,7 @@ def cmd_spectrum(args) -> int:
     levels = block_levels(cfg)
     n, footer = len(levels), []
     if args.engine == "spectral":
-        columns, template, values = ("index", "energy"), f"{io.FLOAT},{io.FLOAT}\n" * n, (np.sort(levels),)
+        columns, rows, values = ("index", "energy"), [f"{io.FLOAT},{io.FLOAT}\n"] * n, (np.sort(levels),)
     else:
         roots = bethe.enumerate_roots(cfg)
         # the engine's checks, one batch of block vectors at a time, keeping only the largest residual
@@ -141,7 +143,7 @@ def cmd_spectrum(args) -> int:
         names, counts = np.unique(kind, return_counts=True)
         row = {k: f"{io.FLOAT},{io.FLOAT},{k},{io.FLOAT}\n" for k in names.tolist()}
         columns = ("index", "energy", "class", "energy_mismatch")
-        template = "".join(map(row.get, kind[order].tolist()))
+        rows = list(map(row.get, kind[order].tolist()))
         values = (energy[order], mismatch[order])
         footer.append(f"max_abs_energy_mismatch_vs_diagonalization={io.fmt(mismatch.max())}")
         footer.append(f"max_eigen_residual_over_abs_J={io.fmt(residual)}")
@@ -150,10 +152,18 @@ def cmd_spectrum(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     preamble = (f"sector eigenvalues relative to e0; energies in the same unit as J; "
                 f"N={cfg.N} J={io.fmt(cfg.J)} engine={args.engine}")
-    io.write_csv(out / "spectrum.csv", columns, [(template, np.column_stack((np.arange(n), *values)))],
-                 preamble=[preamble], footer=footer)
+    table = np.column_stack((np.arange(n), *values))
+    with io.staged(out) as stage:
+        io.write_csv(stage("spectrum.csv"), columns, _row_blocks(rows, table),
+                     preamble=[preamble], footer=footer)
     print(f"wrote {out / 'spectrum.csv'} ({n} rows)")
     return 0
+
+
+def _row_blocks(rows, table):
+    """write_csv chunks of ROW_BLOCK rows: rows[i] is the template of table row i."""
+    for k in range(0, len(table), ROW_BLOCK):
+        yield "".join(rows[k:k + ROW_BLOCK]), table[k:k + ROW_BLOCK]
 
 
 def _series_footer(args, series, window) -> list[str]:
@@ -193,12 +203,13 @@ def cmd_series(args) -> int:
     radii = sorted(series.complexity)
     columns = ["t", "S_bits"] + [f"C_bits_rh{r}" for r in radii]
     table = np.column_stack([series.times, series.entropy] + [series.complexity[r] for r in radii])
-    row = ",".join([io.FLOAT] * len(columns)) + "\n"
-    path = out / f"series_site{args.site}.csv"
-    io.write_csv(path, columns, [(row * len(table), table)],
-                 preamble=_run_header(args, cfg) + [f"site={args.site}"],
-                 footer=_series_footer(args, series, window))
-    print(f"wrote {path} ({len(table)} rows)")
+    rows = [",".join([io.FLOAT] * len(columns)) + "\n"] * len(table)
+    name = f"series_site{args.site}.csv"
+    with io.staged(out) as stage:
+        io.write_csv(stage(name), columns, _row_blocks(rows, table),
+                     preamble=_run_header(args, cfg) + [f"site={args.site}"],
+                     footer=_series_footer(args, series, window))
+    print(f"wrote {out / name} ({len(table)} rows)")
     return 0
 
 
@@ -216,12 +227,13 @@ def cmd_scan(args) -> int:
     suffixes = ((f",{j},{grid.label},{io.FLOAT}\n", values)
                 for grid in grids for j, values in enumerate(grid.values, start=1))
     chunks = ((suffix.join(times) + suffix, values) for suffix, values in suffixes)
-    io.write_csv(out / "scan.csv", ("t", "site", "kind", "value_bits"), chunks,
-                 preamble=_run_header(args, cfg))
-    for grid in grids:
-        io.write_pgm(out / f"scan_{grid.label}.pgm", grid.values)
-        io.write_grid_metadata(out / f"scan_{grid.label}.txt", grid, cfg,
-                               args.flips, args.dt, args.tmax, args.engine)
+    with io.staged(out) as stage:
+        io.write_csv(stage("scan.csv"), ("t", "site", "kind", "value_bits"), chunks,
+                     preamble=_run_header(args, cfg))
+        for grid in grids:
+            io.write_pgm(stage(f"scan_{grid.label}.pgm"), grid.values)
+            io.write_grid_metadata(stage(f"scan_{grid.label}.txt"), grid, cfg,
+                                   args.flips, args.dt, args.tmax, args.engine)
     names = ", ".join(g.label for g in grids)
     print(f"wrote {out / 'scan.csv'} and PGM grids: {names}")
     return 0

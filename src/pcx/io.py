@@ -1,10 +1,40 @@
-"""CSV and PGM writers with a locale-independent fixed format."""
+"""CSV and PGM writers with a locale-independent fixed format, and staged output files."""
 
 from __future__ import annotations
+
+import functools
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 FLOAT = "%.17g"  # the one number format of tables, footers and preambles; reads back exactly
+_FIELD = FLOAT.encode()
+
+# FLOAT of x in [1e-4, 1) is "0." + (-1 - E) zeros + the 17 significant digits
+# D = x 10^(16 - E), rounded half to even, less trailing zeros; E = -1 .. -4 is
+# the decimal exponent.  With x = m 2^(e - 53) from frexp (m a 53-bit integer),
+# D = m 5^(16 - E) / 2^s with s = 37 + E - e in 33 .. 49, and m 5^(16 - E) < 2^100.
+_POW5 = np.array([5**q for q in range(17, 21)], dtype=np.uint64)  # 5^(16 - E) at index -1 - E
+_POW10 = np.array([10**k for k in range(11)])
+_LOW32, _ONE, _32 = np.uint64(2**32 - 1), np.uint64(1), np.uint64(32)
+_DIGITS_LOW, _DIGITS_HIGH = np.uint64(10**16), np.uint64(10**17)
+
+
+@functools.cache
+def _text_pieces() -> np.ndarray:
+    """4-byte pieces of text: row v < 10^4 is v in four digits, row 10^4 + v is "0." and v in two.
+
+    Built on first use, so a run that never takes the integer path never holds it.
+    """
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    four = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for k in range(4):
+        four[..., k] = digit.reshape((10,) + (1,) * (3 - k))
+    two = four[0, 0].copy()
+    two[..., 1] = ord(".")
+    return np.concatenate([four.reshape(-1, 4), two.reshape(-1, 4)]).view(np.uint32).ravel()
 
 
 def fmt(x) -> str:
@@ -12,25 +42,120 @@ def fmt(x) -> str:
     return FLOAT % float(x)
 
 
+def _half_even_shift(m, s, p):
+    """m p / 2^s rounded half to even, for m < 2^53, p < 2^47 and 33 <= s <= 49 (uint64 arrays).
+
+    The product is formed in 32-bit limbs: m p = hi 2^64 + mid 2^32 + lo with mid, lo < 2^32.
+    """
+    m_lo, m_hi = m & _LOW32, m >> _32
+    p_lo, p_hi = p & _LOW32, p >> _32
+    lo = m_lo * p_lo
+    mid = m_lo * p_hi + m_hi * p_lo + (lo >> _32)
+    hi = m_hi * p_hi + (mid >> _32)
+    mid &= _LOW32
+    lo &= _LOW32
+    t = s - _32  # 1 .. 17
+    d = (hi << (_32 - t)) | (mid >> t)
+    remainder = ((mid & ((_ONE << t) - _ONE)) << _32) | lo
+    # up when the remainder exceeds half, or equals it and d is odd
+    d += remainder + (d & _ONE) > (_ONE << (s - _ONE))
+    return d
+
+
+def _fraction_texts(x: np.ndarray) -> np.ndarray:
+    """FLOAT text of every x in [1e-4, 1), computed exactly in integers."""
+    frac, exp = np.frexp(x)
+    m = (frac * 2.0**53).astype(np.uint64)
+    E = np.clip(np.floor(np.log10(x)).astype(np.int64), -4, -1)  # a guess, off by one near 10^E
+    while True:
+        d = _half_even_shift(m, (37 + E - exp).astype(np.uint64), _POW5[-1 - E])
+        step = (d >= _DIGITS_HIGH).astype(np.int64) - (d < _DIGITS_LOW)
+        if not step.any():
+            break
+        E += step
+    d = d.view(np.int64)
+    # F = d 10^(4 + E), the 20 digits after "0.", in halves of 10 digits; the second is
+    # taken times 100, so that both read as three 4-digit pieces and the text ends in "00"
+    split = _POW10[6 - E]
+    halves = np.empty((len(x), 2), dtype=np.int64)
+    halves[:, 0] = d // split
+    halves[:, 1] = (d - halves[:, 0] * split) * _POW10[6 + E]
+    pieces = np.empty((len(x), 2, 3), dtype=np.intp)
+    upper = halves // 10**4
+    pieces[:, :, 2] = halves - upper * 10**4
+    pieces[:, :, 0] = upper // 10**4
+    pieces[:, :, 1] = upper - pieces[:, :, 0] * 10**4
+    pieces[:, 0, 0] += 10**4  # "00dd", the top of a 10-digit half, reads "0.dd"
+    text = np.take(_text_pieces(), pieces.reshape(len(x), 6)).view("S24").ravel()  # "0." F "00"
+    return np.char.rstrip(text, b"0")  # F has a nonzero digit, so the strip stops after "0."
+
+
+def _texts(x: np.ndarray, exact: np.ndarray) -> list[bytes]:
+    """FLOAT text of every x, in order; x[exact] by the integer path, the rest by one `%`."""
+    texts = np.empty(len(x), dtype=object)
+    texts[exact] = _fraction_texts(x[exact]).tolist()
+    rest = x[~exact].tolist()
+    texts[~exact] = ((_FIELD + b" ") * len(rest) % tuple(rest)).split()
+    return texts.tolist()
+
+
+def _exact(x: np.ndarray) -> np.ndarray:
+    """Where the integer path applies; False for nan, so log10 sees only positive finite values."""
+    return (x >= 1e-4) & (x < 1.0)
+
+
 def fmt_all(values: np.ndarray) -> list[str]:
     """fmt of every element of a float array, in order."""
-    return [FLOAT % x for x in np.asarray(values, dtype=np.float64).tolist()]
+    x = np.asarray(values, dtype=np.float64).ravel()
+    return [text.decode() for text in _texts(x, _exact(x))]
 
 
 def write_csv(path, columns, chunks, preamble=(), footer=()):
     """Plain comma-separated file: '#' preamble, header row, data, '#' footer.
 
     Each chunk is (template, numbers): the text of one or more rows with one
-    FLOAT field per number, filled by one `%` and written as is.
+    FLOAT field per number, filled by one `%` and written as is.  A chunk's
+    numbers are formatted together, so a large table goes in blocks of rows.
+    A chunk with most of its numbers in [1e-4, 1) takes their text from the
+    integer path; for any other, `%` alone is faster.
     """
-    with open(path, "w", newline="\n") as fh:
-        for line in preamble:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in preamble).encode())
+        fh.write((",".join(columns) + "\n").encode())
         for template, numbers in chunks:
-            fh.write(template % tuple(np.asarray(numbers, dtype=np.float64).ravel().tolist()))
-        for line in footer:
-            fh.write(f"# {line}\n")
+            x = np.asarray(numbers, dtype=np.float64).ravel()
+            exact = _exact(x)
+            if 2 * np.count_nonzero(exact) > len(x):
+                fh.write(template.encode().replace(_FIELD, b"%s") % tuple(_texts(x, exact)))
+            else:
+                fh.write((template % tuple(x.tolist())).encode())
+        fh.write("".join(f"# {line}\n" for line in footer).encode())
+
+
+@contextmanager
+def staged(directory):
+    """Yield stage(name): a temporary path in `directory` that replaces `name` there.
+
+    The temporary files take their names only after the block ends without
+    an exception, all of them then; otherwise they are removed, and files
+    already in `directory` stay as they were.  The renames are not atomic
+    as a set.
+    """
+    directory = Path(directory)
+    final = {}
+
+    def stage(name: str) -> Path:
+        path = directory / f".{name}.{os.getpid()}.tmp"
+        final[path] = directory / name
+        return path
+
+    try:
+        yield stage
+        for path, name in final.items():
+            os.replace(path, name)
+    finally:
+        for path in final:
+            path.unlink(missing_ok=True)  # a renamed file is already gone
 
 
 def write_pgm(path, values01: np.ndarray):

@@ -78,16 +78,17 @@ def run_python():
     The directory holding the imported pcx package goes first on the
     child's PYTHONPATH, so the child runs the same code as this process
     and never another install.  ``env`` sets variables of the child's
-    environment; a value None removes one.
+    environment; a value None removes one; other keywords go to
+    subprocess.run.
     """
     pcx_root = str(Path(pcx.__file__).resolve().parent.parent)
     base = dict(os.environ)
     base["PYTHONPATH"] = os.pathsep.join(p for p in (pcx_root, base.get("PYTHONPATH")) if p)
 
-    def run(args, env=None):
+    def run(args, env=None, **options):
         child = {**base, **(env or {})}
         child = {k: v for k, v in child.items() if v is not None}
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child, **options)
 
     return run
 
@@ -95,4 +96,4 @@ def run_python():
 @pytest.fixture(scope="session")
 def run_cli(run_python):
     """Runs ``python -m pcx`` in a child process on the source tree under test."""
-    return lambda args, env=None: run_python(["-m", "pcx", *args], env)
+    return lambda args, env=None, **options: run_python(["-m", "pcx", *args], env, **options)

@@ -1,4 +1,5 @@
 import re
+import resource
 import tracemalloc
 from math import comb, inf, nan
 
@@ -656,3 +657,54 @@ class TestFailureExitCodes:
         code = main(["spectrum", "--sites", "8", "--engine", "bethe",
                      "--out", str(tmp_path)])
         assert code == 4
+
+
+class TestCompleteFilesOrNone:
+    """A command writes all of its files or none, and leaves the files of an earlier run as they were."""
+
+    SCAN = ["scan", "--sites", "12", "--flips", "3,7", "--horizon", "2", "--dt", "0.5", "--tmax", "10"]
+
+    @staticmethod
+    def files(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def capped_scan(self, run_cli, out):
+        """The scan in a child whose files may not pass 4 KiB; Python ignores SIGXFSZ, so a write fails."""
+        def cap():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+        return run_cli([*self.SCAN, "--out", str(out)], preexec_fn=cap)
+
+    def test_run_leaves_its_files_only(self, scan_dir):
+        """A finished run leaves its CSV, PGMs and metadata under their names and no temporary file."""
+        labels = ("S", "C_rh2")
+        assert sorted(self.files(scan_dir)) == sorted(
+            ["scan.csv"] + [f"scan_{k}.{ext}" for k in labels for ext in ("pgm", "txt")])
+
+    def test_failed_write_leaves_no_file(self, tmp_path, run_cli):
+        result = self.capped_scan(run_cli, tmp_path)
+        assert result.returncode == 3
+        assert result.stderr.startswith("I/O error: ") and len(result.stderr.splitlines()) == 1
+        assert self.files(tmp_path) == {}
+
+    def test_failed_write_keeps_earlier_run(self, tmp_path, run_cli):
+        assert main([*self.SCAN, "--out", str(tmp_path)]) == 0
+        earlier = self.files(tmp_path)
+        assert self.capped_scan(run_cli, tmp_path).returncode == 3
+        assert self.files(tmp_path) == earlier
+
+    def test_failed_pgm_leaves_no_csv(self, tmp_path, monkeypatch):
+        """A PGM that fails after the CSV is complete: no new file, and an earlier run untouched."""
+        csv_written = []
+
+        def failing_pgm(path, values):
+            csv_written.append(any(path.parent.glob(".scan.csv.*.tmp")))
+            raise OSError(28, "No space left on device")
+
+        assert main([*self.SCAN, "--out", str(tmp_path / "earlier")]) == 0
+        earlier = self.files(tmp_path / "earlier")
+        monkeypatch.setattr(io, "write_pgm", failing_pgm)
+        for out in (tmp_path / "fresh", tmp_path / "earlier"):
+            assert main([*self.SCAN, "--out", str(out)]) == 3
+        assert csv_written == [True, True]
+        assert self.files(tmp_path / "fresh") == {}
+        assert self.files(tmp_path / "earlier") == earlier
