@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from sys import float_info
 
 import numpy as np
 
@@ -27,6 +28,13 @@ CHUNK_BYTES = 256 * 2**10
 # Tolerance, relative to the last time, of a grid point t = k dt: of tmax as a
 # multiple of dt and of a window edge; MAX_TIME_POINTS keeps it below 1e-3 dt.
 GRID_RTOL = 1e-9
+# Largest phase floor 4|J| t_max eps of a run.  Every level carries a rounding
+# error of order eps |J|, so a phase E t is off by up to about the floor, and S
+# and C with it.  At this bound the spectral and Bethe engines, both exact in
+# theory, agree at N = 32 to 1.2e-7 bits at most: a run's values hold to a few
+# 1e-7 bits, and t_max may still reach 1.1e9/|J|, over 5000 times the longest
+# run that MAX_TIME_POINTS admits at the recipe's dt = 0.2.
+PHASE_FLOOR_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,8 +99,13 @@ def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_m
         raise ConfigError(f"horizon radii {tuple(r_h_list)} repeat a radius")
     times = time_grid(dt, t_max, cfg.N if site is None else 1)
     # 4|J| bounds the levels, so every phase E t of the run stays finite
-    if not isfinite(4 * abs(float(cfg.J)) * float(t_max)):
+    four_j = 4 * abs(float(cfg.J))
+    if not isfinite(four_j * float(t_max)):
         raise ConfigError(f"4|J| tmax is not finite for J={cfg.J} and tmax={t_max}")
+    limit = PHASE_FLOOR_MAX / four_j / float_info.epsilon  # the t_max of floor PHASE_FLOOR_MAX
+    if t_max > limit:
+        raise ConfigError(f"phase floor 4|J| tmax eps = {four_j * t_max * float_info.epsilon:.4g} "
+                          f"exceeds {PHASE_FLOOR_MAX:g}: tmax must be at most {limit!r} for J={cfg.J}")
     return times
 
 

@@ -129,7 +129,7 @@ def cmd_spectrum(args) -> int:
     levels = block_levels(cfg)
     n, footer = len(levels), []
     if args.engine == "spectral":
-        columns, rows, values = ("index", "energy"), [f"{io.FLOAT},{io.FLOAT}\n"] * n, (np.sort(levels),)
+        columns, rows, values = ("index", "energy"), [f"{io.FIELD},{io.FIELD}\n"] * n, (np.sort(levels),)
     else:
         roots = bethe.enumerate_roots(cfg)
         # the engine's checks, one batch of block vectors at a time, keeping only the largest residual
@@ -141,7 +141,7 @@ def cmd_spectrum(args) -> int:
         mismatch[by_block] = np.abs(energy[by_block] - levels)
         order = np.argsort(energy, kind="stable")  # ties keep root order
         names, counts = np.unique(kind, return_counts=True)
-        row = {k: f"{io.FLOAT},{io.FLOAT},{k},{io.FLOAT}\n" for k in names.tolist()}
+        row = {k: f"{io.FIELD},{io.FIELD},{k},{io.FIELD}\n" for k in names.tolist()}
         columns = ("index", "energy", "class", "energy_mismatch")
         rows = list(map(row.get, kind[order].tolist()))
         values = (energy[order], mismatch[order])
@@ -203,7 +203,7 @@ def cmd_series(args) -> int:
     radii = sorted(series.complexity)
     columns = ["t", "S_bits"] + [f"C_bits_rh{r}" for r in radii]
     table = np.column_stack([series.times, series.entropy] + [series.complexity[r] for r in radii])
-    rows = [",".join([io.FLOAT] * len(columns)) + "\n"] * len(table)
+    rows = [",".join([io.FIELD] * len(columns)) + "\n"] * len(table)
     name = f"series_site{args.site}.csv"
     with io.staged(out) as stage:
         io.write_csv(stage(name), columns, _row_blocks(rows, table),
@@ -224,7 +224,7 @@ def cmd_scan(args) -> int:
     # one chunk per (grid, site): the times, formatted once, each followed by one suffix
     # (a template built row by row, f"{t},{j},{label},...", makes the warm scan over a third slower)
     times = io.fmt_all(grids[0].times)
-    suffixes = ((f",{j},{grid.label},{io.FLOAT}\n", values)
+    suffixes = ((f",{j},{grid.label},{io.FIELD}\n", values)
                 for grid in grids for j, values in enumerate(grid.values, start=1))
     chunks = ((suffix.join(times) + suffix, values) for suffix, values in suffixes)
     with io.staged(out) as stage:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 FLOAT = "%.17g"  # the one number format of tables, footers and preambles; reads back exactly
-_FIELD = FLOAT.encode()
+FIELD = "%s"  # a number's place in a write_csv template; write_csv fills it with FLOAT text
 
 # FLOAT of x in [1e-4, 1) is "0." + (-1 - E) zeros + the 17 significant digits
 # D = x 10^(16 - E), rounded half to even, less trailing zeros; E = -1 .. -4 is
@@ -26,7 +26,7 @@ _DIGITS_LOW, _DIGITS_HIGH = np.uint64(10**16), np.uint64(10**17)
 def _text_pieces() -> np.ndarray:
     """4-byte pieces of text: row v < 10^4 is v in four digits, row 10^4 + v is "0." and v in two.
 
-    Built on first use, so a run that never takes the integer path never holds it.
+    Built on first use, not on import.
     """
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     four = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
@@ -90,45 +90,34 @@ def _fraction_texts(x: np.ndarray) -> np.ndarray:
     return np.char.rstrip(text, b"0")  # F has a nonzero digit, so the strip stops after "0."
 
 
-def _texts(x: np.ndarray, exact: np.ndarray) -> list[bytes]:
-    """FLOAT text of every x, in order; x[exact] by the integer path, the rest by one `%`."""
+def _texts(x: np.ndarray) -> list[bytes]:
+    """FLOAT text of every x, in order; x in [1e-4, 1) by the integer path, the rest by one `%`."""
+    exact = (x >= 1e-4) & (x < 1.0)  # False for nan, so log10 sees only positive finite values
     texts = np.empty(len(x), dtype=object)
     texts[exact] = _fraction_texts(x[exact]).tolist()
     rest = x[~exact].tolist()
-    texts[~exact] = ((_FIELD + b" ") * len(rest) % tuple(rest)).split()
+    texts[~exact] = ((FLOAT.encode() + b" ") * len(rest) % tuple(rest)).split()
     return texts.tolist()
-
-
-def _exact(x: np.ndarray) -> np.ndarray:
-    """Where the integer path applies; False for nan, so log10 sees only positive finite values."""
-    return (x >= 1e-4) & (x < 1.0)
 
 
 def fmt_all(values: np.ndarray) -> list[str]:
     """fmt of every element of a float array, in order."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    return [text.decode() for text in _texts(x, _exact(x))]
+    return [text.decode() for text in _texts(np.asarray(values, dtype=np.float64).ravel())]
 
 
 def write_csv(path, columns, chunks, preamble=(), footer=()):
     """Plain comma-separated file: '#' preamble, header row, data, '#' footer.
 
     Each chunk is (template, numbers): the text of one or more rows with one
-    FLOAT field per number, filled by one `%` and written as is.  A chunk's
-    numbers are formatted together, so a large table goes in blocks of rows.
-    A chunk with most of its numbers in [1e-4, 1) takes their text from the
-    integer path; for any other, `%` alone is faster.
+    FIELD per number, filled with the numbers' FLOAT text by one `%` and
+    written as is.  A chunk's numbers are formatted together, so a large
+    table goes in blocks of rows.
     """
     with open(path, "wb") as fh:
         fh.write("".join(f"# {line}\n" for line in preamble).encode())
         fh.write((",".join(columns) + "\n").encode())
         for template, numbers in chunks:
-            x = np.asarray(numbers, dtype=np.float64).ravel()
-            exact = _exact(x)
-            if 2 * np.count_nonzero(exact) > len(x):
-                fh.write(template.encode().replace(_FIELD, b"%s") % tuple(_texts(x, exact)))
-            else:
-                fh.write((template % tuple(x.tolist())).encode())
+            fh.write(template.encode() % tuple(_texts(np.asarray(numbers, dtype=np.float64).ravel())))
         fh.write("".join(f"# {line}\n" for line in footer).encode())
 
 

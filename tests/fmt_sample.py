@@ -3,10 +3,11 @@
 The sample holds the doubles within 4 ulps of each power of ten from 1e-4
 to 1, the exact 17-digit ties j / 2^n (n = 18..21), and doubles drawn
 uniform in bit pattern over [1e-4, 1) and log-uniform over [1e-6, 10).
-Run as a script, it compares n of them in blocks and exits 1 on any
-mismatch (from the repository root):
+Run as a script, it compares n of them, then m doubles drawn uniform in bit
+pattern over all finite doubles of both signs, in blocks, and exits 1 on
+any mismatch (from the repository root):
 
-    PYTHONPATH=src python -W error tests/fmt_sample.py 10000000
+    PYTHONPATH=src python -W error tests/fmt_sample.py 10000000 1000000
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ def sample(n: int, seed: int = 0) -> np.ndarray:
     return np.concatenate([fixed, ties, uniform_bits, log_uniform])
 
 
+def wide(n: int, seed: int = 0) -> np.ndarray:
+    """n doubles uniform in bit pattern over every finite double of either sign."""
+    rng = np.random.default_rng(seed)
+    magnitude = rng.integers(0, np.float64(np.inf).view(np.int64), n)  # the bits below +inf
+    sign = rng.integers(0, 2, n) << 63
+    return (magnitude | sign).view(np.float64)
+
+
 def mismatches(x: np.ndarray, fmt_all) -> list[tuple[float, str, str]]:
     """(x, fmt_all text, format text) of every element where the two differ."""
     return [(v, got, format(v, ".17g")) for v, got in zip(x.tolist(), fmt_all(x))
@@ -63,13 +72,15 @@ def mismatches(x: np.ndarray, fmt_all) -> list[tuple[float, str, str]]:
 def main(argv: list[str]) -> int:
     from pcx import io
 
-    x = sample(int(argv[0]) if argv else 10**7)
+    counts = [int(a) for a in argv] + [10**7, 10**6][len(argv):]
+    x = np.concatenate([sample(counts[0]), wide(counts[1])])
     found = []
     for k in range(0, len(x), BLOCK):
         found += mismatches(x[k:k + BLOCK], io.fmt_all)
     for v, got, want in found[:20]:
         print(f"{v!r}: fmt_all {got!r}, format {want!r}")
-    print(f"{len(x)} doubles, {len(exact_ties())} exact ties, {len(found)} mismatches")
+    print(f"{len(x)} doubles, {len(exact_ties())} exact ties, {counts[1]} over all finite "
+          f"doubles, {len(found)} mismatches")
     return 1 if found else 0
 
 

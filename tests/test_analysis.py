@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pcx.horizon
 from pcx.analysis import (
     CHUNK_BYTES,
     MAX_TIME_POINTS,
+    PHASE_FLOOR_MAX,
     _observables,
     check_run,
     equilibrium_stats,
@@ -112,9 +114,31 @@ class TestSpacetimeScan:
     def test_overflowing_phases_rejected(self):
         """4|J| bounds the levels, so 4|J| t_max bounds every phase and must be finite."""
         cfg = ChainConfig(N=8, J=4e307)
-        assert len(check_run(cfg, (1, 5), (1,), 0.5, 1.0)) == 3
+        assert len(check_run(cfg, (1, 5), (1,), 1e-300, 2e-300)) == 3
         with pytest.raises(ConfigError, match="tmax"):
             check_run(cfg, (1, 5), (1,), 0.5, 2.0)
+
+    @pytest.mark.parametrize("J", [1.0, -1.3, 4e307, 1e-3])
+    def test_phase_floor_bound(self, J):
+        """t_max is admitted up to a phase floor 4|J| t_max eps of PHASE_FLOOR_MAX, and no further."""
+        cfg = ChainConfig(N=8, J=J)
+        limit = PHASE_FLOOR_MAX / (4 * abs(J)) / 2.0**-52  # eps
+        assert len(check_run(cfg, (1, 5), (1,), limit / 4, limit)) == 5
+        above = np.nextafter(limit, np.inf)
+        with pytest.raises(ConfigError, match=re.escape(f"tmax must be at most {limit!r} for J={J}")):
+            check_run(cfg, (1, 5), (1,), above / 4, above)
+
+    def test_engines_agree_inside_phase_floor_bound(self, engine32, bethe_engine32):
+        """Just inside the bound, the two exact engines agree at site 17 to a few 1e-7 bits.
+
+        At t_max = 1e10, nine times past it, they differ by 8e-7 bits.
+        """
+        t_max = 1.1e9  # floor 9.8e-7
+        series = [site_series(engine, (10, 25), 17, (1, 2, 3), t_max / 1000, t_max)
+                  for engine in (engine32, bethe_engine32)]
+        gaps = [np.abs(series[0].entropy - series[1].entropy).max()]
+        gaps += [np.abs(series[0].complexity[r] - series[1].complexity[r]).max() for r in (1, 2, 3)]
+        assert max(gaps) < 0.3 * PHASE_FLOOR_MAX
 
     def test_beams_emanate_from_flips(self, recipe_scan):
         """Entropy lights up first near the flipped sites."""

@@ -303,7 +303,7 @@ class TestScanCommand:
 @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1 / 3, 2.0**53 - 1, 1e308, inf, nan, 3])
 def test_template_and_fmt_agree(tmp_path, x):
     """A table cell and a footer or preamble number print alike."""
-    io.write_csv(tmp_path / "one.csv", ("x",), [(io.FLOAT + "\n", [x])])
+    io.write_csv(tmp_path / "one.csv", ("x",), [(io.FIELD + "\n", [x])])
     cell = (tmp_path / "one.csv").read_text().splitlines()[1]
     assert cell == io.fmt(x) == format(float(x), ".17g")
 
@@ -446,6 +446,33 @@ class TestConfigErrors:
             files = {p.name: p.read_bytes() for p in out.iterdir()}
             outputs.append((capsys.readouterr(), files))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("engine", ["spectral", "bethe"])
+    @pytest.mark.parametrize("command", [["series", "--site", "5"], ["scan"]], ids=["series", "scan"])
+    def test_phase_floor_bound(self, tmp_path, capsys, command, engine):
+        """At J = -1.3 the largest t_max is 8.66e8: 8.6e8 runs, 8.7e8 is refused."""
+        run = [*command, "--engine", engine, "--sites", "8", "--flips", "1,5", "--horizon", "1",
+               "--coupling", "-1.3"]
+        assert main([*run, "--tmax", "8.6e8", "--dt", "2.15e8", "--out", str(tmp_path / "below")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "above"
+        assert main([*run, "--tmax", "8.7e8", "--dt", "2.175e8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: phase floor 4|J| tmax eps = 1.005e-06 exceeds 1e-06: "
+                       "tmax must be at most 866076851.417403 for J=-1.3\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--sites", "8", "--flips", "1,2", "--horizon", "1", "--tmax", "1e300", "--dt", "1e298"],
+        ["series", "--site", "17", "--tmax", "1e15", "--dt", "1e13"],
+    ], ids=["scan", "series"])
+    def test_phase_floor_noise_refused(self, tmp_path, capsys, argv):
+        """Runs whose phases hold no digit are refused, not written to 17 digits."""
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: phase floor 4|J| tmax eps = ") and "tmax must be at most" in err
+        assert len(err.splitlines()) == 1 and not out.exists()
 
     def test_scan_repeated_radius_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -36,9 +36,13 @@ def test_sample_holds_ties_and_neighbours():
 
 
 def test_table_body_matches_format(tmp_path):
-    """write_csv fills every FLOAT field alike, whether most of a chunk lies in [1e-4, 1) or not."""
+    """write_csv fills every FIELD with its number's FLOAT text, whatever share lies in [1e-4, 1)."""
     inside = np.concatenate([EDGES, sample(10_000, seed=1)])
     outside = np.concatenate([EDGES, 10.0 ** np.random.default_rng(2).uniform(-20.0, 20.0, 2000)])
-    io.write_csv(tmp_path / "x.csv", ("x",), [(f"{io.FLOAT}\n" * len(x), x) for x in (inside, outside)])
-    expected = [format(v, ".17g") for v in np.concatenate([inside, outside]).tolist()]
+    some = np.random.default_rng(3).uniform(1e-4, 1.0, 500)
+    half = np.concatenate([some, 1.0 / some])  # exactly half inside
+    assert 2 * np.count_nonzero((half >= 1e-4) & (half < 1.0)) == len(half)
+    chunks = [(f"{io.FIELD}\n" * len(x), x) for x in (inside, outside, half)]
+    io.write_csv(tmp_path / "x.csv", ("x",), chunks)
+    expected = [format(v, ".17g") for v in np.concatenate([inside, outside, half]).tolist()]
     assert (tmp_path / "x.csv").read_text().splitlines()[1:] == expected
