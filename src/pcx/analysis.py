@@ -152,7 +152,7 @@ def _observables(engine, flips: tuple[int, int], sites, r_h_list,
     # p_down and the |off-diagonal| per radius, then in place S and C(r_h) per radius
     grids = np.empty((1 + len(arcs), len(rows), len(times)))
     _reduced_elements(engine, flips, layout, rows, arcs, times, grids)
-    # the entropy of a block of CHUNK_BYTES / 4 needs a few CHUNK_BYTES of temporaries
+    # the entropy of a block of CHUNK_BYTES / 4 peaks at 3.0 times the block in temporaries
     width = max(1, CHUNK_BYTES // (32 * grids.shape[0] * len(rows)))
     for k in range(0, len(times), width):
         block = grids[:, :, k:k + width]

@@ -14,7 +14,9 @@ over all of its cells at once:
     momenta K/2 +- i v ("bound"), whose depths v solve one real equation
     each; where that equation has no root the cell is a real close pair.
 One masked, safeguarded array Newton, each cell on its own bracket, solves
-the real and close pairs in one pass and the bound depths in another.
+the real and close pairs in one pass and the bound depths in another.  Each
+cell starts next to its root: theta from the free-magnon momenta (theta = 0
+inside k_i), a depth v at -log c, the deep-bound limit of its equation.
 
 `enumerate_roots` returns the roots as one record array over ROOT_DTYPE.
 For even N the momentum-pi cell is the singular limit v -> infinity of the
@@ -54,7 +56,7 @@ ROOT_DTYPE = np.dtype([("k1", np.complex128), ("k2", np.complex128), ("theta", n
 
 
 def _cot(z):
-    return np.cos(z) / np.sin(z)
+    return 1 / np.tan(z)
 
 
 def dispersion(cfg: ChainConfig, k1, k2) -> complex:
@@ -88,6 +90,15 @@ def _cell_derivative(theta, m1, m2, N: int):
     )
 
 
+def _cell_start(m1, m2, N: int):
+    """Free-magnon start of the theta pass: theta = 0 inside k_i, so k_i = 2 pi m_i/N.
+
+    The scattering relation then gives 2 cot(theta/2) = cot(pi m1/N) - cot(pi m2/N),
+    which lies in (0, pi) for 0 < m1 < m2 < N.
+    """
+    return 2 * np.arctan2(2, _cot(pi * m1 / N) - _cot(pi * m2 / N))
+
+
 def _depth_function(v, log_c, cosh_form, N: int):
     """log rhs(v) - log c of bound depths v (see `enumerate_roots`).  Elementwise on arrays.
 
@@ -104,12 +115,13 @@ def _depth_derivative(v, log_c, cosh_form, N: int):
                     (N / 2 - 1) / np.tanh(a) - N / 2 / np.tanh(b))
 
 
-def _cell_roots(function, derivative, params: tuple, N: int, lo, hi) -> np.ndarray:
+def _cell_roots(function, derivative, params: tuple, N: int, lo, hi, start) -> np.ndarray:
     """Roots x in (lo, hi) of function(x, *params, N), one per cell of the arrays `params`; NaN where none.
 
     One safeguarded Newton iteration over all cells at once, masked per
-    cell: each cell keeps its own sign-change bracket, and a step that
-    leaves it is replaced by bisection.  A cell stops at |F| < NEWTON_TOL,
+    cell: each cell starts at its `start` where that lies inside (lo, hi),
+    at the midpoint otherwise, keeps its own sign-change bracket, and a step
+    that leaves it is replaced by bisection.  A cell stops at |F| < NEWTON_TOL,
     then takes up to NEWTON_FINISH_STEPS more Newton steps, each only while
     |F| still falls, which takes E to rounding.  A cell has no root if F is
     not finite at both ends or keeps its sign, or if |F| is still 1e-9 or
@@ -119,7 +131,9 @@ def _cell_roots(function, derivative, params: tuple, N: int, lo, hi) -> np.ndarr
     f_lo, f_hi = function(lo, *params, N), function(hi, *params, N)
     bracketed = np.isfinite(f_lo) & np.isfinite(f_hi) & ~(f_lo * f_hi > 0)
     a, b, fa = np.full(shape, lo), np.full(shape, hi), f_lo
-    x, f = np.full(shape, 0.5 * (lo + hi)), np.zeros(shape)
+    start = np.broadcast_to(start, shape)
+    x = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
+    f = np.zeros(shape)
     cells = np.flatnonzero(bracketed)  # the cells still iterating
     for _ in range(NEWTON_MAX_ITER):
         if not cells.size:
@@ -197,6 +211,8 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
     log rhs(v) - log c on the bracket (1e-300, ln(2/c)).  Only the sinh form
     can miss (c >= 1 - 2/N): the bound state has then dissolved into a real
     close pair, solved in the real pairs' Newton pass on (1e-6, pi - 1e-4).
+    The theta pass starts at `_cell_start`, the depth pass at v = -log c,
+    where c = e^{-v} of the deep-bound limit; both lie inside their brackets.
     An unsolved cell is refused by name, real pairs first.  A bound cell's
     energy is J (2 - 2 c cosh v), from c and its depth; the dispersion of
     its complex labels would lose digits to cosines near momentum pi.
@@ -217,11 +233,13 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
     is_close = np.arange(n_real + np.count_nonzero(close)) >= n_real
     m1, m2 = np.concatenate((m1, b1[close])), np.concatenate((m2, b2[close]))
     theta = _cell_roots(_cell_function, _cell_derivative, (m1, m2), N,
-                        np.where(is_close, 1e-6, 1e-9), np.where(is_close, pi - 1e-4, pi - 1e-12))
+                        np.where(is_close, 1e-6, 1e-9), np.where(is_close, pi - 1e-4, pi - 1e-12),
+                        _cell_start(m1, m2, N))
     _refuse_unsolved(theta[:n_real], m1, m2, "real-pair cell ({},{}) did not converge")
     bound = ~close
-    v = _cell_roots(_depth_function, _depth_derivative, (np.log(c[bound]), (b1 == b2)[bound]), N,
-                    1e-300, np.log(2 / c[bound]))
+    log_c = np.log(c[bound])
+    v = _cell_roots(_depth_function, _depth_derivative, (log_c, (b1 == b2)[bound]), N,
+                    1e-300, np.log(2 / c[bound]), -log_c)
 
     m1, m2 = np.concatenate((m1, b1[bound])), np.concatenate((m2, b2[bound]))
     n_theta = len(theta)
@@ -334,12 +352,19 @@ def checked_blocks(roots: np.recarray, cfg: ChainConfig):
         k = int(np.argmax(counts != sizes))
         raise SolverError(f"Bethe basis is incomplete: {counts[k]} roots for the "
                           f"{sizes[k]} levels of momentum block k={k}")
-    members = np.split(np.argsort(classes, kind="stable"), np.cumsum(sizes)[:-1])
-    for k in range(N // 2 + 1, N):
-        error = np.max(np.abs(np.sort(energies[members[k]]) - np.sort(energies[members[N - k]])))
-        if not error <= CLASS_MIRROR_TOL * abs(J):
-            raise SolverError(f"momentum classes k={k} and {N - k} hold different levels "
-                              f"(max difference {error:.3e})")
+    offsets = np.cumsum(sizes) - sizes  # where each class starts in class order
+    members = np.split(np.argsort(classes, kind="stable"), offsets[1:])
+    levels = energies[np.lexsort((energies, classes))]  # ascending within each class
+    upper = np.arange(offsets[N // 2 + 1], len(roots))  # the levels of the classes k > N/2
+    of = np.repeat(np.arange(N), sizes)[upper]  # their classes
+    gap = np.abs(levels[upper] - levels[upper - offsets[of] + offsets[N - of]])
+    errors = np.maximum.reduceat(gap, offsets[N // 2 + 1:] - offsets[N // 2 + 1])
+    failed = ~(errors <= CLASS_MIRROR_TOL * abs(J))  # NaN fails
+    if failed.any():
+        i = int(np.argmax(failed))
+        k = N // 2 + 1 + i
+        raise SolverError(f"momentum classes k={k} and {N - k} hold different levels "
+                          f"(max difference {errors[i]:.3e})")
     for ks, size in block_batches(N):
         batch = roots[np.concatenate([members[k] for k in ks])]
         phi = block_vectors(batch, cfg).reshape(len(ks), size, N - 1)

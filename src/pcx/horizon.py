@@ -134,11 +134,32 @@ def two_level_entropy_bits(p_down, offdiag_abs=0.0):
     """Entropy of a 2x2 density matrix from its diagonal and |off-diagonal|.
 
     Takes scalars or arrays that broadcast; a scalar call returns a float.
+    Works in place: at most three arrays of the broadcast shape at a time,
+    besides one of p_down's shape and two boolean masks.
     """
-    half_gap = np.sqrt(0.25 * (2.0 * np.asarray(p_down, dtype=float) - 1.0) ** 2
-                       + np.asarray(offdiag_abs, dtype=float) ** 2)
-    lams = np.clip(np.stack([0.5 + half_gap, 0.5 - half_gap]), 0.0, 1.0)
-    positive = lams > 0
-    terms = np.where(positive, lams * np.log2(np.where(positive, lams, 1.0)), 0.0)
-    return -(terms[0] + terms[1]) + 0.0
-
+    p_down, offdiag_abs = np.asarray(p_down, dtype=float), np.asarray(offdiag_abs, dtype=float)
+    shape = np.broadcast_shapes(p_down.shape, offdiag_abs.shape)
+    # half the eigenvalue gap, sqrt(0.25 (2 p_down - 1)^2 + offdiag_abs^2), in arrays even for a scalar call
+    upper = np.square(offdiag_abs, out=np.empty(shape))
+    diagonal = np.multiply(p_down, 2.0, out=np.empty(p_down.shape))
+    diagonal -= 1.0
+    np.square(diagonal, out=diagonal)
+    diagonal *= 0.25
+    upper += diagonal
+    del diagonal
+    np.sqrt(upper, out=upper)
+    lower = np.subtract(0.5, upper, out=np.empty(shape))
+    np.clip(lower, 0.0, 1.0, out=lower)
+    upper += 0.5
+    np.clip(upper, 0.0, 1.0, out=upper)
+    # lambda log2 lambda of each eigenvalue, with lambda = 1 where it is not positive, which gives 0 there
+    for lam in (upper, lower):
+        np.copyto(lam, 1.0, where=~(lam > 0.0))
+    entropy = np.log2(upper, out=np.empty(shape))
+    entropy *= upper
+    np.log2(lower, out=upper)
+    upper *= lower
+    entropy += upper
+    np.negative(entropy, out=entropy)
+    entropy += 0.0
+    return entropy[()]

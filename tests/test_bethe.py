@@ -12,6 +12,7 @@ from pcx.bethe import (
     _cell_derivative,
     _cell_function,
     _cell_roots,
+    _cell_start,
     _depth_derivative,
     _depth_function,
     bethe_state,
@@ -196,7 +197,8 @@ class TestEnumerateRoots:
         N = 32
         m1, m2 = np.triu_indices(N, 2)
         m1, m2 = m1[m1 >= 1], m2[m1 >= 1]
-        theta = _cell_roots(_cell_function, _cell_derivative, (m1, m2), N, 1e-9, pi - 1e-12)
+        theta = _cell_roots(_cell_function, _cell_derivative, (m1, m2), N, 1e-9, pi - 1e-12,
+                            _cell_start(m1, m2, N))
         f = _cell_function(theta, m1, m2, N)
         further = theta - f / _cell_derivative(theta, m1, m2, N)
         improved = np.abs(_cell_function(further, m1, m2, N)) < np.abs(f)
@@ -212,8 +214,8 @@ class TestEnumerateRoots:
 
         cell_roots = pcx.bethe._cell_roots
 
-        def unsolved(function, derivative, params, N, lo, hi):
-            roots = cell_roots(function, derivative, params, N, lo, hi)
+        def unsolved(function, derivative, params, N, lo, hi, start):
+            roots = cell_roots(function, derivative, params, N, lo, hi, start)
             if function is _cell_function:
                 m1, m2 = params
                 roots[(m2 - m1 == 1) | ((lost == "both") & (m1 == 3) & (m2 == 7))] = np.nan
@@ -230,24 +232,44 @@ class TestEnumerateRoots:
         m1, m2 = m1[m1 >= 1], m2[m1 >= 1]
         b1, b2 = np.array([1, 30]), np.array([2, 31])  # the close pairs at N = 32
         equation = _cell_function, _cell_derivative
-        real = _cell_roots(*equation, (m1, m2), N, 1e-9, pi - 1e-12)
-        close = _cell_roots(*equation, (b1, b2), N, 1e-6, pi - 1e-4)
+        real = _cell_roots(*equation, (m1, m2), N, 1e-9, pi - 1e-12, _cell_start(m1, m2, N))
+        close = _cell_roots(*equation, (b1, b2), N, 1e-6, pi - 1e-4, _cell_start(b1, b2, N))
         is_close = np.arange(len(m1) + 2) >= len(m1)
-        merged = _cell_roots(*equation, (np.r_[m1, b1], np.r_[m2, b2]), N, np.where(is_close, 1e-6, 1e-9),
-                             np.where(is_close, pi - 1e-4, pi - 1e-12))
+        both = np.r_[m1, b1], np.r_[m2, b2]
+        merged = _cell_roots(*equation, both, N, np.where(is_close, 1e-6, 1e-9),
+                             np.where(is_close, pi - 1e-4, pi - 1e-12), _cell_start(*both, N))
         assert not np.isnan(merged).any()
         assert merged.tobytes() == np.r_[real, close].tobytes()
-        every_seventh = _cell_roots(*equation, (m1[::7], m2[::7]), N, 1e-9, pi - 1e-12)
+        every_seventh = _cell_roots(*equation, (m1[::7], m2[::7]), N, 1e-9, pi - 1e-12,
+                                    _cell_start(m1[::7], m2[::7], N))
         assert every_seventh.tobytes() == real[::7].tobytes()
 
     def test_bracket_without_sign_change_refused(self):
-        """A bracket whose ends share a sign is refused, even with the root at its midpoint."""
+        """A bracket whose ends share a sign is refused, even with the root at its midpoint or start."""
         m1, m2 = np.array([1]), np.array([3])
-        root = _cell_roots(_cell_function, _cell_derivative, (m1, m2), 8, 1e-9, pi - 1e-12)[0]
+        start = _cell_start(m1, m2, 8)
+        root = _cell_roots(_cell_function, _cell_derivative, (m1, m2), 8, 1e-9, pi - 1e-12, start)[0]
         assert abs(_cell_function(root, 1, 3, 8)) < 1e-12
         lo, hi = -0.5, 2 * root + 0.5  # across the pole at theta = 0: F < 0 at both ends
         assert _cell_function(lo, 1, 3, 8) < 0 and _cell_function(hi, 1, 3, 8) < 0
-        assert np.isnan(_cell_roots(_cell_function, _cell_derivative, (m1, m2), 8, lo, hi)).all()
+        assert np.isnan(_cell_roots(_cell_function, _cell_derivative, (m1, m2), 8, lo, hi, start)).all()
+        assert np.isnan(_cell_roots(_cell_function, _cell_derivative, (m1, m2), 8, lo, hi, root)).all()
+
+    @pytest.mark.parametrize("N", [48, 128, 511])
+    def test_theta_pass_starts_next_to_its_roots(self, monkeypatch, N):
+        """From the free-magnon start the theta pass evaluates F at most 15 times (20-32 from the midpoint)."""
+        import pcx.bethe
+
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _cell_function(*args)
+
+        monkeypatch.setattr(pcx.bethe, "_cell_function", counted)
+        enumerate_roots(ChainConfig(N=N))
+        assert calls <= 15
 
     @pytest.mark.parametrize("N", [48, 511])
     def test_bound_depths_at_rounding(self, N):
@@ -258,7 +280,8 @@ class TestEnumerateRoots:
         c = np.cos(pi * sigma / N)
         bound = (sigma % 2 == 0) | (c < 1 - 2 / N)  # the sinh form (odd sigma) misses above 1 - 2/N
         params = np.log(c[bound]), sigma[bound] % 2 == 0
-        v = _cell_roots(_depth_function, _depth_derivative, params, N, 1e-300, np.log(2 / c[bound]))
+        v = _cell_roots(_depth_function, _depth_derivative, params, N, 1e-300, np.log(2 / c[bound]),
+                        -params[0])
         assert not np.isnan(v).any()
         f = _depth_function(v, *params, N)
         further = v - f / _depth_derivative(v, *params, N)

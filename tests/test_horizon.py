@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -264,6 +265,29 @@ class TestTwoLevelEntropy:
         with_c, without_c = two_level_entropy_bits(ps, cs), two_level_entropy_bits(ps)
         assert with_c.shape == without_c.shape == ps.shape
         assert np.all(with_c <= without_c + rounding)
+
+    def test_block_peak_within_four_blocks(self, rng):
+        """On a kernel-shaped block, the temporaries peak at no more than 4x the block's bytes."""
+        p_down, offdiag = rng.random((32, 256)), 0.5 * rng.random((4, 32, 256))
+        tracemalloc.start()
+        try:
+            two_level_entropy_bits(p_down, offdiag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * offdiag.nbytes
+
+    def test_bits_of_the_stacked_formula(self, rng):
+        """Bit for bit the stacked-eigenvalue formula, also at p = 0, 1/2, 1 and a zero off-diagonal."""
+        p_down, offdiag = rng.random((32, 101)), 0.5 * rng.random((4, 32, 101))
+        p_down[:3, :10] = [[0.0], [0.5], [1.0]]
+        offdiag[:, :3, :5] = 0.0
+        offdiag[1, 1, :10] = 0.5  # p = 1/2 with |off-diagonal| 1/2: eigenvalues 1 and 0
+        half_gap = np.sqrt(0.25 * (2.0 * p_down - 1.0) ** 2 + offdiag**2)
+        lams = np.clip(np.stack([0.5 + half_gap, 0.5 - half_gap]), 0.0, 1.0)
+        positive = lams > 0
+        terms = np.where(positive, lams * np.log2(np.where(positive, lams, 1.0)), 0.0)
+        assert two_level_entropy_bits(p_down, offdiag).tobytes() == (-(terms[0] + terms[1]) + 0.0).tobytes()
 
     def test_matches_general_eigensolver(self, rng):
         for _ in range(25):
