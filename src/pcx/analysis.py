@@ -10,7 +10,7 @@ from sys import float_info
 import numpy as np
 
 from .chain import ChainConfig, pair_index
-from .errors import ConfigError, PeakNotFoundError, StatsError
+from .errors import ConfigError, PeakNotFoundError, SolverError, StatsError
 from .horizon import HorizonSpec, two_level_entropy_bits
 from .horizon import classify_pairs  # not called here; perfbench/tracing.py patches this name
 
@@ -116,9 +116,9 @@ def _layout_index(N: int) -> np.ndarray:
     return pair_index(np.minimum(a, b), np.maximum(a, b), N)
 
 
-def _observables(engine, flips: tuple[int, int], sites, r_h_list,
+def _observables(engine, flips: tuple[int, int], sites: range, r_h_list,
                  times: np.ndarray) -> tuple[np.ndarray, dict]:
-    """S and C(r_h) in bits, arrays of shape (len(sites), len(times)).
+    """S and C(r_h) in bits, arrays of shape (len(sites), len(times)), for a range of consecutive sites.
 
     Each time step takes one engine.pair_amplitudes call; the arithmetic
     runs on chunks of T steps, T from CHUNK_BYTES, in arrays allocated once
@@ -140,10 +140,10 @@ def _observables(engine, flips: tuple[int, int], sites, r_h_list,
     so no phase is evaluated.  Every sum runs along one contiguous row of
     the layout in the same order, whichever sites are asked for and however
     the steps are chunked, so a site's values do not depend on which other
-    sites share the call.
+    sites share the call.  Non-finite amplitudes leave S or C without a
+    finite value: SolverError names the earliest such time and site.
     """
     N = engine.cfg.N
-    layout = _layout_index(N)
     rows = np.asarray(sites) - 1
     arcs = {}  # r_h -> flat (x, r) cells of the cumulative sums m_out reads
     for r in r_h_list:
@@ -151,34 +151,39 @@ def _observables(engine, flips: tuple[int, int], sites, r_h_list,
         arcs[r] = (rows[:, None] + r + 1 + i) % N * (N - 1) + N - 2 * r - 3 - i
     # p_down and the |off-diagonal| per radius, then in place S and C(r_h) per radius
     grids = np.empty((1 + len(arcs), len(rows), len(times)))
-    _reduced_elements(engine, flips, layout, rows, arcs, times, grids)
+    _reduced_elements(engine, flips, slice(sites.start - 1, sites.stop - 1), arcs, times, grids)
     # the entropy of a block of CHUNK_BYTES / 4 peaks at 3.0 times the block in temporaries
     width = max(1, CHUNK_BYTES // (32 * grids.shape[0] * len(rows)))
     for k in range(0, len(times), width):
         block = grids[:, :, k:k + width]
+        if not np.isfinite(block).all():  # checked here, as the entropy clips an infinite element
+            step, row = np.argwhere(~np.isfinite(block).all(axis=0).T)[0]  # earliest time, lowest site
+            raise SolverError(f"S or C is not finite at site {sites[row]}, t={float(times[k + step])!r}: "
+                              "the engine's amplitudes are not")
         p_down = block[0].copy()
         block[0] = 0.0  # the off-diagonal of S
         block[...] = two_level_entropy_bits(p_down, block)
     return grids[0], dict(zip(arcs, grids[1:]))
 
 
-def _reduced_elements(engine, flips, layout, rows, arcs, times, out):
+def _reduced_elements(engine, flips, focal: slice, arcs, times, out):
     """Write p_down to out[0] and the |off-diagonal| of each arc to out[1:], chunk by chunk.
 
-    out has shape (1 + len(arcs), len(rows), len(times)).  The chunk arrays are
+    out has shape (1 + len(arcs), focal's rows, len(times)); the focal rows
+    of each chunk's layout are read in place.  The chunk arrays are
     allocated once per call, and a last, shorter chunk uses their leading
     slices: the amplitudes, |b|^2, the (T, N, N-1) layout and its cumulative
-    sums, plus the rows asked for unless they are all N.  im^2 is held in the
-    cumulative sums' memory until they are formed, and the cells that m_out
-    gathers in the amplitudes' memory, which is free by then.
+    sums.  im^2 is held in the cumulative sums' memory until they are
+    formed, and the cells that m_out gathers in the amplitudes' memory,
+    which is free by then.
     """
     N = engine.cfg.N
+    layout = _layout_index(N)
     n_steps = min(len(times), max(1, CHUNK_BYTES // (8 * N * (N - 1))))
     amps = np.empty((n_steps, layout.size // 2), dtype=complex)
     prob = np.empty(amps.shape)
     layout_prob = np.empty((n_steps, N, N - 1))
     cumulative = np.empty(layout_prob.shape)
-    own = None if np.array_equal(rows, np.arange(N)) else np.empty((n_steps, len(rows), N - 1))
     free = amps.view(np.float64).reshape(-1)
     for k in range(0, len(times), n_steps):
         chunk = times[k:k + n_steps]
@@ -190,7 +195,7 @@ def _reduced_elements(engine, flips, layout, rows, arcs, times, out):
         np.add(np.multiply(re, re, out=prob[:T]), np.multiply(im, im, out=im2), out=prob[:T])
         # mode="clip" (every index is in range) lets np.take write straight into its out array
         P = np.take(prob[:T], layout, axis=1, out=layout_prob[:T], mode="clip")
-        mine = P if own is None else np.take(P, rows, axis=1, out=own[:T], mode="clip")
+        mine = P[:, focal]
         flat = np.cumsum(P, axis=2, out=cumulative[:T]).reshape(T, -1)
         block = out[:, :, k:k + T]
         block[0] = mine.sum(axis=2).T
@@ -206,7 +211,7 @@ def site_series(engine, flips: tuple[int, int], j: int, r_h_list,
     """S and C(r_h) for one site over {0, dt, ..., t_max}; equals row j of the scan."""
     r_h_list = tuple(r_h_list)
     times = check_run(engine.cfg, flips, r_h_list, dt, t_max, site=j)
-    entropy, complexity = _observables(engine, flips, (j,), r_h_list, times)
+    entropy, complexity = _observables(engine, flips, range(j, j + 1), r_h_list, times)
     return SiteSeries(times=times, entropy=entropy[0],
                       complexity={r: c[0] for r, c in complexity.items()})
 

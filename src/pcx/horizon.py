@@ -152,9 +152,9 @@ def two_level_entropy_bits(p_down, offdiag_abs=0.0):
     np.clip(lower, 0.0, 1.0, out=lower)
     upper += 0.5
     np.clip(upper, 0.0, 1.0, out=upper)
-    # lambda log2 lambda of each eigenvalue, with lambda = 1 where it is not positive, which gives 0 there
+    # lambda log2 lambda of each eigenvalue, with lambda = 1 where it is 0, which gives 0 there; NaN stays NaN
     for lam in (upper, lower):
-        np.copyto(lam, 1.0, where=~(lam > 0.0))
+        np.copyto(lam, 1.0, where=lam == 0.0)
     entropy = np.log2(upper, out=np.empty(shape))
     entropy *= upper
     np.log2(lower, out=upper)

@@ -19,7 +19,9 @@ FIELD = "%s"  # a number's place in a write_csv template; write_csv fills it wit
 _POW5 = np.array([5**q for q in range(17, 21)], dtype=np.uint64)  # 5^(16 - E) at index -1 - E
 _POW10 = np.array([10**k for k in range(11)])
 _LOW32, _ONE, _32 = np.uint64(2**32 - 1), np.uint64(1), np.uint64(32)
-_DIGITS_LOW, _DIGITS_HIGH = np.uint64(10**16), np.uint64(10**17)
+# each double nearest 10^E lies above it, and no smaller double rounds up to 10^E at
+# 17 digits (half a step, 5e-18 relative, is less than one ulp): E is exact from x
+_DECADES = np.array([1e-3, 1e-2, 1e-1])
 
 
 @functools.cache
@@ -66,14 +68,8 @@ def _fraction_texts(x: np.ndarray) -> np.ndarray:
     """FLOAT text of every x in [1e-4, 1), computed exactly in integers."""
     frac, exp = np.frexp(x)
     m = (frac * 2.0**53).astype(np.uint64)
-    E = np.clip(np.floor(np.log10(x)).astype(np.int64), -4, -1)  # a guess, off by one near 10^E
-    while True:
-        d = _half_even_shift(m, (37 + E - exp).astype(np.uint64), _POW5[-1 - E])
-        step = (d >= _DIGITS_HIGH).astype(np.int64) - (d < _DIGITS_LOW)
-        if not step.any():
-            break
-        E += step
-    d = d.view(np.int64)
+    E = np.searchsorted(_DECADES, x, side="right") - 4
+    d = _half_even_shift(m, (37 + E - exp).astype(np.uint64), _POW5[-1 - E]).view(np.int64)
     # F = d 10^(4 + E), the 20 digits after "0.", in halves of 10 digits; the second is
     # taken times 100, so that both read as three 4-digit pieces and the text ends in "00"
     split = _POW10[6 - E]
@@ -92,7 +88,7 @@ def _fraction_texts(x: np.ndarray) -> np.ndarray:
 
 def _texts(x: np.ndarray) -> list[bytes]:
     """FLOAT text of every x, in order; x in [1e-4, 1) by the integer path, the rest by one `%`."""
-    exact = (x >= 1e-4) & (x < 1.0)  # False for nan, so log10 sees only positive finite values
+    exact = (x >= 1e-4) & (x < 1.0)  # False for nan
     texts = np.empty(len(x), dtype=object)
     texts[exact] = _fraction_texts(x[exact]).tolist()
     rest = x[~exact].tolist()
@@ -123,14 +119,16 @@ def write_csv(path, columns, chunks, preamble=(), footer=()):
 
 @contextmanager
 def staged(directory):
-    """Yield stage(name): a temporary path in `directory` that replaces `name` there.
+    """Make `directory` if missing, then yield stage(name): a temporary path there that replaces `name`.
 
     The temporary files take their names only after the block ends without
     an exception, all of them then; otherwise they are removed, and files
     already in `directory` stay as they were.  The renames are not atomic
-    as a set.
+    as a set.  A command enters this block only when it starts writing, so a
+    run refused before then leaves no new directory.
     """
     directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     final = {}
 
     def stage(name: str) -> Path:

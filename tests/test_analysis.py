@@ -22,7 +22,7 @@ from pcx.analysis import (
 from oracles import DenseEngine, exterior_state_and_partition
 from pcx.bethe import BetheEngine
 from pcx.chain import ChainConfig, SpectralEngine
-from pcx.errors import ConfigError, PeakNotFoundError, StatsError
+from pcx.errors import ConfigError, PeakNotFoundError, SolverError, StatsError
 from pcx.horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
 from pcx.predictive import predictive_map, reduced_density, von_neumann_entropy
 
@@ -259,19 +259,41 @@ class TestObservableKernel:
         assert engine.calls == [(9, 18, t) for t in times + times]
         assert all(type(t) is float for _, _, t in engine.calls)
         assert np.array_equal(series.entropy, grids[0].values[32])
+        for j in (1, 64):  # the ring ends, read in place from the chunk's layout
+            end = site_series(StubEngine(cfg), (9, 18), j, (1, 2, 3), 0.5, 10.0)
+            assert np.array_equal(end.entropy, grids[0].values[j - 1])
+            for grid in grids[1:]:
+                assert np.array_equal(end.complexity[grid.r_h], grid.values[j - 1])
 
     def test_chunks_do_not_change_values(self):
         """A run over many chunks equals one run per time point, bit for bit."""
         cfg = ChainConfig(N=64)
         engine = StubEngine(cfg)
         times = np.arange(21) * 0.5
-        sites, radii = (1, 17, 64), (1, 5, 31)
-        entropy, complexity = _observables(engine, (9, 18), sites, radii, times)
-        for k in range(len(times)):
-            s, c = _observables(engine, (9, 18), sites, radii, times[k:k + 1])
-            assert np.array_equal(s[:, 0], entropy[:, k])
-            for r in radii:
-                assert np.array_equal(c[r][:, 0], complexity[r][:, k])
+        radii = (1, 5, 31)
+        for j in (1, 17, 64):
+            sites = range(j, j + 1)
+            entropy, complexity = _observables(engine, (9, 18), sites, radii, times)
+            for k in range(len(times)):
+                s, c = _observables(engine, (9, 18), sites, radii, times[k:k + 1])
+                assert np.array_equal(s[:, 0], entropy[:, k])
+                for r in radii:
+                    assert np.array_equal(c[r][:, 0], complexity[r][:, k])
+
+    def test_non_finite_amplitudes_refused(self):
+        """NaN amplitudes stop a scan and a series with one SolverError at the earliest bad cell."""
+        class NanLater(StubEngine):
+            __slots__ = ()
+
+            def pair_amplitudes(self, n1, n2, t):
+                b = super().pair_amplitudes(n1, n2, t)
+                return b * np.nan if t >= 3.0 else b
+
+        engine = NanLater(ChainConfig(N=12))
+        with pytest.raises(SolverError, match=r"^S or C is not finite at site 1, t=3\.0:"):
+            spacetime_scan(engine, (3, 8), (1, 2), 0.5, 10.0)
+        with pytest.raises(SolverError, match=r"^S or C is not finite at site 5, t=3\.0:"):
+            site_series(engine, (3, 8), 5, (1, 2), 0.5, 10.0)
 
     def test_scan_memory_bound_by_grids_and_chunks(self):
         """A long N=16 scan peaks below its 4 output grids plus 8 chunks of working memory."""

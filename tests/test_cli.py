@@ -6,6 +6,7 @@ from math import comb, inf, nan
 import numpy as np
 import pytest
 
+import pcx.cli
 from pcx import io
 from pcx.analysis import site_series, spacetime_scan
 from pcx.chain import ChainConfig, SpectralEngine, block_levels
@@ -684,6 +685,38 @@ class TestFailureExitCodes:
         code = main(["spectrum", "--sites", "8", "--engine", "bethe",
                      "--out", str(tmp_path)])
         assert code == 4
+
+    @pytest.mark.parametrize("command", [["series", "--site", "5"], ["scan"]])
+    def test_non_finite_amplitudes_exit_4(self, tmp_path, capsys, monkeypatch, command):
+        """NaN amplitudes stop a run with one solver error line, before its output directory exists."""
+        def nan_amplitudes(self, n1, n2, t):
+            return np.full(self.cfg.dim, np.nan, dtype=complex)
+
+        monkeypatch.setattr(SpectralEngine, "pair_amplitudes", nan_amplitudes)
+        out = tmp_path / "out"
+        assert main([*command, "--sites", "12", "--flips", "3,7", "--horizon", "1",
+                     "--tmax", "10", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    """main builds the parser on its first call only, and a refused call leaves it usable."""
+    built = []
+    init = pcx.cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(pcx.cli._Parser, "__init__", counting_init)
+    pcx.cli.build_parser.cache_clear()
+    assert main(["example"]) == 0
+    assert main(["spectrum", "--sites", "5", "--no-such-flag"]) == 2
+    assert main(["spectrum", "--sites", "5", "--out", str(tmp_path)]) == 0
+    assert main(["example"]) == 0
+    assert built.count("pcx") == 1
 
 
 class TestCompleteFilesOrNone:

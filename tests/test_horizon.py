@@ -26,7 +26,8 @@ def generic_rhos(b, spec):
 
 def kernel_gap(engine, flips, spec, times):
     """Largest gap of the kernel's S and C(r_h) from the generic route's entropies."""
-    entropy, complexity = _observables(engine, flips, (spec.j,), (spec.r_h,), np.asarray(times))
+    entropy, complexity = _observables(engine, flips, range(spec.j, spec.j + 1), (spec.r_h,),
+                                       np.asarray(times))
     worst = 0.0
     for k, t in enumerate(times):
         plain, primed = generic_rhos(engine.pair_amplitudes(*flips, float(t)), spec)
@@ -249,6 +250,12 @@ class TestTwoLevelEntropy:
 
     def test_offdiagonal_lowers_entropy(self):
         assert two_level_entropy_bits(0.5, 0.25) < two_level_entropy_bits(0.5)
+
+    def test_nan_stays_nan(self):
+        """A NaN diagonal or off-diagonal gives NaN bits, not the 0 bits of a pure state."""
+        assert np.isnan(two_level_entropy_bits(np.nan))
+        assert np.isnan(two_level_entropy_bits(0.5, np.nan))
+        assert np.isnan(two_level_entropy_bits(np.array([0.5, np.nan, 1.0]))).tolist() == [False, True, False]
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8))

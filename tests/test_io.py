@@ -8,12 +8,15 @@ from pcx import io
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1 - 2**-53, 1e-4,
          np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 0.5, 0.1, 1.0, 2.5, 1.7976931348623157e308,
-         np.inf, -np.inf, np.nan, -0.5, -1e-4, -1 + 2**-53, -3.0]
+         np.inf, -np.inf, np.nan, -0.5, -1e-4, -1 + 2**-53, -3.0,
+         np.nextafter(1e-3, 0.0), 1e-3, np.nextafter(1e-3, 1.0), np.nextafter(1e-2, 0.0), 1e-2,
+         np.nextafter(1e-2, 1.0), np.nextafter(1e-1, 0.0), np.nextafter(1e-1, 1.0)]
 
 
 @pytest.mark.parametrize("x", EDGES)
 def test_edge_values(x):
-    """One value alone: zeros, subnormals, the ends of [1e-4, 1), non-finite values and negatives."""
+    """One value alone: zeros, subnormals, the ends of [1e-4, 1) and the doubles around each
+    power of ten inside it, non-finite values and negatives."""
     assert io.fmt_all(np.array([x])) == [format(x, ".17g")]
 
 
