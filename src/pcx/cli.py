@@ -5,7 +5,9 @@ backend with per-root diagnostics), series (per-site S and C columns with
 equilibrium footers, plus collision-peak lines for site 17 of the
 reference recipe), scan (long-format CSV plus one grayscale PGM per grid),
 example (the 2x3 worked example).  Defaults mirror the reference recipe:
-N=32, J=1, flips 10 and 25, dt=0.2.
+N=32, J=1, flips 10 and 25, dt=0.2.  A command imports pcx.bethe or
+pcx.predictive only when it runs them, so `series` and `scan` on the
+default engine never load either.
 
 Exit codes: 0 success, 2 configuration or input error, 3 I/O error, 4 solver
 failure.  argparse parses all input, and main reports every refusal, a
@@ -23,16 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, bethe, io
+from . import analysis, io
 from .analysis import site_series
 from .chain import ChainConfig, SpectralEngine, block_levels
 from .errors import ConfigError, NormalizationError, PeakNotFoundError, SolverError, StatsError
-from .predictive import worked_qubit_qutrit_example
 
 PEAK_HINT = 9.0
 # (N, J, flips, site) of the run whose first collision sits near PEAK_HINT
 PEAK_RECIPE = (32, 1.0, (10, 25), 17)
-ENGINES = {engine.name: engine for engine in (SpectralEngine, bethe.BetheEngine)}
 # rows of a table per write_csv chunk; a chunk's numbers are formatted together
 ROW_BLOCK = 1024
 
@@ -67,7 +67,7 @@ def _numbers(convert, count=None):
 def _add_chain(p: argparse.ArgumentParser):
     p.add_argument("--sites", type=int, default=32, metavar="N", help="number of chain sites")
     p.add_argument("--coupling", type=float, default=1.0, metavar="J", help="exchange coupling")
-    p.add_argument("--engine", choices=ENGINES, default="spectral")
+    p.add_argument("--engine", choices=("spectral", "bethe"), default="spectral")
     p.add_argument("--out", default=".", metavar="DIR", help="output directory")
 
 
@@ -134,6 +134,8 @@ def cmd_spectrum(args) -> int:
     if args.engine == "spectral":
         columns, rows, values = ("index", "energy"), [f"{io.FIELD},{io.FIELD}\n"] * n, (np.sort(levels),)
     else:
+        from . import bethe
+
         roots = bethe.enumerate_roots(cfg)
         # the engine's checks, one batch of block vectors at a time, keeping only the largest residual
         residual = max(residual for *_, residual in bethe.checked_blocks(roots, cfg))
@@ -168,6 +170,15 @@ def _row_blocks(rows, table):
         yield "".join(rows[k:k + ROW_BLOCK]), table[k:k + ROW_BLOCK]
 
 
+def _engine(args, cfg: ChainConfig):
+    """The --engine backend for cfg; pcx.bethe is imported only when it is asked for."""
+    if args.engine == "bethe":
+        from . import bethe
+
+        return bethe.BetheEngine(cfg)
+    return SpectralEngine(cfg)
+
+
 def _series_footer(args, series, window) -> list[str]:
     footer = [f"equilibrium window: [{io.fmt(window[0])}, {io.fmt(window[1])}], std=population"]
     columns = [("S_bits", series.entropy)]
@@ -198,7 +209,7 @@ def cmd_series(args) -> int:
     cfg = ChainConfig(N=args.sites, J=args.coupling)
     analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax, args.site)
     window = _eq_window(args)
-    engine = ENGINES[args.engine](cfg)
+    engine = _engine(args, cfg)
     out = Path(args.out)
     series = site_series(engine, args.flips, args.site, args.horizon, args.dt, args.tmax)
     radii = sorted(series.complexity)
@@ -217,7 +228,7 @@ def cmd_series(args) -> int:
 def cmd_scan(args) -> int:
     cfg = ChainConfig(N=args.sites, J=args.coupling)
     analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax)
-    engine = ENGINES[args.engine](cfg)
+    engine = _engine(args, cfg)
     out = Path(args.out)
     grids = analysis.spacetime_scan(engine, args.flips, args.horizon, args.dt, args.tmax)
 
@@ -247,6 +258,8 @@ def _format_matrix(m: np.ndarray) -> str:
 
 
 def cmd_example(args) -> int:
+    from .predictive import worked_qubit_qutrit_example
+
     report = worked_qubit_qutrit_example(args.amplitudes)
     if report["renormalized"]:
         print("warning: input amplitudes were not normalized; normalizing", file=sys.stderr)

@@ -15,6 +15,8 @@ from pcx.chain import ChainConfig, SpectralEngine
 from pcx.cli import main
 from pcx.horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
 from pcx.predictive import (
+    BipartiteState,
+    EquivalencePartition,
     predictive_map,
     reduced_density,
     von_neumann_entropy,
@@ -168,8 +170,6 @@ def test_criterion_9_worked_example_regression():
     s_bits = report_dict["entropy_bits"]
     c_bits = report_dict["complexity_bits"]
     # independently via the generic oracle route
-    from pcx.predictive import BipartiteState, EquivalencePartition
-
     psi = BipartiteState(np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], dtype=complex))
     part = EquivalencePartition.from_index_groups(3, [(0, 1)])
     oracle_rho = reduced_density(predictive_map(psi, part), side="a")

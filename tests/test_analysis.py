@@ -158,6 +158,28 @@ class TestSpacetimeScan:
         c_contrast = c_grid.values[17 - 1, k] / c_grid.values.mean()
         assert c_contrast > s_contrast
 
+    def test_radius_chain_on_recipe_scan(self, recipe_scan):
+        assert_radius_chain(recipe_scan)
+
+    @pytest.mark.parametrize("N", [5, 8, 9, 16, 17])
+    def test_radius_chain_on_small_rings(self, N):
+        """Adjacent, antipodal and wrapping flips, every radius the ring admits."""
+        engine = SpectralEngine(ChainConfig(N=N))
+        radii = range(1, (N - 2) // 2 + 1)  # 2 r_h + 1 < N
+        for flips in ((3, 4), (2, 2 + N // 2), (1, N)):
+            assert_radius_chain(spacetime_scan(engine, flips, radii, 0.5, 6.0))
+
+
+def assert_radius_chain(grids):
+    """C(r_h) <= C(r_h + 1) <= S on every cell, up to an ulp or two of rounding.
+
+    Widening the horizon keeps more exterior states apart, so C grows toward S.
+    """
+    s_grid, *c_grids = sorted(grids, key=lambda g: -1 if g.r_h is None else g.r_h)
+    assert s_grid.kind == "S" and len(c_grids) >= 1
+    for lower, upper in zip(c_grids, c_grids[1:] + [s_grid]):
+        assert (lower.values - upper.values).max() <= 1e-15, (lower.label, upper.label)
+
 
 class StubEngine:
     """The engine interface the kernel may use, and nothing else.

@@ -5,6 +5,8 @@ from math import comb, pi
 import numpy as np
 import pytest
 
+import pcx.bethe
+import pcx.chain
 from oracles import DenseEngine, state_trace_distance
 from pcx.bethe import (
     ROOT_DTYPE,
@@ -33,7 +35,7 @@ from pcx.chain import (
     sector_hamiltonian,
 )
 from pcx.cli import main
-from pcx.errors import SolverError
+from pcx.errors import DegenerateRootError, SolverError
 
 # corrupt classes: the ring each is built on, and the message that refuses it
 CORRUPT_CLASSES = {
@@ -52,8 +54,6 @@ def corrupt(monkeypatch, case: str):
     mirror-shift: one level of class 5 moves by 1e-9;
     shifted-theta: theta of the class-3 real pair (1,2) moves by 1e-7.
     """
-    import pcx.bethe
-
     real_vectors, real_roots = pcx.bethe.block_vectors, pcx.bethe.enumerate_roots
     roots = real_roots(ChainConfig(N=8))
     classes = (roots.m1 + roots.m2) % 8
@@ -186,8 +186,6 @@ class TestEnumerateRoots:
 
     def test_newton_out_of_iterations_refused(self, monkeypatch):
         """A real-pair cell that does not converge within NEWTON_MAX_ITER raises, naming the cell."""
-        import pcx.bethe
-
         monkeypatch.setattr(pcx.bethe, "NEWTON_MAX_ITER", 1)
         with pytest.raises(SolverError, match=r"real-pair cell \(\d+,\d+\) did not converge"):
             enumerate_roots(ChainConfig(N=12))
@@ -210,8 +208,6 @@ class TestEnumerateRoots:
     ])
     def test_close_pair_refused(self, monkeypatch, lost, message):
         """An unsolved close pair (m2 = m1 + 1) is refused by name; an unsolved real pair first."""
-        import pcx.bethe
-
         cell_roots = pcx.bethe._cell_roots
 
         def unsolved(function, derivative, params, N, lo, hi, start):
@@ -258,8 +254,6 @@ class TestEnumerateRoots:
     @pytest.mark.parametrize("N", [48, 128, 511])
     def test_theta_pass_starts_next_to_its_roots(self, monkeypatch, N):
         """From the free-magnon start the theta pass evaluates F at most 15 times (20-32 from the midpoint)."""
-        import pcx.bethe
-
         calls = 0
 
         def counted(*args):
@@ -294,8 +288,6 @@ class TestEnumerateRoots:
     ])
     def test_bound_cell_without_root_refused(self, monkeypatch, lost, message):
         """A bound cell whose depth equation keeps its sign is refused by name; a real pair first."""
-        import pcx.bethe
-
         N, target = 32, np.log(np.sin(pi * abs(32 - 2 * 10) / (2 * 32)))  # cell (5,5), momentum class 10
 
         def no_depth(v, log_c, cosh_form, N):
@@ -352,8 +344,6 @@ class TestBetheState:
             assert profile[0] > profile[1] > profile[3]
 
     def test_degenerate_wavefunction_rejected(self, cfg32):
-        from pcx.errors import DegenerateRootError
-
         # equal real momenta with theta = pi cancel the two terms exactly
         bogus = np.rec.array([(1.0, 1.0, pi, 0.9, "real-pair", 5, 5)], dtype=ROOT_DTYPE)
         with pytest.raises(DegenerateRootError):
@@ -522,8 +512,6 @@ class TestCompleteness:
 
     def test_build_uses_no_per_root_wavefunction(self, monkeypatch, bethe_engine32):
         """The engine builds its blocks from batches alone; the per-root path is never taken."""
-        import pcx.bethe
-
         def refuse(*args, **kwargs):
             raise AssertionError("per-root wavefunction called")
 
@@ -554,8 +542,6 @@ class TestCompleteness:
     @pytest.mark.parametrize("N", [8, 31, 48, 64])
     def test_batching_changes_nothing(self, monkeypatch, N):
         """One class per batch builds the same bits as the default batches, in both engines."""
-        import pcx.chain
-
         cfg = ChainConfig(N=N)
         assert max(len(ks) for ks, _ in pcx.chain.block_batches(N)) > 1
         batched = BetheEngine(cfg), SpectralEngine(cfg)

@@ -6,11 +6,13 @@ from math import comb, inf, nan
 import numpy as np
 import pytest
 
+import pcx.bethe
 import pcx.cli
 from pcx import io
 from pcx.analysis import site_series, spacetime_scan
 from pcx.chain import ChainConfig, SpectralEngine, block_levels
 from pcx.cli import main
+from pcx.errors import SolverError
 
 
 def read_csv(path):
@@ -104,8 +106,6 @@ class TestSpectrumCommand:
 
     def test_bethe_footer_compares_blocks(self, tmp_path, monkeypatch, capsys):
         """A level filed under the wrong momentum is refused by the class count, naming the class."""
-        import pcx.bethe
-
         real_roots = pcx.bethe.enumerate_roots
 
         def mislabelled(cfg):
@@ -506,7 +506,7 @@ class TestConfigErrors:
         def no_roots(cfg):
             raise AssertionError("Bethe roots solved before the budget check")
 
-        monkeypatch.setattr("pcx.bethe.enumerate_roots", no_roots)
+        monkeypatch.setattr(pcx.bethe, "enumerate_roots", no_roots)
         out = tmp_path / "out"
         assert main([*command, "--sites", "512", "--out", str(out)]) == 2
         self.assert_config_error(capsys, out)
@@ -596,6 +596,28 @@ class TestEntryPoint:
         assert len(result.stderr.splitlines()) == 1
 
 
+# every command loads these; pcx.bethe and pcx.predictive only where it runs them
+COMMON_MODULES = {"pcx", "pcx.analysis", "pcx.chain", "pcx.cli", "pcx.errors", "pcx.horizon", "pcx.io"}
+RUN = ["--sites", "8", "--flips", "2,6", "--horizon", "1,2", "--dt", "0.5", "--tmax", "2"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["series", *RUN, "--site", "3"], COMMON_MODULES),
+    (["scan", *RUN], COMMON_MODULES),
+    (["series", *RUN, "--site", "3", "--engine", "bethe"], COMMON_MODULES | {"pcx.bethe"}),
+    (["spectrum", "--sites", "8", "--engine", "bethe"], COMMON_MODULES | {"pcx.bethe"}),
+    (["example"], COMMON_MODULES | {"pcx.predictive"}),
+], ids=["series", "scan", "series-bethe", "spectrum-bethe", "example"])
+def test_command_loads_only_its_modules(tmp_path, run_python, argv, modules):
+    """A fresh interpreter that runs one command has loaded exactly these pcx modules."""
+    script = ("import sys, pcx.cli; assert pcx.cli.main(sys.argv[1:]) == 0; "
+              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'pcx'))")
+    out = [] if argv[0] == "example" else ["--out", str(tmp_path)]
+    result = run_python(["-c", script, *argv, *out])
+    assert result.returncode == 0, result.stderr
+    assert set(result.stdout.splitlines()[-1].split()) == modules
+
+
 def _blas_core_type_forcible() -> bool:
     """Whether numpy's BLAS is OpenBLAS built with DYNAMIC_ARCH, which reads OPENBLAS_CORETYPE."""
     try:
@@ -676,12 +698,10 @@ class TestFailureExitCodes:
         assert code == 3
 
     def test_solver_error_exit_4(self, tmp_path, monkeypatch):
-        from pcx.errors import SolverError
-
         def broken_roots(cfg):
             raise SolverError("real-pair cell (1,3) did not converge")
 
-        monkeypatch.setattr("pcx.bethe.enumerate_roots", broken_roots)
+        monkeypatch.setattr(pcx.bethe, "enumerate_roots", broken_roots)
         code = main(["spectrum", "--sites", "8", "--engine", "bethe",
                      "--out", str(tmp_path)])
         assert code == 4
