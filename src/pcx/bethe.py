@@ -31,7 +31,6 @@ in `chain.SpectralEngine`'s quarter stack, `spectrum` keeps only figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -62,15 +61,6 @@ def _cot(z):
 def dispersion(cfg: ChainConfig, k1, k2) -> complex:
     """Energy relative to e0, J (2 - cos k1 - cos k2)."""
     return cfg.J * (2.0 - np.cos(np.complex128(k1)) - np.cos(np.complex128(k2)))
-
-
-@dataclass(frozen=True)
-class BetheState:
-    """Normalized position-basis wavefunction of a root."""
-
-    root: np.record  # one row of an `enumerate_roots` table
-    amplitudes: np.ndarray
-    norm_constant: float
 
 
 def _cell_function(theta, m1, m2, N: int):
@@ -180,7 +170,7 @@ def _singular_pi_cell(cfg: ChainConfig) -> tuple:
 
     One-element columns in ROOT_DTYPE field order.  Labels at v = SINGULAR_V
     on the manifold cos(u) cosh(v) = 1/2, where the dispersion gives exactly
-    J; its state is the closed form (see `_wavefunction` and `block_vectors`).
+    J; its state is the closed form (see `bethe_state` and `block_vectors`).
     """
     N = cfg.N
     M = N // 2
@@ -268,13 +258,15 @@ def enumerate_roots(cfg: ChainConfig) -> np.recarray:
     return roots[np.lexsort((roots.m2, roots.m1))]
 
 
-def _wavefunction(root: np.record, n1s, n2s, N: int) -> tuple[np.ndarray, float]:
-    """Unit amplitudes of a root on the pairs (n1s, n2s), and their norm before scaling.
+def bethe_state(root: np.record, cfg: ChainConfig) -> np.ndarray:
+    """Unit position-basis amplitudes of a root, over the flat pair basis.
 
     Exponents are rescaled by their maximum so deep bound states do not
     overflow.  The even-N momentum-pi cell (the only bound root with
     m1 + m2 = N/2) is the closed form (-1)^n on (n, n+1), (-1)^N on (1, N).
     """
+    N = cfg.N
+    n1s, n2s = all_pairs(N)
     if root.kind == "bound" and 2 * (root.m1 + root.m2) == N:
         raw = np.zeros(len(n1s), dtype=np.complex128)
         adjacent = n2s - n1s == 1
@@ -288,13 +280,7 @@ def _wavefunction(root: np.record, n1s, n2s, N: int) -> tuple[np.ndarray, float]
     norm = np.linalg.norm(raw)
     if norm < 1e-13 * np.sqrt(len(raw)):
         raise DegenerateRootError(f"cell ({root.m1},{root.m2}) gives a vanishing wavefunction")
-    return raw / norm, float(norm)
-
-
-def bethe_state(root: np.record, cfg: ChainConfig) -> BetheState:
-    """Normalized position-basis wavefunction of a root, over the flat pair basis."""
-    amplitudes, norm = _wavefunction(root, *all_pairs(cfg.N), cfg.N)
-    return BetheState(root=root, amplitudes=amplitudes, norm_constant=1.0 / norm)
+    return raw / norm
 
 
 def block_vectors(roots: np.recarray, cfg: ChainConfig) -> np.ndarray:
@@ -340,7 +326,7 @@ def checked_blocks(roots: np.recarray, cfg: ChainConfig):
     vector's eigen-residual max_r |(H_k phi - E phi)(r)| / |J| at most
     ORTHONORMALITY_TOL.  H_k is the unreduced block, diagonal 2 (1 at r = 1
     and N - 1), hopping `chain.block_hopping`; (H_k/J) phi - (E/J) phi neither
-    overflows nor loses digits at any J.  Yields (ks, phi, energy, residual)
+    overflows nor loses digits at any normal J.  Yields (ks, phi, energy, residual)
     per `chain.block_batches` batch: phi[i] the vectors of class ks[i] in
     root order, energy[i] their levels, residual the batch's largest.
     """

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from sys import float_info
 
 import numpy as np
 
@@ -49,6 +50,10 @@ class ChainConfig:
         # 4|J| bounds the sector levels, so it must be a finite float too
         if self.J == 0 or not isfinite(4 * abs(float(self.J))):
             raise ConfigError(f"coupling J must be nonzero with 4|J| finite, got J={self.J}")
+        # each level rounds within eps |J|, and the checks scale with |J|, only for a normal |J|
+        if abs(float(self.J)) < float_info.min:
+            raise ConfigError(f"coupling J must be nonzero with 4|J| finite and |J| a normal double, "
+                              f"at least {float_info.min!r}, got J={self.J}")
         nbytes = 8 * (self.N // 2 + 1) * (self.N // 2) ** 2
         if nbytes > MAX_BLOCK_BYTES:
             raise ConfigError(f"momentum blocks for N={self.N} need {nbytes / 2**20:.1f} MiB of "

@@ -51,13 +51,9 @@ class HorizonSpec:
         return circular_distance(site, self.j, self.N) <= self.r_h
 
     @property
-    def inside_sites(self) -> tuple[int, ...]:
-        """Sites within the horizon, including j itself."""
-        return tuple(s for s in range(1, self.N + 1) if self.is_inside(s))
-
-    @property
     def inside_exterior_sites(self) -> tuple[int, ...]:
-        return tuple(s for s in self.inside_sites if s != self.j)
+        """Sites within the horizon other than j itself."""
+        return tuple(s for s in range(1, self.N + 1) if s != self.j and self.is_inside(s))
 
 
 @dataclass(frozen=True)

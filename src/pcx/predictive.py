@@ -119,18 +119,6 @@ class EquivalencePartition:
         eye = np.eye(dim_b, dtype=np.complex128)
         return cls(dim_b=dim_b, subspaces=tuple(eye[:, sorted(g)] for g in groups))
 
-    @property
-    def n_subspaces(self) -> int:
-        return len(self.subspaces)
-
-    @property
-    def remainder_dim(self) -> int:
-        return self.remainder.shape[1]
-
-    @property
-    def primed_dim(self) -> int:
-        return self.n_subspaces + self.remainder_dim
-
 
 def build_projector(part: EquivalencePartition) -> np.ndarray:
     """Idempotent map on H_B collapsing each equivalence subspace onto its gamma ray."""
@@ -195,8 +183,8 @@ def reduced_density(psi: BipartiteState, side: str = "a") -> np.ndarray:
     raise ValueError("side must be 'a' or 'b'")
 
 
-def von_neumann_entropy(rho: np.ndarray, base: str = "bits") -> float:
-    """Entropy -tr(rho log rho); log base 2 by default, 'nats' optional."""
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy -tr(rho log2 rho) in bits."""
     rho = np.asarray(rho)
     if not np.max(np.abs(rho - rho.conj().T)) <= 1e-9:
         raise NormalizationError("density matrix is not Hermitian")
@@ -209,11 +197,7 @@ def von_neumann_entropy(rho: np.ndarray, base: str = "bits") -> float:
     evals = np.clip(evals, 0.0, 1.0)
     positive = evals[evals > 0]
     s_nats = float(-(positive * np.log(positive)).sum()) + 0.0
-    if base == "nats":
-        return s_nats
-    if base == "bits":
-        return s_nats / np.log(2.0)
-    raise ValueError("base must be 'bits' or 'nats'")
+    return s_nats / np.log(2.0)
 
 
 def worked_qubit_qutrit_example(amps=None) -> dict:

@@ -316,15 +316,14 @@ class TestBetheState:
     def test_normalized(self, cfg32, roots32):
         for r in roots32[::37]:
             st = bethe_state(r, cfg32)
-            assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-10
-            assert st.norm_constant > 0
+            assert abs(np.linalg.norm(st) - 1.0) < 1e-10
 
     def test_eigenvector_residuals(self, cfg32, roots32, dense_engine32):
         H = dense_engine32.hamiltonian
         worst = 0.0
         for r in roots32:
             st = bethe_state(r, cfg32)
-            worst = max(worst, np.linalg.norm(H @ st.amplitudes - r.energy * st.amplitudes))
+            worst = max(worst, np.linalg.norm(H @ st - r.energy * st))
         assert worst < 1e-6
 
     def test_bound_state_decays_with_separation(self, cfg32, roots32):
@@ -335,7 +334,7 @@ class TestBetheState:
             st = bethe_state(r, cfg32)
             by_sep = {}
             n1s, n2s = all_pairs(cfg32.N)
-            for flat, amp in enumerate(st.amplitudes):
+            for flat, amp in enumerate(st):
                 d = circular_distance(int(n1s[flat]), int(n2s[flat]), cfg32.N)
                 by_sep.setdefault(d, []).append(abs(amp))
             profile = [max(by_sep[d]) for d in sorted(by_sep)]
@@ -382,7 +381,7 @@ class TestBetheState:
         flat = pair_index(1, 1 + r, N)
         for root, phi in zip(bound, block_vectors(bound, cfg)):
             k = (root.m1 + root.m2) % N
-            psi = bethe_state(root, cfg).amplitudes[flat] * np.exp(-1j * np.pi * k * r / N)
+            psi = bethe_state(root, cfg)[flat] * np.exp(-1j * np.pi * k * r / N)
             psi /= np.linalg.norm(psi)
             assert abs(abs(np.vdot(phi, psi)) - 1) < 1e-12, (root.m1, root.m2)
 
@@ -396,7 +395,7 @@ class TestBetheState:
         for k in range(N):
             batch = roots[(roots.m1 + roots.m2) % N == k]
             for root, phi in zip(batch, block_vectors(batch, cfg)):
-                psi = bethe_state(root, cfg).amplitudes[flat] * np.exp(-1j * np.pi * k * r / N)
+                psi = bethe_state(root, cfg)[flat] * np.exp(-1j * np.pi * k * r / N)
                 psi /= np.linalg.norm(psi)
                 assert abs(abs(np.vdot(phi, psi)) - 1) < 1e-12, (root.m1, root.m2)
 
@@ -405,11 +404,11 @@ class TestBetheState:
         singular = [r for r in roots32 if r.kind == "bound" and abs(r.energy - cfg32.J) < 1e-9]
         assert len(singular) == 1
         st = bethe_state(singular[0], cfg32)
-        res = np.linalg.norm(dense_engine32.hamiltonian @ st.amplitudes - cfg32.J * st.amplitudes)
+        res = np.linalg.norm(dense_engine32.hamiltonian @ st - cfg32.J * st)
         assert res < 1e-6
         # support on adjacent pairs only
         n1s, n2s = all_pairs(cfg32.N)
-        for flat, amp in enumerate(st.amplitudes):
+        for flat, amp in enumerate(st):
             if circular_distance(int(n1s[flat]), int(n2s[flat]), cfg32.N) != 1:
                 assert abs(amp) < 1e-6
 
@@ -419,7 +418,7 @@ class TestBetheState:
         cfg = ChainConfig(N=N)
         pi_roots = [r for r in enumerate_roots(cfg) if r.kind == "bound" and 2 * (r.m1 + r.m2) == N]
         assert len(pi_roots) == 1
-        amps = bethe_state(pi_roots[0], cfg).amplitudes
+        amps = bethe_state(pi_roots[0], cfg)
         expected = np.zeros(cfg.dim)
         for n in range(1, N):
             expected[pair_index(n, n + 1, N)] = (-1) ** n
@@ -431,7 +430,7 @@ class TestBetheState:
 
 class TestCompleteness:
     def test_gram_full_rank(self, cfg32, roots32):
-        A = np.column_stack([bethe_state(r, cfg32).amplitudes for r in roots32])
+        A = np.column_stack([bethe_state(r, cfg32) for r in roots32])
         smin = np.linalg.svd(A, compute_uv=False)[-1]
         assert smin > 1e-6
 
@@ -439,7 +438,7 @@ class TestCompleteness:
     def test_raw_states_orthonormal(self, N):
         """The bethe_state columns are orthonormal as built, with no repair step."""
         cfg = ChainConfig(N=N)
-        A = np.column_stack([bethe_state(r, cfg).amplitudes for r in enumerate_roots(cfg)])
+        A = np.column_stack([bethe_state(r, cfg) for r in enumerate_roots(cfg)])
         assert np.max(np.abs(A.conj().T @ A - np.eye(cfg.dim))) < 1e-10
 
     def test_engine_basis_is_raw_states(self):
@@ -515,7 +514,7 @@ class TestCompleteness:
         def refuse(*args, **kwargs):
             raise AssertionError("per-root wavefunction called")
 
-        monkeypatch.setattr(pcx.bethe, "_wavefunction", refuse)
+        monkeypatch.setattr(pcx.bethe, "bethe_state", refuse)
         engine = BetheEngine(ChainConfig(N=32))
         assert np.array_equal(engine.vectors, bethe_engine32.vectors)
 

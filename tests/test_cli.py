@@ -119,7 +119,7 @@ class TestSpectrumCommand:
         assert err.startswith("solver error: ") and len(err.splitlines()) == 1
         assert "momentum block k=1" in err
 
-    @pytest.mark.parametrize("coupling", ["1e-310", "-1.3", "4e307"])
+    @pytest.mark.parametrize("coupling", ["2.2250738585072014e-308", "-1.3", "4e307"])
     def test_bethe_footer_eigen_residual(self, tmp_path, coupling):
         """The footer states the largest eigen-residual of the Bethe rows, in units of |J|."""
         assert main(["spectrum", "--sites", "48", "--engine", "bethe", "--coupling", coupling,
@@ -354,6 +354,10 @@ class TestDeterminism:
             assert (out / "scan_S.pgm").read_bytes() == ref_pgm
 
 
+# a valid series run on a 12-site ring, for one bad option to be appended
+SERIES12 = ["series", "--sites", "12", "--flips", "3,7", "--site", "5", "--horizon", "1"]
+
+
 class TestConfigErrors:
     """Bad run inputs exit 2 with one error line and write nothing."""
 
@@ -362,23 +366,6 @@ class TestConfigErrors:
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
-
-    @pytest.mark.parametrize("bad", [
-        ["--coupling", "nan"],
-        ["--dt", "inf"],
-        ["--dt", "nan"],
-        ["--dt", "0.4", "--tmax", "1.0"],
-        ["--horizon", "1,1"],
-        ["--dt", "1e-9", "--tmax", "200"],
-        ["--coupling", "5e307"],
-        ["--coupling", "4e307", "--tmax", "2"],
-    ], ids=["coupling-nan", "dt-inf", "dt-nan", "dt-not-dividing-tmax", "repeated-radius",
-            "too-many-time-points", "coupling-levels-overflow", "coupling-phases-overflow"])
-    def test_bad_run_input_exit_2(self, tmp_path, capsys, bad):
-        out = tmp_path / "out"
-        assert main(["series", "--sites", "12", "--flips", "3,7", "--site", "5",
-                     "--horizon", "1", "--out", str(out), *bad]) == 2
-        self.assert_config_error(capsys, out)
 
     def test_odd_ring_degenerate_horizon_exit_2(self, tmp_path, capsys):
         """At N = 31, r_h = 15 covers the ring (2 r_h + 1 = N): refused, not written as C = S."""
@@ -413,12 +400,35 @@ class TestConfigErrors:
         (["series", "--site", "5", "--flip", "1,2"], "unrecognized arguments: --flip"),
         (["spectrum", "--sites", "8", "--coupling", "-inf"],
          "coupling J must be nonzero with 4|J| finite"),
+        ([*SERIES12, "--coupling", "nan"], "coupling J must be nonzero with 4|J| finite, got J=nan"),
+        ([*SERIES12, "--dt", "inf"], "dt and tmax must be finite and positive, got dt=inf"),
+        ([*SERIES12, "--dt", "nan"], "dt and tmax must be finite and positive, got dt=nan"),
+        ([*SERIES12, "--dt", "0.4", "--tmax", "1.0"], "dt=0.4 does not divide tmax=1.0"),
+        ([*SERIES12, "--horizon", "1,1"], "horizon radii (1, 1) repeat a radius"),
+        ([*SERIES12, "--dt", "1e-9", "--tmax", "200"], "(site, time) cells on 1 site(s)"),
+        # levels past the float range are refused, not written as NaN
+        ([*SERIES12, "--coupling", "5e307"], "4|J| finite, got J=5e+307"),
+        ([*SERIES12, "--coupling", "4e307", "--tmax", "2"], "phase floor 4|J| tmax eps = inf exceeds"),
+        (["scan", "--sites", "10", "--flips", "2,6", "--horizon", "1,1", "--dt", "0.5", "--tmax", "2"],
+         "horizon radii (1, 1) repeat a radius"),
+        (["spectrum", "--sites", "8", "--coupling", "1e308"], "4|J| finite, got J=1e+308"),
+        # a subnormal |J| would fail the Bethe checks, which scale with |J|, with exit 4
+        (["spectrum", "--engine", "bethe", "--sites", "48", "--coupling", "1e-314"],
+         "|J| a normal double, at least 2.2250738585072014e-308, got J=1e-314"),
+        (["series", "--site", "17", "--engine", "bethe", "--tmax", "20", "--coupling", "1e-318"],
+         "|J| a normal double, at least 2.2250738585072014e-308, got J=1e-318"),
+        (["series", "--site", "5", "--coupling", "1e-320"],
+         "|J| a normal double, at least 2.2250738585072014e-308, got J=1e-320"),
     ], ids=["flips-trailing-comma", "flips-reversed", "horizon-empty-radius",
             "horizon-trailing-comma", "eq-window-one-number", "sites-not-int", "site-missing",
             "spectrum-dt", "spectrum-flips", "spectrum-horizon", "spectrum-tmax",
             "spectrum-eq-window", "scan-eq-window", "scan-too-many-cells", "no-subcommand",
             "engine-unknown", "amplitudes-too-few", "amplitudes-not-complex",
-            "scan-site-not-abbreviated", "series-flip-not-abbreviated", "coupling-minus-inf"])
+            "scan-site-not-abbreviated", "series-flip-not-abbreviated", "coupling-minus-inf",
+            "coupling-nan", "dt-inf", "dt-nan", "dt-not-dividing-tmax", "repeated-radius",
+            "too-many-time-points", "coupling-levels-overflow", "coupling-phases-overflow",
+            "scan-repeated-radius", "spectrum-coupling-overflow", "spectrum-bethe-subnormal-coupling",
+            "series-bethe-subnormal-coupling", "series-subnormal-coupling"])
     def test_refused_input_exit_2(self, tmp_path, capsys, monkeypatch, argv, fragment):
         """Malformed, unknown and out-of-range input all end in one error line from main."""
         monkeypatch.chdir(tmp_path)  # --out defaults to the working directory
@@ -474,18 +484,6 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: phase floor 4|J| tmax eps = ") and "tmax must be at most" in err
         assert len(err.splitlines()) == 1 and not out.exists()
-
-    def test_scan_repeated_radius_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["scan", "--sites", "10", "--flips", "2,6", "--horizon", "1,1",
-                     "--dt", "0.5", "--tmax", "2", "--out", str(out)]) == 2
-        self.assert_config_error(capsys, out)
-
-    def test_spectrum_overflowing_coupling_exit_2(self, tmp_path, capsys):
-        """Levels past the float range are refused, not written as NaN."""
-        out = tmp_path / "out"
-        assert main(["spectrum", "--sites", "8", "--coupling", "1e308", "--out", str(out)]) == 2
-        self.assert_config_error(capsys, out)
 
     def test_largest_coupling_runs_without_warnings(self, tmp_path, run_python):
         result = run_python(["-W", "error", "-m", "pcx", "spectrum", "--coupling", "4e307",

@@ -12,7 +12,12 @@ MOVED = ("MAX_FULL_SITES", "full_hamiltonian", "site_bit", "sector_indices", "fu
          "full_space_oracle", "site_bipartition", "joint_product_state", "DenseEngine",
          "MAX_SECTOR_DIM", "state_trace_distance", "pair_permutation",
          "exterior_state_and_partition", "equivalence_residual", "trace_distance")
-DELETED = ("pair_unindex",)
+DELETED = ("pair_unindex", "BetheState", "_wavefunction")
+# members deleted from shipped classes, as (module, class, member)
+DELETED_MEMBERS = (("horizon", "HorizonSpec", "inside_sites"),
+                   ("predictive", "EquivalencePartition", "primed_dim"),
+                   ("predictive", "EquivalencePartition", "n_subspaces"),
+                   ("predictive", "EquivalencePartition", "remainder_dim"))
 
 
 def test_oracles_not_shipped():
@@ -23,3 +28,5 @@ def test_oracles_not_shipped():
     assert [f"{module.__name__}.{name}" for module in modules for name in MOVED + DELETED
             if hasattr(module, name)] == []
     assert [name for name in MOVED if not hasattr(oracles, name)] == []
+    assert [f"pcx.{module}.{cls}.{member}" for module, cls, member in DELETED_MEMBERS
+            if hasattr(getattr(importlib.import_module(f"pcx.{module}"), cls), member)] == []
