@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class GeometryError(ValueError):
-    """Vectors that were required to be orthonormal are not."""
+    """Equivalence classes that are not disjoint groups of >= 2 exterior basis states."""
 
 
 class NormalizationError(ValueError):

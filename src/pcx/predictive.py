@@ -1,6 +1,6 @@
 """Predictive-state machinery for finite bipartite systems.
 
-Declared equivalence subspaces of the exterior factor are collapsed onto
+Declared equivalence classes of exterior basis states are collapsed onto
 single rays; surviving coefficients are renormalized so every equivalence
 class keeps its total probability.  The entropy of the reduced operator
 after this map is the predictive complexity of the interior factor.
@@ -9,12 +9,12 @@ after this map is the predictive complexity of the interior factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .errors import GeometryError, NormalizationError
 
-ORTHO_TOL = 1e-10
 DEGENERATE_PHASE_TOL = 1e-12
 
 
@@ -34,10 +34,6 @@ class BipartiteState:
             raise NormalizationError(f"state norm {norm!r} is not 1")
 
     @property
-    def dim_a(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
     def dim_b(self) -> int:
         return self.amplitudes.shape[1]
 
@@ -47,77 +43,39 @@ class BipartiteState:
         return cls(amps / np.linalg.norm(amps))
 
 
-def _one_hot_columns(mat: np.ndarray) -> list[int] | None:
-    """If every column of mat is exactly a basis vector, return their indices."""
-    idx = []
-    for col in mat.T:
-        hits = np.nonzero(col)[0]
-        if len(hits) != 1 or col[hits[0]] != 1.0:
-            return None
-        idx.append(int(hits[0]))
-    return idx
-
-
-def _orthonormal_complement(stacked: np.ndarray, dim_b: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of span(stacked)."""
-    if stacked.shape[1] == 0:
-        return np.eye(dim_b, dtype=np.complex128)
-    hot = _one_hot_columns(stacked)
-    if hot is not None:
-        rest = sorted(set(range(dim_b)) - set(hot))
-        return np.eye(dim_b, dtype=np.complex128)[:, rest]
-    u, _, _ = np.linalg.svd(stacked, full_matrices=True)
-    comp = u[:, stacked.shape[1]:]
-    # fix column phases: largest-magnitude entry made real positive
-    out = comp.copy()
-    for k in range(out.shape[1]):
-        pivot = np.argmax(np.abs(out[:, k]))
-        piv = out[pivot, k]
-        if abs(piv) > 0:
-            out[:, k] *= np.conj(piv) / abs(piv)
-    return out
-
-
 @dataclass(frozen=True)
 class EquivalencePartition:
-    """Mutually orthogonal equivalence subspaces of H_B plus the remainder.
+    """Equivalence classes of exterior basis states, plus the remainder.
 
-    Each subspace is given by an orthonormal-column matrix (dim_b, n_s) with
-    n_s >= 2.  The remainder basis (the inequivalent states) is derived
-    deterministically; gamma vectors are the normalized in-class sums.
+    Each group is a class of >= 2 distinct basis indices of H_B, and the
+    groups are disjoint.  The subspaces are the matching identity columns,
+    the gammas their normalized sums, and the remainder (the inequivalent
+    states) the identity columns of the other indices in ascending order.
     """
 
     dim_b: int
-    subspaces: tuple = ()
+    groups: tuple = ()
+    subspaces: tuple = field(init=False, repr=False)
     gammas: np.ndarray = field(init=False, repr=False)
     remainder: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        subs = tuple(np.asarray(s, dtype=np.complex128) for s in self.subspaces)
-        object.__setattr__(self, "subspaces", subs)
-        for s in subs:
-            if s.ndim != 2 or s.shape[0] != self.dim_b or s.shape[1] < 2:
-                raise GeometryError("each subspace needs >= 2 orthonormal columns in H_B")
-        if subs:
-            stacked = np.hstack(subs)
-        else:
-            stacked = np.zeros((self.dim_b, 0), dtype=np.complex128)
-        if stacked.shape[1] > self.dim_b:
-            raise GeometryError("subspaces overfill H_B")
-        gram = stacked.conj().T @ stacked
-        if stacked.shape[1] and np.max(np.abs(gram - np.eye(stacked.shape[1]))) > ORTHO_TOL:
-            raise GeometryError("subspace vectors are not mutually orthonormal")
+        groups = tuple(tuple(sorted(g)) for g in self.groups)
+        flat = [i for g in groups for i in g]
+        if (any(len(g) < 2 for g in groups) or len(set(flat)) != len(flat)
+                or not all(isinstance(i, Integral) and 0 <= i < self.dim_b for i in flat)):
+            raise GeometryError(f"equivalence classes {groups} are not disjoint groups of >= 2 "
+                                f"distinct basis indices in range({self.dim_b})")
+        groups = tuple(tuple(map(int, g)) for g in groups)
+        eye = np.eye(self.dim_b, dtype=np.complex128)
+        subs = tuple(eye[:, g] for g in groups)
         gammas = np.hstack(
             [s.sum(axis=1, keepdims=True) / np.sqrt(s.shape[1]) for s in subs]
         ) if subs else np.zeros((self.dim_b, 0), dtype=np.complex128)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "subspaces", subs)
         object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "remainder", _orthonormal_complement(stacked, self.dim_b))
-
-    @classmethod
-    def from_index_groups(cls, dim_b: int, groups) -> "EquivalencePartition":
-        """Partition whose subspaces are spanned by computational basis states."""
-        eye = np.eye(dim_b, dtype=np.complex128)
-        return cls(dim_b=dim_b, subspaces=tuple(eye[:, sorted(g)] for g in groups))
+        object.__setattr__(self, "remainder", eye[:, sorted(set(range(self.dim_b)) - set(flat))])
 
 
 def build_projector(part: EquivalencePartition) -> np.ndarray:
@@ -173,14 +131,10 @@ def predictive_map(psi: BipartiteState, part: EquivalencePartition) -> Predictiv
     return PredictiveState(amplitudes=out, degenerate_phases=n_degenerate)
 
 
-def reduced_density(psi: BipartiteState, side: str = "a") -> np.ndarray:
-    """Partial trace of |psi><psi| over the other factor."""
+def reduced_density(psi: BipartiteState) -> np.ndarray:
+    """rho_A: partial trace of |psi><psi| over H_B."""
     a = psi.amplitudes
-    if side == "a":
-        return a @ a.conj().T
-    if side == "b":
-        return a.T @ a.conj()
-    raise ValueError("side must be 'a' or 'b'")
+    return a @ a.conj().T
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -225,10 +179,10 @@ def worked_qubit_qutrit_example(amps=None) -> dict:
     norm = float(np.linalg.norm(a))
     renormalized = abs(scale * norm - 1.0) > 1e-9  # a float product: inf, not an error, on overflow
     psi = BipartiteState(amplitudes=(a / norm).reshape(2, 3))
-    part = EquivalencePartition.from_index_groups(3, [(0, 1)])
+    part = EquivalencePartition(3, [(0, 1)])
     primed = predictive_map(psi, part)
-    rho_a = reduced_density(psi, side="a")
-    rho_a_primed = reduced_density(primed, side="a")
+    rho_a = reduced_density(psi)
+    rho_a_primed = reduced_density(primed)
     return {
         "projector": build_projector(part),
         "primed_coefficients": primed.amplitudes,

@@ -1,15 +1,25 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import pcx
 from pcx.analysis import site_series, spacetime_scan
 from oracles import DenseEngine
 from pcx.chain import ChainConfig, SpectralEngine
+
+# the same examples on every run, and nothing written into the checkout: no example
+# database, and the cache of the test modules' literals in a directory removed at exit
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 RECIPE_FLIPS = (10, 25)
 RECIPE_SITE = 17

@@ -206,7 +206,7 @@ def exterior_state_and_partition(b: np.ndarray, spec: HorizonSpec):
     # collapsing a one-member class is the identity map; leave it in the remainder
     groups = [g for g in groups if len(g) >= 2]
     state = BipartiteState(amplitudes=amps)
-    part = EquivalencePartition.from_index_groups(dim_b, groups)
+    part = EquivalencePartition(dim_b, groups)
     return state, part
 
 
@@ -227,5 +227,5 @@ def equivalence_residual(phi1, phi2, psi, t: float, dynamics) -> float:
     rhos = []
     for phi in (phi1, phi2):
         state = BipartiteState.from_amplitudes(np.outer(psi, np.asarray(phi, dtype=np.complex128)))
-        rhos.append(reduced_density(dynamics(state, t), side="a"))
+        rhos.append(reduced_density(dynamics(state, t)))
     return trace_distance(rhos[0], rhos[1])

@@ -171,8 +171,8 @@ def test_criterion_9_worked_example_regression():
     c_bits = report_dict["complexity_bits"]
     # independently via the generic oracle route
     psi = BipartiteState(np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], dtype=complex))
-    part = EquivalencePartition.from_index_groups(3, [(0, 1)])
-    oracle_rho = reduced_density(predictive_map(psi, part), side="a")
+    part = EquivalencePartition(3, [(0, 1)])
+    oracle_rho = reduced_density(predictive_map(psi, part))
     oracle_gap = float(np.max(np.abs(oracle_rho - report_dict["rho_a_primed"])))
     ok = (
         abs(off - 1 / (2 * np.sqrt(2))) < 1e-12

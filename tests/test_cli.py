@@ -543,7 +543,64 @@ class TestLargeRing:
         assert (values[1:] <= values[0] + 1e-12).all()
 
 
+EXAMPLE_PROJECTOR = """\
+projector P on the exterior space:
+  [+0.500000+0.000000j, +0.500000+0.000000j, +0.000000+0.000000j]
+  [+0.500000+0.000000j, +0.500000+0.000000j, +0.000000+0.000000j]
+  [+0.000000+0.000000j, +0.000000+0.000000j, +1.000000+0.000000j]
+predictive-state coefficients (rows |1>_A, |2>_A; columns |gamma>, remainder):
+"""
+EXAMPLE_OUTPUTS = {
+    "default": ([], EXAMPLE_PROJECTOR + """\
+  [+0.707107+0.000000j, +0.000000+0.000000j]
+  [+0.500000+0.000000j, +0.500000+0.000000j]
+rho_A:
+  [+0.500000+0.000000j, +0.250000+0.000000j]
+  [+0.250000+0.000000j, +0.500000+0.000000j]
+rho'_A:
+  [+0.500000+0.000000j, +0.353553+0.000000j]
+  [+0.353553+0.000000j, +0.500000+0.000000j]
+entanglement entropy S = 0.811278 bits
+predictive complexity C = 0.600876 bits
+""", ""),
+    "degenerate-phase": (["--amplitudes", "1,-1,0,0,0,0"], EXAMPLE_PROJECTOR + """\
+  [+1.000000+0.000000j, +0.000000+0.000000j]
+  [+0.000000+0.000000j, +0.000000+0.000000j]
+rho_A:
+  [+1.000000+0.000000j, +0.000000+0.000000j]
+  [+0.000000+0.000000j, +0.000000+0.000000j]
+rho'_A:
+  [+1.000000+0.000000j, +0.000000+0.000000j]
+  [+0.000000+0.000000j, +0.000000+0.000000j]
+entanglement entropy S = 0.000000 bits
+predictive complexity C = 0.000000 bits
+""", """\
+warning: input amplitudes were not normalized; normalizing
+warning: degenerate phase encountered (in-class sum is zero); phase set to 1 by convention
+"""),
+    # the -0 amplitude prints as +0.000000: each printed entry is a sum of products, and -0 + 0 is +0
+    "signed-zero": (["--amplitudes=-0,0,0,0.6,0,0.8"], EXAMPLE_PROJECTOR + """\
+  [+0.000000+0.000000j, +0.000000+0.000000j]
+  [+0.600000+0.000000j, +0.800000+0.000000j]
+rho_A:
+  [+0.000000+0.000000j, +0.000000+0.000000j]
+  [+0.000000+0.000000j, +1.000000+0.000000j]
+rho'_A:
+  [+0.000000+0.000000j, +0.000000+0.000000j]
+  [+0.000000+0.000000j, +1.000000+0.000000j]
+entanglement entropy S = 0.000000 bits
+predictive complexity C = 0.000000 bits
+""", ""),
+}
+
+
 class TestExampleCommand:
+    @pytest.mark.parametrize("case", EXAMPLE_OUTPUTS)
+    def test_output_byte_for_byte(self, capsys, case):
+        args, out, err = EXAMPLE_OUTPUTS[case]
+        assert main(["example", *args]) == 0
+        assert capsys.readouterr() == (out, err)
+
     def test_default_report(self, capsys):
         assert main(["example"]) == 0
         out = capsys.readouterr().out

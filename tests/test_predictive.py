@@ -32,7 +32,7 @@ def random_state(rng, dim_a, dim_b):
 
 def qutrit_partition():
     """dim_b = 3 with the first two exterior basis states equivalent."""
-    return EquivalencePartition.from_index_groups(3, [(0, 1)])
+    return EquivalencePartition(3, [(0, 1)])
 
 
 class TestProjector:
@@ -56,21 +56,28 @@ class TestProjector:
         P = build_projector(part)
         assert np.array_equal(P, np.eye(4, dtype=complex))
 
-    def test_non_orthonormal_rejected(self):
-        sub = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(GeometryError):
-            EquivalencePartition(dim_b=3, subspaces=(sub,))
+    @pytest.mark.parametrize("dim_b, groups", [
+        (3, [(-1, 0)]),
+        (3, [(0, 3)]),
+        (3, [(0,)]),
+        (5, [(0, 1), (1, 2)]),
+        (3, [(0, 0)]),
+        (3, [(0.5, 1)]),
+    ], ids=["negative-index", "index-out-of-range", "singleton", "overlapping", "repeated-index",
+            "non-integer-index"])
+    def test_malformed_groups_rejected(self, dim_b, groups):
+        with pytest.raises(GeometryError, match="equivalence classes"):
+            EquivalencePartition(dim_b, groups)
 
-    def test_general_subspace_remainder_orthonormal(self, rng):
-        q, _ = np.linalg.qr(rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
-        part = EquivalencePartition(dim_b=5, subspaces=(q,))
-        basis = np.hstack([part.gammas, part.remainder])
-        gram = basis.conj().T @ basis
-        assert np.max(np.abs(gram - np.eye(basis.shape[1]))) < 1e-10
+    def test_general_subspace_remainder_orthonormal(self):
+        for groups in ([(1, 3)], [(0, 2, 4)], [(0, 4), (1, 2, 3)]):
+            part = EquivalencePartition(5, groups)
+            basis = np.hstack([part.gammas, part.remainder])
+            gram = basis.conj().T @ basis
+            assert np.max(np.abs(gram - np.eye(basis.shape[1]))) < 1e-10
 
-    def test_identity_on_remainder(self, rng):
-        q, _ = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))
-        part = EquivalencePartition(dim_b=6, subspaces=(q,))
+    def test_identity_on_remainder(self):
+        part = EquivalencePartition(6, [(0, 2, 5)])
         P = build_projector(part)
         assert np.max(np.abs(P @ part.remainder - part.remainder)) < 1e-10
 
@@ -110,7 +117,7 @@ class TestPredictiveMap:
             assert abs(np.linalg.norm(primed.amplitudes) - 1.0) < 1e-12
 
     def test_per_row_probability_preserved(self, rng):
-        part = EquivalencePartition.from_index_groups(6, [(0, 1, 2), (4, 5)])
+        part = EquivalencePartition(6, [(0, 1, 2), (4, 5)])
         for _ in range(20):
             psi = random_state(rng, 4, 6)
             primed = predictive_map(psi, part)
@@ -122,7 +129,7 @@ class TestPredictiveMap:
     @settings(max_examples=30, deadline=None)
     def test_embedding_is_projection_image(self, dim_a, seed):
         rng = np.random.default_rng(seed)
-        part = EquivalencePartition.from_index_groups(5, [(1, 3)])
+        part = EquivalencePartition(5, [(1, 3)])
         psi = random_state(rng, dim_a, 5)
         primed = predictive_map(psi, part)
         embedded = primed.amplitudes @ np.hstack([part.gammas, part.remainder]).T
@@ -134,12 +141,12 @@ class TestPredictiveMap:
 class TestReducedDensity:
     def test_product_state_pure(self):
         psi = BipartiteState(np.outer([1.0, 0.0], [0.6, 0.8]).astype(complex))
-        rho = reduced_density(psi, side="a")
+        rho = reduced_density(psi)
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):
         psi = BipartiteState(np.eye(2, dtype=complex) / SQ2)
-        rho = reduced_density(psi, side="a")
+        rho = reduced_density(psi)
         assert np.allclose(rho, np.eye(2) / 2, atol=1e-14)
         assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-12)
 
@@ -147,7 +154,7 @@ class TestReducedDensity:
         a = rng.normal(size=6) + 1j * rng.normal(size=6)
         a /= np.linalg.norm(a)
         psi = BipartiteState(a.reshape(2, 3))
-        rho = reduced_density(psi, side="a")
+        rho = reduced_density(psi)
         a1, a2, a3, a4, a5, a6 = a
         assert rho[0, 0] == pytest.approx(abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2, abs=1e-12)
         assert rho[0, 1] == pytest.approx(a1 * np.conj(a4) + a2 * np.conj(a5) + a3 * np.conj(a6), abs=1e-12)
@@ -155,8 +162,8 @@ class TestReducedDensity:
     def test_entropies_equal_both_sides(self, rng):
         for _ in range(10):
             psi = random_state(rng, 3, 7)
-            sa = von_neumann_entropy(reduced_density(psi, side="a"))
-            sb = von_neumann_entropy(reduced_density(psi, side="b"))
+            sa = von_neumann_entropy(reduced_density(psi))
+            sb = von_neumann_entropy(reduced_density(BipartiteState(psi.amplitudes.T)))
             assert abs(sa - sb) < 1e-10
 
 
@@ -164,7 +171,7 @@ class TestPredictiveReducedDensity:
     def test_worked_example_offdiagonal(self):
         psi = BipartiteState(np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], dtype=complex))
         part = qutrit_partition()
-        rho_plain = reduced_density(psi, side="a")
+        rho_plain = reduced_density(psi)
         rho_primed = reduced_density(predictive_map(psi, part))
         assert rho_plain[0, 1] == pytest.approx(0.25, abs=1e-14)
         assert rho_primed[0, 1] == pytest.approx(1 / (2 * SQ2), abs=1e-14)
@@ -173,13 +180,13 @@ class TestPredictiveReducedDensity:
         part = EquivalencePartition(dim_b=4)
         psi = random_state(rng, 2, 4)
         assert np.allclose(reduced_density(predictive_map(psi, part)),
-                           reduced_density(psi, side="a"), atol=1e-14)
+                           reduced_density(psi), atol=1e-14)
 
     def test_diagonal_unchanged(self, rng):
-        part = EquivalencePartition.from_index_groups(5, [(0, 2, 4)])
+        part = EquivalencePartition(5, [(0, 2, 4)])
         for _ in range(10):
             psi = random_state(rng, 3, 5)
-            d1 = np.diag(reduced_density(psi, side="a"))
+            d1 = np.diag(reduced_density(psi))
             d2 = np.diag(reduced_density(predictive_map(psi, part)))
             assert np.allclose(d1, d2, atol=1e-12)
 
@@ -237,18 +244,18 @@ class TestPurityAndConjecture:
         for _ in range(5):
             psi = random_state(rng, 4, 9)
             assert abs(
-                von_neumann_entropy(reduced_density(psi, side="a"))
-                - von_neumann_entropy(reduced_density(psi, side="b"))
+                von_neumann_entropy(reduced_density(psi))
+                - von_neumann_entropy(reduced_density(BipartiteState(psi.amplitudes.T)))
             ) < 1e-10
 
     def test_conjecture_on_random_states(self):
         """C <= S fails for a general predictive map: 7 of these 50 random states break it."""
         rng = np.random.default_rng(20260808)
-        part = EquivalencePartition.from_index_groups(5, [(0, 1, 2)])
+        part = EquivalencePartition(5, [(0, 1, 2)])
         entropies = []
         for _ in range(50):
             psi = random_state(rng, 2, 5)
-            entropies.append((von_neumann_entropy(reduced_density(psi, side="a")),
+            entropies.append((von_neumann_entropy(reduced_density(psi)),
                               von_neumann_entropy(reduced_density(predictive_map(psi, part)))))
         s, c = np.array(entropies).T
         assert np.count_nonzero(c > s + 1e-9) == 7
@@ -274,7 +281,7 @@ class TestEquivalenceLinearity:
 
         def evolved_rho(phi):
             state = BipartiteState.from_amplitudes(np.outer(psi, phi))
-            return reduced_density(dynamics(state, 1.0), side="a")
+            return reduced_density(dynamics(state, 1.0))
 
         mixed = abs(a1) ** 2 * evolved_rho(phi1) + abs(a2) ** 2 * evolved_rho(phi2)
         assert np.max(np.abs(evolved_rho(phi3) - mixed)) < 1e-10

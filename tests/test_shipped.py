@@ -12,12 +12,15 @@ MOVED = ("MAX_FULL_SITES", "full_hamiltonian", "site_bit", "sector_indices", "fu
          "full_space_oracle", "site_bipartition", "joint_product_state", "DenseEngine",
          "MAX_SECTOR_DIM", "state_trace_distance", "pair_permutation",
          "exterior_state_and_partition", "equivalence_residual", "trace_distance")
-DELETED = ("pair_unindex", "BetheState", "_wavefunction")
+DELETED = ("pair_unindex", "BetheState", "_wavefunction", "_one_hot_columns",
+           "_orthonormal_complement", "ORTHO_TOL")
 # members deleted from shipped classes, as (module, class, member)
 DELETED_MEMBERS = (("horizon", "HorizonSpec", "inside_sites"),
                    ("predictive", "EquivalencePartition", "primed_dim"),
                    ("predictive", "EquivalencePartition", "n_subspaces"),
-                   ("predictive", "EquivalencePartition", "remainder_dim"))
+                   ("predictive", "EquivalencePartition", "remainder_dim"),
+                   ("predictive", "EquivalencePartition", "from_index_groups"),
+                   ("predictive", "BipartiteState", "dim_a"))
 
 
 def test_oracles_not_shipped():
