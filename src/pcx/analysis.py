@@ -1,5 +1,5 @@
-"""Observables of the two-flip dynamics: site series, spacetime grids,
-equilibrium statistics and collision-peak ratios."""
+"""Observables of the two-flip dynamics: S and C(r_h) of one site or of every
+site over time, equilibrium statistics and collision-peak ratios."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from sys import float_info
 
 import numpy as np
 
-from .chain import ChainConfig, pair_index
+from .chain import ChainConfig, integer, pair_index
 from .errors import ConfigError, PeakNotFoundError, SolverError, StatsError
 from .horizon import HorizonSpec, two_level_entropy_bits
 from .horizon import classify_pairs  # not called here; perfbench/tracing.py patches this name
@@ -37,26 +37,12 @@ PHASE_FLOOR_MAX = 1e-6
 
 
 @dataclass(frozen=True)
-class SiteSeries:
-    """Entropy and complexity of one site sampled on a uniform time grid."""
+class Observables:
+    """S and C(r_h) in bits on a uniform time grid, one row per site of the run."""
 
     times: np.ndarray
-    entropy: np.ndarray
-    complexity: dict  # r_h -> array of bits
-
-
-@dataclass(frozen=True)
-class SpacetimeGrid:
-    """Per-site, per-time values in bits; kind 'S' or 'C' with its r_h."""
-
-    kind: str
-    r_h: int | None
-    times: np.ndarray
-    values: np.ndarray  # shape (N, n_times), site-major
-
-    @property
-    def label(self) -> str:
-        return self.kind if self.r_h is None else f"{self.kind}_rh{self.r_h}"
+    entropy: np.ndarray  # shape (sites, n_times), site-major
+    complexity: dict  # r_h, in the order given -> array of entropy's shape
 
 
 @dataclass(frozen=True)
@@ -89,6 +75,9 @@ def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_m
 
     A run without a focal site is a scan over all N sites.
     """
+    named = [("flip site", n) for n in flips] + [("horizon radius", r) for r in r_h_list]
+    for what, value in named + ([] if site is None else [("site", site)]):
+        integer(value, what)
     pair_index(*flips, cfg.N)
     if site is not None and not 1 <= site <= cfg.N:
         raise ConfigError(f"site {site} outside chain of {cfg.N} sites")
@@ -204,25 +193,19 @@ def _reduced_elements(engine, flips, focal: slice, arcs, times, out):
 
 
 def site_series(engine, flips: tuple[int, int], j: int, r_h_list,
-                dt: float, t_max: float) -> SiteSeries:
+                dt: float, t_max: float) -> Observables:
     """S and C(r_h) for one site over {0, dt, ..., t_max}; equals row j of the scan."""
     r_h_list = tuple(r_h_list)
     times = check_run(engine.cfg, flips, r_h_list, dt, t_max, site=j)
-    entropy, complexity = _observables(engine, flips, range(j, j + 1), r_h_list, times)
-    return SiteSeries(times=times, entropy=entropy[0],
-                      complexity={r: c[0] for r, c in complexity.items()})
+    return Observables(times, *_observables(engine, flips, range(j, j + 1), r_h_list, times))
 
 
 def spacetime_scan(engine, flips: tuple[int, int], r_h_list,
-                   dt: float, t_max: float) -> list[SpacetimeGrid]:
-    """One entropy grid plus one complexity grid per horizon radius."""
+                   dt: float, t_max: float) -> Observables:
+    """S and C(r_h) for every site of the ring over {0, dt, ..., t_max}."""
     r_h_list = tuple(r_h_list)
     times = check_run(engine.cfg, flips, r_h_list, dt, t_max)
-    entropy, complexity = _observables(engine, flips, range(1, engine.cfg.N + 1), r_h_list, times)
-    grids = [SpacetimeGrid(kind="S", r_h=None, times=times, values=entropy)]
-    for r in r_h_list:
-        grids.append(SpacetimeGrid(kind="C", r_h=r, times=times, values=complexity[r]))
-    return grids
+    return Observables(times, *_observables(engine, flips, range(1, engine.cfg.N + 1), r_h_list, times))
 
 
 def equilibrium_stats(times: np.ndarray, values: np.ndarray,

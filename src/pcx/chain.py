@@ -19,6 +19,7 @@ same block stack from the Bethe roots and shares its propagation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isfinite
 from sys import float_info
@@ -30,6 +31,14 @@ from .errors import ConfigError
 # Largest eigenvector stack SpectralEngine and BetheEngine build,
 # 8 (floor(N/2)+1) floor(N/2)^2 bytes; N = 511 is the largest ring within it.
 MAX_BLOCK_BYTES = 128 * 2**20
+
+
+def integer(value, what: str) -> int:
+    """value as an int if it is a Python or numpy integer; otherwise a ConfigError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,7 @@ class ChainConfig:
     J: float = 1.0
 
     def __post_init__(self):
-        if self.N < 4:
+        if integer(self.N, "N") < 4:
             raise ConfigError(f"chain needs at least 4 sites, got N={self.N}")
         # 4|J| bounds the sector levels, so it must be a finite float too
         if self.J == 0 or not isfinite(4 * abs(float(self.J))):
@@ -301,4 +310,5 @@ class SpectralEngine:
             return basis_state(self.cfg, n1, n2)
         row, phase = self._pair_tables(n1, n2)
         G = _real_matmul(self.vectors, row * np.exp(-1j * self._energies * t))
-        return np.fft.ifft(phase * G[self._stored], axis=0).ravel()[self._cell]
+        # not `phase * G[...]`: numpy may run that on the temporary as G[...] *= phase, whose bits differ
+        return np.fft.ifft(np.multiply(phase, G[self._stored]), axis=0).ravel()[self._cell]

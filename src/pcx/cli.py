@@ -179,27 +179,22 @@ def _engine(args, cfg: ChainConfig):
     return SpectralEngine(cfg)
 
 
-def _series_footer(args, series, window) -> list[str]:
+def _series_footer(args, times, columns: dict, window) -> list[str]:
     footer = [f"equilibrium window: [{io.fmt(window[0])}, {io.fmt(window[1])}], std=population"]
-    columns = [("S_bits", series.entropy)]
-    columns += [(f"C_bits_rh{r}", series.complexity[r]) for r in sorted(series.complexity)]
     try:
-        stats = {name: analysis.equilibrium_stats(series.times, vals, window) for name, vals in columns}
+        stats = {name: analysis.equilibrium_stats(times, vals, window) for name, vals in columns.items()}
     except StatsError as exc:
         footer.append(f"equilibrium stats omitted: {exc}")
         return footer
-    for name, _ in columns:
-        st = stats[name]
+    for name, st in stats.items():
         footer.append(f"eq_mean {name} {io.fmt(st.mean)}")
         footer.append(f"eq_std {name} {io.fmt(st.std)}")
     if (args.sites, args.coupling, tuple(args.flips), args.site) == PEAK_RECIPE:
-        for name, vals in columns:
+        for name, vals in columns.items():
             try:
-                ratio = analysis.peak_ratio(series.times, vals, PEAK_HINT, stats[name])
-                i = analysis.nearest_peak(series.times, vals, PEAK_HINT)
-                footer.append(
-                    f"peak {name} t={io.fmt(series.times[i])} ratio_to_eq_mean={io.fmt(ratio)}"
-                )
+                ratio = analysis.peak_ratio(times, vals, PEAK_HINT, stats[name])
+                i = analysis.nearest_peak(times, vals, PEAK_HINT)
+                footer.append(f"peak {name} t={io.fmt(times[i])} ratio_to_eq_mean={io.fmt(ratio)}")
             except PeakNotFoundError as exc:
                 footer.append(f"peak {name} not found: {exc}")
     return footer
@@ -212,15 +207,15 @@ def cmd_series(args) -> int:
     engine = _engine(args, cfg)
     out = Path(args.out)
     series = site_series(engine, args.flips, args.site, args.horizon, args.dt, args.tmax)
-    radii = sorted(series.complexity)
-    columns = ["t", "S_bits"] + [f"C_bits_rh{r}" for r in radii]
-    table = np.column_stack([series.times, series.entropy] + [series.complexity[r] for r in radii])
-    rows = [",".join([io.FIELD] * len(columns)) + "\n"] * len(table)
+    columns = {"S_bits": series.entropy[0]}
+    columns.update((f"C_bits_rh{r}", series.complexity[r][0]) for r in sorted(series.complexity))
+    table = np.column_stack([series.times, *columns.values()])
+    rows = [",".join([io.FIELD] * (1 + len(columns))) + "\n"] * len(table)
     name = f"series_site{args.site}.csv"
     with io.staged(out) as stage:
-        io.write_csv(stage(name), columns, _row_blocks(rows, table),
+        io.write_csv(stage(name), ["t", *columns], _row_blocks(rows, table),
                      preamble=_run_header(args, cfg) + [f"site={args.site}"],
-                     footer=_series_footer(args, series, window))
+                     footer=_series_footer(args, series.times, columns, window))
     print(f"wrote {out / name} ({len(table)} rows)")
     return 0
 
@@ -230,23 +225,24 @@ def cmd_scan(args) -> int:
     analysis.check_run(cfg, args.flips, args.horizon, args.dt, args.tmax)
     engine = _engine(args, cfg)
     out = Path(args.out)
-    grids = analysis.spacetime_scan(engine, args.flips, args.horizon, args.dt, args.tmax)
+    run = analysis.spacetime_scan(engine, args.flips, args.horizon, args.dt, args.tmax)
+    grids = {"S": run.entropy}
+    grids.update((f"C_rh{r}", values) for r, values in run.complexity.items())
 
     # one chunk per (grid, site): the times, formatted once, each followed by one suffix
     # (a template built row by row, f"{t},{j},{label},...", makes the warm scan over a third slower)
-    times = io.fmt_all(grids[0].times)
-    suffixes = ((f",{j},{grid.label},{io.FIELD}\n", values)
-                for grid in grids for j, values in enumerate(grid.values, start=1))
+    times = io.fmt_all(run.times)
+    suffixes = ((f",{j},{label},{io.FIELD}\n", values)
+                for label, grid in grids.items() for j, values in enumerate(grid, start=1))
     chunks = ((suffix.join(times) + suffix, values) for suffix, values in suffixes)
     with io.staged(out) as stage:
         io.write_csv(stage("scan.csv"), ("t", "site", "kind", "value_bits"), chunks,
                      preamble=_run_header(args, cfg))
-        for grid in grids:
-            io.write_pgm(stage(f"scan_{grid.label}.pgm"), grid.values)
-            io.write_grid_metadata(stage(f"scan_{grid.label}.txt"), grid, cfg,
+        for label, grid in grids.items():
+            io.write_pgm(stage(f"scan_{label}.pgm"), grid)
+            io.write_grid_metadata(stage(f"scan_{label}.txt"), label, cfg,
                                    args.flips, args.dt, args.tmax, args.engine)
-    names = ", ".join(g.label for g in grids)
-    print(f"wrote {out / 'scan.csv'} and PGM grids: {names}")
+    print(f"wrote {out / 'scan.csv'} and PGM grids: {', '.join(grids)}")
     return 0
 
 

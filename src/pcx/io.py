@@ -160,9 +160,9 @@ def write_pgm(path, values01: np.ndarray):
         fh.write(pixels.tobytes())
 
 
-def write_grid_metadata(path, grid, cfg, flips, dt, t_max, engine_name):
+def write_grid_metadata(path, label: str, cfg, flips, dt, t_max, engine_name):
     lines = [
-        f"grid: {grid.label}",
+        f"grid: {label}",
         "pixel scale: gray 0..255 maps linearly to 0..1 bits (clipped)",
         "horizontal axis: time, left to right, 0 .. t_max, step dt (hbar per energy unit)",
         f"vertical axis: site 1 (top) .. site {cfg.N} (bottom)",

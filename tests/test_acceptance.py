@@ -32,15 +32,15 @@ def report(criterion: str, detail: str, ok: bool):
 
 
 def test_criterion_1_entropy_peak_ratio(recipe_series):
-    stats = equilibrium_stats(recipe_series.times, recipe_series.entropy, WINDOW)
-    ratio = peak_ratio(recipe_series.times, recipe_series.entropy, 9.0, stats)
+    stats = equilibrium_stats(recipe_series.times, recipe_series.entropy[0], WINDOW)
+    ratio = peak_ratio(recipe_series.times, recipe_series.entropy[0], 9.0, stats)
     report("AC-1 entropy collision-peak ratio",
            f"S(peak near 9.0)/<S> = {ratio:.4f}, target 2.08 +- 0.21",
            abs(ratio - 2.08) <= 0.21)
 
 
 def test_criterion_2_complexity_peak_ratio(recipe_series):
-    c = recipe_series.complexity[1]
+    c = recipe_series.complexity[1][0]
     stats = equilibrium_stats(recipe_series.times, c, WINDOW)
     ratio = peak_ratio(recipe_series.times, c, 9.0, stats)
     report("AC-2 complexity collision-peak ratio (r_h=1)",
@@ -49,7 +49,7 @@ def test_criterion_2_complexity_peak_ratio(recipe_series):
 
 
 def test_criterion_3_peak_time(recipe_series):
-    s = recipe_series.entropy
+    s = recipe_series.entropy[0]
     times = recipe_series.times
     threshold = 0.5 * s.max()
     t_first = None
@@ -64,8 +64,8 @@ def test_criterion_3_peak_time(recipe_series):
 
 def test_criterion_4_fluctuation_suppression(recipe_series):
     t = recipe_series.times
-    std_s = equilibrium_stats(t, recipe_series.entropy, WINDOW).std
-    std_c = equilibrium_stats(t, recipe_series.complexity[1], WINDOW).std
+    std_s = equilibrium_stats(t, recipe_series.entropy[0], WINDOW).std
+    std_c = equilibrium_stats(t, recipe_series.complexity[1][0], WINDOW).std
     ratio = std_s / std_c
     report("AC-4 fluctuation suppression",
            f"std(S)/std(C, r_h=1) = {ratio:.4f}, target within [1.5, 2.5]",
@@ -73,12 +73,9 @@ def test_criterion_4_fluctuation_suppression(recipe_series):
 
 
 def test_criterion_5_conjecture_monitor(recipe_scan):
-    s_grid = next(g for g in recipe_scan if g.kind == "S")
     worst = -np.inf
-    for grid in recipe_scan:
-        if grid.kind != "C":
-            continue
-        worst = max(worst, float(np.max(grid.values - s_grid.values)))
+    for grid in recipe_scan.complexity.values():
+        worst = max(worst, float(np.max(grid - recipe_scan.entropy)))
     report("AC-5 complexity bounded by entropy on the default scan",
            f"max(C - S) over all (site, t, r_h) cells = {worst:.3e}, tolerance 1e-9",
            worst <= 1e-9)
@@ -97,14 +94,15 @@ def test_criterion_6_small_instance_oracles(rng):
                 b = engine.pair_amplitudes(n1, n2, t)
                 oracle = full_space_oracle(cfg, n1, n2, t)
                 worst_evolution = max(worst_evolution, state_trace_distance(b, oracle))
-            s_grid, c_grid = spacetime_scan(engine, (n1, n2), (1,), 0.5, 5.0)
-            for k, t in enumerate(s_grid.times):
+            run = spacetime_scan(engine, (n1, n2), (1,), 0.5, 5.0)
+            s_grid, c_grid = run.entropy, run.complexity[1]
+            for k, t in enumerate(run.times):
                 b = engine.pair_amplitudes(n1, n2, float(t))
                 for j in (1, 1 + N // 2):
                     state, part = exterior_state_and_partition(b, HorizonSpec(j=j, r_h=1, N=N))
-                    s_gap = abs(s_grid.values[j - 1, k] - von_neumann_entropy(reduced_density(state)))
+                    s_gap = abs(s_grid[j - 1, k] - von_neumann_entropy(reduced_density(state)))
                     primed = reduced_density(predictive_map(state, part))
-                    c_gap = abs(c_grid.values[j - 1, k] - von_neumann_entropy(primed))
+                    c_gap = abs(c_grid[j - 1, k] - von_neumann_entropy(primed))
                     worst_fast_path = max(worst_fast_path, s_gap, c_gap)
     report("AC-6 small-instance oracle equivalence",
            f"sector-vs-2^N trace distance {worst_evolution:.2e} (<1e-10), "

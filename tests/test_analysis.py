@@ -34,39 +34,43 @@ def small_scan():
     return cfg, engine, spacetime_scan(engine, (2, 7), (1, 2), 0.5, 20.0)
 
 
+def grids(run):
+    """The entropy grid, then the complexity grid of each radius in the run's order."""
+    return [run.entropy, *run.complexity.values()]
+
+
 class TestSpacetimeScan:
     def test_grid_shapes(self, small_scan):
-        cfg, _, grids = small_scan
-        for grid in grids:
-            assert grid.values.shape == (cfg.N, 41)
-        assert [g.label for g in grids] == ["S", "C_rh1", "C_rh2"]
+        cfg, _, run = small_scan
+        for grid in grids(run):
+            assert grid.shape == (cfg.N, 41)
+        assert list(run.complexity) == [1, 2]
 
     def test_values_in_unit_interval(self, small_scan):
-        _, _, grids = small_scan
-        for grid in grids:
-            assert (grid.values >= 0).all() and (grid.values <= 1 + 1e-12).all()
+        _, _, run = small_scan
+        for grid in grids(run):
+            assert (grid >= 0).all() and (grid <= 1 + 1e-12).all()
 
     def test_t0_column_zero(self, small_scan):
-        _, _, grids = small_scan
-        for grid in grids:
-            assert np.array_equal(grid.values[:, 0], np.zeros(10))
+        _, _, run = small_scan
+        for grid in grids(run):
+            assert np.array_equal(grid[:, 0], np.zeros(10))
 
     def test_row_matches_site_series(self, small_scan):
         """One-site calls reproduce the all-site scan bit for bit."""
-        cfg, engine, grids = small_scan
-        s_grid, c1_grid, c2_grid = grids
+        cfg, engine, run = small_scan
         for j in range(1, cfg.N + 1):
             direct = site_series(engine, (2, 7), j, (1, 2), 0.5, 20.0)
-            assert np.array_equal(direct.times, s_grid.times)
-            assert np.array_equal(direct.entropy, s_grid.values[j - 1])
-            assert np.array_equal(direct.complexity[1], c1_grid.values[j - 1])
-            assert np.array_equal(direct.complexity[2], c2_grid.values[j - 1])
+            assert np.array_equal(direct.times, run.times)
+            assert np.array_equal(direct.entropy[0], run.entropy[j - 1])
+            assert np.array_equal(direct.complexity[1][0], run.complexity[1][j - 1])
+            assert np.array_equal(direct.complexity[2][0], run.complexity[2][j - 1])
 
     def test_repeat_run_bit_identical(self, small_scan):
-        cfg, engine, grids = small_scan
+        cfg, engine, run = small_scan
         again = spacetime_scan(engine, (2, 7), (1, 2), 0.5, 20.0)
-        for a, b in zip(grids, again):
-            assert np.array_equal(a.values, b.values)
+        for a, b in zip(grids(run), grids(again)):
+            assert np.array_equal(a, b)
 
     def test_resource_guard(self):
         """A sector too large for the dense oracle is refused before it is built."""
@@ -106,6 +110,27 @@ class TestSpacetimeScan:
         with pytest.raises(ConfigError):
             site_series(engine, flips, site, (1,), 0.5, 2.0)
 
+    @pytest.mark.parametrize("N,flips,site,radii,refusal", [
+        (32.0, (3, 9), 5, (2,), "N must be an integer, got 32.0"),
+        (32.5, (3, 9), 5, (2,), "N must be an integer, got 32.5"),
+        (16, (3.0, 9), 5, (2,), "flip site must be an integer, got 3.0"),
+        (16, (3, 9.5), 5, (2,), "flip site must be an integer, got 9.5"),
+        (16, (3, 9), 5.0, (2,), "site must be an integer, got 5.0"),
+        (16, (3, 9), 5, (2.0,), "horizon radius must be an integer, got 2.0"),
+        (16, (3, 9), 5, (1.5,), "horizon radius must be an integer, got 1.5"),
+    ], ids=["N-32.0", "N-32.5", "flip-3.0", "flip-9.5", "site-5.0", "radius-2.0", "radius-1.5"])
+    def test_non_integer_refused(self, N, flips, site, radii, refusal):
+        """A size, flip, site or radius that is not an integer is one ConfigError naming it."""
+        with pytest.raises(ConfigError, match=re.escape(refusal)):
+            site_series(SpectralEngine(ChainConfig(N=N)), flips, site, radii, 0.5, 5.0)
+
+    def test_numpy_integers_accepted(self):
+        engine = SpectralEngine(ChainConfig(N=np.int64(16)))
+        run = site_series(engine, (np.int64(3), np.int32(9)), np.int16(5), (np.int8(2),), 0.5, 5.0)
+        plain = site_series(SpectralEngine(ChainConfig(N=16)), (3, 9), 5, (2,), 0.5, 5.0)
+        assert np.array_equal(run.entropy, plain.entropy)
+        assert np.array_equal(run.complexity[2], plain.complexity[2])
+
     def test_engine_for_another_chain_rejected(self, engine8):
         """The run is checked against the chain its engine carries: flips 2, 9 need N >= 9."""
         with pytest.raises(ConfigError, match="N=8"):
@@ -142,20 +167,18 @@ class TestSpacetimeScan:
 
     def test_beams_emanate_from_flips(self, recipe_scan):
         """Entropy lights up first near the flipped sites."""
-        s_grid = next(g for g in recipe_scan if g.kind == "S")
         k = int(round(3.0 / 0.2))  # t = 3: beams still near sources
-        column = s_grid.values[:, k]
+        column = recipe_scan.entropy[:, k]
         near = max(column[10 - 1], column[25 - 1], column[11 - 1], column[24 - 1])
         ambient = column[17 - 1]
         assert near > 5 * ambient
 
     def test_collision_contrast_higher_for_complexity(self, recipe_scan):
         """The collision cell stands out more against the grid mean in C."""
-        s_grid = next(g for g in recipe_scan if g.kind == "S")
-        c_grid = next(g for g in recipe_scan if g.label == "C_rh2")
+        s_grid, c_grid = recipe_scan.entropy, recipe_scan.complexity[2]
         k = int(round(9.0 / 0.2))
-        s_contrast = s_grid.values[17 - 1, k] / s_grid.values.mean()
-        c_contrast = c_grid.values[17 - 1, k] / c_grid.values.mean()
+        s_contrast = s_grid[17 - 1, k] / s_grid.mean()
+        c_contrast = c_grid[17 - 1, k] / c_grid.mean()
         assert c_contrast > s_contrast
 
     def test_radius_chain_on_recipe_scan(self, recipe_scan):
@@ -170,15 +193,16 @@ class TestSpacetimeScan:
             assert_radius_chain(spacetime_scan(engine, flips, radii, 0.5, 6.0))
 
 
-def assert_radius_chain(grids):
+def assert_radius_chain(run):
     """C(r_h) <= C(r_h + 1) <= S on every cell, up to an ulp or two of rounding.
 
     Widening the horizon keeps more exterior states apart, so C grows toward S.
     """
-    s_grid, *c_grids = sorted(grids, key=lambda g: -1 if g.r_h is None else g.r_h)
-    assert s_grid.kind == "S" and len(c_grids) >= 1
-    for lower, upper in zip(c_grids, c_grids[1:] + [s_grid]):
-        assert (lower.values - upper.values).max() <= 1e-15, (lower.label, upper.label)
+    labels = [*sorted(run.complexity), "S"]
+    chain = [run.complexity[r] for r in labels[:-1]] + [run.entropy]
+    assert len(chain) >= 2
+    for lower, upper, pair in zip(chain, chain[1:], zip(labels, labels[1:])):
+        assert (lower - upper).max() <= 1e-15, pair
 
 
 class StubEngine:
@@ -225,10 +249,11 @@ class TestObservableKernel:
     def test_interface_proxy_matches_engine(self, engine_type):
         engine = engine_type(ChainConfig(N=12))
         proxy = InterfaceEngine(engine)
-        for a, b in zip(spacetime_scan(engine, (3, 8), (1, 2), 0.5, 10.0),
-                        spacetime_scan(proxy, (3, 8), (1, 2), 0.5, 10.0)):
-            assert a.label == b.label
-            assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
+        a = spacetime_scan(engine, (3, 8), (1, 2), 0.5, 10.0)
+        b = spacetime_scan(proxy, (3, 8), (1, 2), 0.5, 10.0)
+        assert list(a.complexity) == list(b.complexity)
+        assert np.array_equal(a.times, b.times)
+        assert all(np.array_equal(x, y) for x, y in zip(grids(a), grids(b)))
         a = site_series(engine, (3, 8), 5, (1, 2), 0.5, 10.0)
         b = site_series(proxy, (3, 8), 5, (1, 2), 0.5, 10.0)
         assert np.array_equal(a.entropy, b.entropy)
@@ -275,17 +300,17 @@ class TestObservableKernel:
         monkeypatch.setattr(pcx.analysis, "classify_pairs", forbidden)
         cfg = ChainConfig(N=64)  # several chunks of time steps
         engine = StubEngine(cfg)
-        grids = spacetime_scan(engine, (9, 18), (1, 2, 3), 0.5, 10.0)
+        run = spacetime_scan(engine, (9, 18), (1, 2, 3), 0.5, 10.0)
         series = site_series(engine, (9, 18), 33, (1, 2, 3), 0.5, 10.0)
-        times = grids[0].times.tolist()
+        times = run.times.tolist()
         assert engine.calls == [(9, 18, t) for t in times + times]
         assert all(type(t) is float for _, _, t in engine.calls)
-        assert np.array_equal(series.entropy, grids[0].values[32])
+        assert np.array_equal(series.entropy[0], run.entropy[32])
         for j in (1, 64):  # the ring ends, read in place from the chunk's layout
             end = site_series(StubEngine(cfg), (9, 18), j, (1, 2, 3), 0.5, 10.0)
-            assert np.array_equal(end.entropy, grids[0].values[j - 1])
-            for grid in grids[1:]:
-                assert np.array_equal(end.complexity[grid.r_h], grid.values[j - 1])
+            assert np.array_equal(end.entropy[0], run.entropy[j - 1])
+            for r, grid in run.complexity.items():
+                assert np.array_equal(end.complexity[r][0], grid[j - 1])
 
     def test_chunks_do_not_change_values(self):
         """A run over many chunks equals one run per time point, bit for bit."""
@@ -323,11 +348,11 @@ class TestObservableKernel:
         grid_bytes = 8 * 16 * 10001  # 1.22 MiB per grid; the 8 chunks below are 2 MiB
         tracemalloc.start()
         try:
-            grids = spacetime_scan(engine, (3, 9), (1, 2, 3), 0.2, 2000.0)
+            run = spacetime_scan(engine, (3, 9), (1, 2, 3), 0.2, 2000.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [g.values.shape for g in grids] == [(16, 10001)] * 4
+        assert [g.shape for g in grids(run)] == [(16, 10001)] * 4
         assert peak < 4 * grid_bytes + 8 * CHUNK_BYTES
 
 
@@ -376,7 +401,7 @@ class TestEquilibriumStats:
 
     def test_mean_stable_under_window_shift(self, recipe_series):
         """Thermalized mean moves little when the window shifts by one step."""
-        s = recipe_series.entropy
+        s = recipe_series.entropy[0]
         t = recipe_series.times
         a = equilibrium_stats(t, s, (100.0, 200.0))
         b = equilibrium_stats(t, s, (100.2, 200.0))
@@ -411,12 +436,12 @@ class TestPeaks:
         assert nearest_peak(times, values, 9.5, radius=2.0) == 9
 
     def test_reference_entropy_ratio(self, recipe_series):
-        stats = equilibrium_stats(recipe_series.times, recipe_series.entropy, (100.0, 200.0))
-        ratio = peak_ratio(recipe_series.times, recipe_series.entropy, 9.0, stats)
+        stats = equilibrium_stats(recipe_series.times, recipe_series.entropy[0], (100.0, 200.0))
+        ratio = peak_ratio(recipe_series.times, recipe_series.entropy[0], 9.0, stats)
         assert 2.08 == pytest.approx(ratio, rel=0.10)
 
     def test_reference_complexity_ratio(self, recipe_series):
-        c = recipe_series.complexity[1]
+        c = recipe_series.complexity[1][0]
         stats = equilibrium_stats(recipe_series.times, c, (100.0, 200.0))
         ratio = peak_ratio(recipe_series.times, c, 9.0, stats)
         assert 4.13 == pytest.approx(ratio, rel=0.10)
@@ -425,21 +450,22 @@ class TestPeaks:
         """Collision contrast weakens as the horizon grows."""
         ratios = []
         for r in (1, 2, 3):
-            c = recipe_series.complexity[r]
+            c = recipe_series.complexity[r][0]
             stats = equilibrium_stats(recipe_series.times, c, (100.0, 200.0))
             ratios.append(peak_ratio(recipe_series.times, c, 9.0, stats))
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_complexity_peak_beats_entropy_peak(self, recipe_series):
         t = recipe_series.times
-        s_stats = equilibrium_stats(t, recipe_series.entropy, (100.0, 200.0))
-        c = recipe_series.complexity[1]
+        s = recipe_series.entropy[0]
+        s_stats = equilibrium_stats(t, s, (100.0, 200.0))
+        c = recipe_series.complexity[1][0]
         c_stats = equilibrium_stats(t, c, (100.0, 200.0))
-        s_ratio = peak_ratio(t, recipe_series.entropy, 9.0, s_stats)
+        s_ratio = peak_ratio(t, s, 9.0, s_stats)
         c_ratio = peak_ratio(t, c, 9.0, c_stats)
         assert c_ratio > s_ratio
         # subsequent collision shows the same ordering with a smaller margin
-        s2 = peak_ratio(t, recipe_series.entropy, 27.0, s_stats)
+        s2 = peak_ratio(t, s, 27.0, s_stats)
         c2 = peak_ratio(t, c, 27.0, c_stats)
         assert c2 > s2
         assert c_ratio / s_ratio > c2 / s2

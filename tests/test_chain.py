@@ -20,6 +20,7 @@ from pcx.chain import (
     BATCH_BYTES,
     ChainConfig,
     SpectralEngine,
+    _real_matmul,
     all_pairs,
     basis_state,
     block_batches,
@@ -215,6 +216,21 @@ class TestSpectralEngine:
         """The dense oracle evolves the basis state, so both agree bit for bit."""
         psi = dense_engine8.evolve(basis_state(dense_engine8.cfg, 2, 7), 3.3)
         assert np.array_equal(dense_engine8.pair_amplitudes(2, 7, 3.3), psi)
+
+    @pytest.mark.parametrize("N", [181, 182])
+    def test_phase_first_product(self, N):
+        """The momentum phases multiply the blocks phase-first, bit for bit, at every N.
+
+        From N = 182 the (N, N//2) complex product reaches numpy's temporary
+        elision threshold, where `phase * G[...]` may run as `G[...] *= phase`;
+        the complex multiply is not bitwise commutative.
+        """
+        engine = SpectralEngine(ChainConfig(N=N))
+        row, phase = engine._pair_tables(10, 70)
+        G = _real_matmul(engine.vectors, row * np.exp(-1j * engine._energies * 3.7))
+        stored = G[engine._stored]  # a named array, so `phase * stored` is never elided
+        expected = np.fft.ifft(phase * stored, axis=0).ravel()[engine._cell]
+        assert engine.pair_amplitudes(10, 70, 3.7).tobytes() == expected.tobytes()
 
 
 ORACLE_RINGS = (4, 5, 8, 9, 16, 31, 32, 40)

@@ -181,7 +181,7 @@ class TestSeriesCommand:
                 "--dt", "0.2", "--tmax", "40", "--eq-window", "20,40"]
         assert main(["series", *argv, "--out", str(tmp_path)]) == 0
         series = site_series(SpectralEngine(ChainConfig(N=16)), (4, 11), 8, (1, 2), 0.2, 40.0)
-        rows = zip(series.times, series.entropy, series.complexity[1], series.complexity[2])
+        rows = zip(series.times, series.entropy[0], series.complexity[1][0], series.complexity[2][0])
         preamble, header, _, footer = read_csv(tmp_path / "series_site8.csv")
         reference = cell_by_cell_csv(preamble, header, rows, footer)
         assert reference == (tmp_path / "series_site8.csv").read_bytes()
@@ -211,7 +211,7 @@ class TestSeriesCommand:
         assert "equilibrium window: [20, 40], std=population" in footer
         series = site_series(SpectralEngine(ChainConfig(N=16)), (4, 11), 8, (1,), 0.2, 40.0)
         mask = np.arange(len(series.times)) >= 100  # t = 20 is grid point 100 of 0..200
-        for name, values in (("S_bits", series.entropy), ("C_bits_rh1", series.complexity[1])):
+        for name, values in (("S_bits", series.entropy[0]), ("C_bits_rh1", series.complexity[1][0])):
             sel = values[mask]
             mean = float(sel.mean())
             assert f"eq_mean {name} {io.fmt(mean)}" in footer
@@ -285,9 +285,10 @@ class TestScanCommand:
     def test_csv_matches_cell_by_cell_writer(self, scan_dir):
         """The template writer gives the bytes of one formatted row per cell."""
         cfg = ChainConfig(N=12)
-        grids = spacetime_scan(SpectralEngine(cfg), (3, 7), (2,), 0.5, 10.0)
-        rows = [(grid.times[k], j, grid.label, grid.values[j - 1, k])
-                for grid in grids for j in range(1, 13) for k in range(len(grid.times))]
+        run = spacetime_scan(SpectralEngine(cfg), (3, 7), (2,), 0.5, 10.0)
+        grids = {"S": run.entropy, "C_rh2": run.complexity[2]}
+        rows = [(run.times[k], j, label, grid[j - 1, k])
+                for label, grid in grids.items() for j in range(1, 13) for k in range(len(run.times))]
         preamble, _, _, _ = read_csv(scan_dir / "scan.csv")
         reference = cell_by_cell_csv(preamble, ("t", "site", "kind", "value_bits"), rows)
         assert reference == (scan_dir / "scan.csv").read_bytes()

@@ -24,7 +24,7 @@ WINDOW = (100.0, 200.0)
 def contrast(N, flips, site):
     """(t of the S peak, S peak ratio, C1 peak ratio, std(S)/std(C1)) of one recipe."""
     series = site_series(SpectralEngine(ChainConfig(N=N)), flips, site, (1,), 0.2, 200.0)
-    t, s, c = series.times, series.entropy, series.complexity[1]
+    t, s, c = series.times, series.entropy[0], series.complexity[1][0]
     s_stats, c_stats = (equilibrium_stats(t, v, WINDOW) for v in (s, c))
     i = next(i for i in range(1, len(t) - 1)
              if s[i] >= s[i - 1] and s[i] >= s[i + 1] and s[i] > 1.3 * s_stats.mean)

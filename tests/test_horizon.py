@@ -206,8 +206,8 @@ class TestRhoPredictive:
 
 class TestSiteSeries:
     def test_initial_values_zero(self, recipe_series):
-        assert recipe_series.entropy[0] == 0.0
-        assert all(recipe_series.complexity[r][0] == 0.0 for r in (1, 2, 3))
+        assert recipe_series.entropy[0][0] == 0.0
+        assert all(recipe_series.complexity[r][0][0] == 0.0 for r in (1, 2, 3))
 
     def test_single_qubit_bounds(self, recipe_series):
         s = recipe_series.entropy
@@ -222,7 +222,7 @@ class TestSiteSeries:
 
     def test_first_entropy_peak_near_collision_time(self, recipe_series):
         """First pronounced maximum of S at site 17 sits at t = 9.0 +- 0.5."""
-        s = recipe_series.entropy
+        s = recipe_series.entropy[0]
         times = recipe_series.times
         threshold = 0.5 * s.max()
         for i in range(1, len(times) - 1):
@@ -237,7 +237,7 @@ class TestSiteSeries:
         series = site_series(engine32, (10, 25), 17, (1,), 0.5, 3.0)
         for k, t in enumerate(series.times):
             _, rho = generic_rhos(engine32.pair_amplitudes(10, 25, float(t)), spec)
-            assert abs(series.complexity[1][k] - von_neumann_entropy(rho)) < 1e-12
+            assert abs(series.complexity[1][0][k] - von_neumann_entropy(rho)) < 1e-12
 
 
 class TestTwoLevelEntropy:

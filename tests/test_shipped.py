@@ -13,7 +13,7 @@ MOVED = ("MAX_FULL_SITES", "full_hamiltonian", "site_bit", "sector_indices", "fu
          "MAX_SECTOR_DIM", "state_trace_distance", "pair_permutation",
          "exterior_state_and_partition", "equivalence_residual", "trace_distance")
 DELETED = ("pair_unindex", "BetheState", "_wavefunction", "_one_hot_columns",
-           "_orthonormal_complement", "ORTHO_TOL")
+           "_orthonormal_complement", "ORTHO_TOL", "SiteSeries", "SpacetimeGrid")
 # members deleted from shipped classes, as (module, class, member)
 DELETED_MEMBERS = (("horizon", "HorizonSpec", "inside_sites"),
                    ("predictive", "EquivalencePartition", "primed_dim"),

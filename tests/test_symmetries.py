@@ -29,7 +29,8 @@ TOL = 1e-13
 
 def _grids(engine, flips) -> np.ndarray:
     """(S, C_rh1, C_rh2, C_rh3) grids of one scan, shape (4, N, times)."""
-    return np.stack([g.values for g in spacetime_scan(engine, flips, RADII, DT, TMAX)])
+    run = spacetime_scan(engine, flips, RADII, DT, TMAX)
+    return np.stack([run.entropy, *run.complexity.values()])
 
 
 @pytest.fixture(scope="module", params=[
