@@ -9,7 +9,7 @@ from sys import float_info
 import numpy as np
 
 from .chain import ChainConfig, integer, pair_index
-from .errors import ConfigError, PeakNotFoundError, SolverError, StatsError
+from .errors import ConfigError, SolverError
 from .horizon import HorizonSpec, two_level_entropy_bits
 from .horizon import classify_pairs  # not called here; perfbench/tracing.py patches this name
 
@@ -78,16 +78,16 @@ def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_m
     named = [("flip site", n) for n in flips] + [("horizon radius", r) for r in r_h_list]
     for what, value in named + ([] if site is None else [("site", site)]):
         integer(value, what)
-    pair_index(*flips, cfg.N)
+    pair_index(*map(int, flips), cfg.N)  # a narrow numpy integer would wrap in its index arithmetic
     if site is not None and not 1 <= site <= cfg.N:
         raise ConfigError(f"site {site} outside chain of {cfg.N} sites")
     for r in r_h_list:
-        HorizonSpec(j=1, r_h=r, N=cfg.N)
+        HorizonSpec(j=1, r_h=int(r), N=cfg.N)  # as would a numpy radius in 2 r_h + 1
     if len(set(r_h_list)) != len(r_h_list):
         raise ConfigError(f"horizon radii {tuple(r_h_list)} repeat a radius")
     times = time_grid(dt, t_max, cfg.N if site is None else 1)
     # 4|J| bounds the levels; a 4|J| tmax that overflows is past the limit too
-    four_j = 4 * abs(float(cfg.J))
+    four_j = 4 * abs(cfg.J)
     limit = PHASE_FLOOR_MAX / four_j / float_info.epsilon  # the t_max of floor PHASE_FLOOR_MAX
     if t_max > limit:
         raise ConfigError(f"phase floor 4|J| tmax eps = {four_j * t_max * float_info.epsilon:.4g} "
@@ -130,9 +130,10 @@ def _observables(engine, flips: tuple[int, int], sites: range, r_h_list,
     finite value: SolverError names the earliest such time and site.
     """
     N = engine.cfg.N
+    flips = tuple(map(int, flips))  # a numpy flip or radius would mix dtypes in the index arithmetic
     rows = np.asarray(sites) - 1
     arcs = {}  # r_h -> flat (x, r) cells of the cumulative sums m_out reads
-    for r in r_h_list:
+    for r in map(int, r_h_list):
         i = np.arange(N - 2 * r - 2)  # every outside site but the last
         arcs[r] = (rows[:, None] + r + 1 + i) % N * (N - 1) + N - 2 * r - 3 - i
     # p_down and the |off-diagonal| per radius, then in place S and C(r_h) per radius
@@ -214,11 +215,11 @@ def equilibrium_stats(times: np.ndarray, values: np.ndarray,
     t0, t1 = window
     tol = GRID_RTOL * abs(times[-1])
     if t0 > t1 or t0 < times[0] - tol or t1 > times[-1] + tol:
-        raise StatsError(f"window {window} not contained in the time grid")
+        raise ConfigError(f"window {window} not contained in the time grid")
     mask = (times >= t0 - tol) & (times <= t1 + tol)
     n = int(mask.sum())
     if n < MIN_WINDOW_SAMPLES:
-        raise StatsError(f"window holds {n} samples; need at least {MIN_WINDOW_SAMPLES}")
+        raise ConfigError(f"window holds {n} samples; need at least {MIN_WINDOW_SAMPLES}")
     sel = values[mask]
     if sel.min() == sel.max():  # constant series: avoid round-off in the mean
         return EquilibriumStats(mean=float(sel[0]), std=0.0)
@@ -235,7 +236,7 @@ def nearest_peak(times: np.ndarray, values: np.ndarray, t_hint: float,
         and abs(times[i] - t_hint) <= radius
     ]
     if not candidates:
-        raise PeakNotFoundError(f"no local maximum within {radius} of t={t_hint}")
+        raise ConfigError(f"no local maximum within {radius} of t={t_hint}")
     return min(candidates, key=lambda i: (abs(times[i] - t_hint), times[i]))
 
 

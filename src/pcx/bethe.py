@@ -36,7 +36,7 @@ from math import pi
 import numpy as np
 
 from .chain import ChainConfig, SpectralEngine, all_pairs, block_batches, block_hopping, block_sizes
-from .errors import DegenerateRootError, SolverError
+from .errors import SolverError
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
@@ -279,7 +279,7 @@ def bethe_state(root: np.record, cfg: ChainConfig) -> np.ndarray:
         raw = np.exp(e1 - shift) + np.exp(e2 - shift)
     norm = np.linalg.norm(raw)
     if norm < 1e-13 * np.sqrt(len(raw)):
-        raise DegenerateRootError(f"cell ({root.m1},{root.m2}) gives a vanishing wavefunction")
+        raise SolverError(f"cell ({root.m1},{root.m2}) gives a vanishing wavefunction")
     return raw / norm
 
 
@@ -292,7 +292,7 @@ def block_vectors(roots: np.recarray, cfg: ChainConfig) -> np.ndarray:
     depth v = Im theta / N is (e^{-v r} + s e^{-v (N - r)}) (-1)^{jr}, s = +1
     for m1 = m2 and -1 for m2 = m1 + 1, which cannot overflow; the even-N
     momentum-pi cell is (|1> + (-1)^{N/2} |N-1>)/sqrt(2).  Built from the
-    labels alone (`checked_blocks` checks the rows); DegenerateRootError if
+    labels alone (`checked_blocks` checks the rows); SolverError if
     a wavefunction vanishes.  A row's sign is arbitrary.
     """
     N, r = cfg.N, np.arange(1, cfg.N)
@@ -312,7 +312,7 @@ def block_vectors(roots: np.recarray, cfg: ChainConfig) -> np.ndarray:
     norm = np.linalg.norm(phi, axis=1)
     if not np.all(norm >= 1e-13 * np.sqrt(N - 1)):
         i = int(np.argmax(~(norm >= 1e-13 * np.sqrt(N - 1))))
-        raise DegenerateRootError(f"cell ({m1[i]},{m2[i]}) gives a vanishing wavefunction")
+        raise SolverError(f"cell ({m1[i]},{m2[i]}) gives a vanishing wavefunction")
     return phi / norm[:, None]
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Real
 from sys import float_info
 
 import numpy as np
@@ -54,13 +55,18 @@ class ChainConfig:
     J: float = 1.0
 
     def __post_init__(self):
-        if integer(self.N, "N") < 4:
+        # stored as Python numbers: a numpy N can overflow the budget product below
+        object.__setattr__(self, "N", integer(self.N, "N"))
+        if not isinstance(self.J, Real):
+            raise ConfigError(f"coupling J must be a real number, got J={self.J!r}")
+        object.__setattr__(self, "J", float(self.J))
+        if self.N < 4:
             raise ConfigError(f"chain needs at least 4 sites, got N={self.N}")
         # 4|J| bounds the sector levels, so it must be a finite float too
-        if self.J == 0 or not isfinite(4 * abs(float(self.J))):
+        if self.J == 0 or not isfinite(4 * abs(self.J)):
             raise ConfigError(f"coupling J must be nonzero with 4|J| finite, got J={self.J}")
         # each level rounds within eps |J|, and the checks scale with |J|, only for a normal |J|
-        if abs(float(self.J)) < float_info.min:
+        if abs(self.J) < float_info.min:
             raise ConfigError(f"coupling J must be nonzero with 4|J| finite and |J| a normal double, "
                               f"at least {float_info.min!r}, got J={self.J}")
         nbytes = 8 * (self.N // 2 + 1) * (self.N // 2) ** 2
@@ -72,11 +78,6 @@ class ChainConfig:
     def dim(self) -> int:
         """Dimension of the two-flip sector, C(N, 2)."""
         return self.N * (self.N - 1) // 2
-
-    @property
-    def e0(self) -> float:
-        """Energy of the state with no flips, -J*N/4."""
-        return -self.J * self.N / 4.0
 
 
 # Bytes that one batch of same-parity blocks may take on all N - 1 rows,

@@ -9,9 +9,9 @@ N=32, J=1, flips 10 and 25, dt=0.2.  A command imports pcx.bethe or
 pcx.predictive only when it runs them, so `series` and `scan` on the
 default engine never load either.
 
-Exit codes: 0 success, 2 configuration or input error, 3 I/O error, 4 solver
-failure.  argparse parses all input, and main reports every refusal, a
-malformed or unknown argument as well as a value out of range, as one
+Exit codes: 0 success, 2 input error (ConfigError), 3 I/O error (OSError), 4
+solver failure (SolverError).  argparse parses all input; main reports every
+refusal, a malformed or unknown argument or a value out of range, as one
 `error:` line on stderr with exit code 2; only --help exits through argparse.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis, io
 from .analysis import site_series
 from .chain import ChainConfig, SpectralEngine, block_levels
-from .errors import ConfigError, NormalizationError, PeakNotFoundError, SolverError, StatsError
+from .errors import ConfigError, SolverError
 
 PEAK_HINT = 9.0
 # (N, J, flips, site) of the run whose first collision sits near PEAK_HINT
@@ -183,7 +183,7 @@ def _series_footer(args, times, columns: dict, window) -> list[str]:
     footer = [f"equilibrium window: [{io.fmt(window[0])}, {io.fmt(window[1])}], std=population"]
     try:
         stats = {name: analysis.equilibrium_stats(times, vals, window) for name, vals in columns.items()}
-    except StatsError as exc:
+    except ConfigError as exc:
         footer.append(f"equilibrium stats omitted: {exc}")
         return footer
     for name, st in stats.items():
@@ -195,7 +195,7 @@ def _series_footer(args, times, columns: dict, window) -> list[str]:
                 ratio = analysis.peak_ratio(times, vals, PEAK_HINT, stats[name])
                 i = analysis.nearest_peak(times, vals, PEAK_HINT)
                 footer.append(f"peak {name} t={io.fmt(times[i])} ratio_to_eq_mean={io.fmt(ratio)}")
-            except PeakNotFoundError as exc:
+            except ConfigError as exc:
                 footer.append(f"peak {name} not found: {exc}")
     return footer
 
@@ -208,7 +208,7 @@ def cmd_series(args) -> int:
     out = Path(args.out)
     series = site_series(engine, args.flips, args.site, args.horizon, args.dt, args.tmax)
     columns = {"S_bits": series.entropy[0]}
-    columns.update((f"C_bits_rh{r}", series.complexity[r][0]) for r in sorted(series.complexity))
+    columns.update((f"C_bits_rh{r}", series.complexity[r][0]) for r in series.complexity)
     table = np.column_stack([series.times, *columns.values()])
     rows = [",".join([io.FIELD] * (1 + len(columns))) + "\n"] * len(table)
     name = f"series_site{args.site}.csv"
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (ConfigError, NormalizationError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

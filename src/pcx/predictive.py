@@ -13,7 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import GeometryError, NormalizationError
+from .errors import ConfigError
 
 DEGENERATE_PHASE_TOL = 1e-12
 
@@ -28,19 +28,14 @@ class BipartiteState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 2:
-            raise ValueError("amplitudes must be a 2-D (dim_a, dim_b) array")
+            raise ConfigError("amplitudes must be a 2-D (dim_a, dim_b) array")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= 1e-9:
-            raise NormalizationError(f"state norm {norm!r} is not 1")
+            raise ConfigError(f"state norm {norm!r} is not 1")
 
     @property
     def dim_b(self) -> int:
         return self.amplitudes.shape[1]
-
-    @classmethod
-    def from_amplitudes(cls, amps) -> "BipartiteState":
-        amps = np.asarray(amps, dtype=np.complex128)
-        return cls(amps / np.linalg.norm(amps))
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,8 @@ class EquivalencePartition:
         flat = [i for g in groups for i in g]
         if (any(len(g) < 2 for g in groups) or len(set(flat)) != len(flat)
                 or not all(isinstance(i, Integral) and 0 <= i < self.dim_b for i in flat)):
-            raise GeometryError(f"equivalence classes {groups} are not disjoint groups of >= 2 "
-                                f"distinct basis indices in range({self.dim_b})")
+            raise ConfigError(f"equivalence classes {groups} are not disjoint groups of >= 2 "
+                              f"distinct basis indices in range({self.dim_b})")
         groups = tuple(tuple(map(int, g)) for g in groups)
         eye = np.eye(self.dim_b, dtype=np.complex128)
         subs = tuple(eye[:, g] for g in groups)
@@ -118,7 +113,7 @@ def predictive_map(psi: BipartiteState, part: EquivalencePartition) -> Predictiv
     by construction.
     """
     if psi.dim_b != part.dim_b:
-        raise ValueError("state and partition disagree on dim_b")
+        raise ConfigError("state and partition disagree on dim_b")
     blocks = []
     n_degenerate = 0
     for s, sub in enumerate(part.subspaces):
@@ -141,13 +136,13 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -tr(rho log2 rho) in bits."""
     rho = np.asarray(rho)
     if not np.max(np.abs(rho - rho.conj().T)) <= 1e-9:
-        raise NormalizationError("density matrix is not Hermitian")
+        raise ConfigError("density matrix is not Hermitian")
     trace = np.trace(rho).real
     if not abs(trace - 1.0) <= 1e-9:
-        raise NormalizationError(f"density matrix trace {trace!r} is not 1")
+        raise ConfigError(f"density matrix trace {trace!r} is not 1")
     evals = np.linalg.eigvalsh(rho)
     if not evals.min() >= -1e-12:
-        raise NormalizationError(f"density matrix has negative eigenvalue {evals.min()!r}")
+        raise ConfigError(f"density matrix has negative eigenvalue {evals.min()!r}")
     evals = np.clip(evals, 0.0, 1.0)
     positive = evals[evals > 0]
     s_nats = float(-(positive * np.log(positive)).sum()) + 0.0
@@ -167,14 +162,14 @@ def worked_qubit_qutrit_example(amps=None) -> dict:
         amps = (0.5, 0.5, 0.0, 0.5, 0.0, 0.5)
     a = np.array(amps, dtype=np.complex128)
     if a.shape != (6,):
-        raise ValueError("need exactly six amplitudes a1..a6")
+        raise ConfigError("need exactly six amplitudes a1..a6")
     if not np.isfinite(a).all():
-        raise NormalizationError("amplitudes must be finite")
+        raise ConfigError("amplitudes must be finite")
     # real and imaginary parts divided as reals: a complex division by a subnormal scale overflows
     parts = a.view(np.float64)
     scale = float(np.abs(parts).max())
     if scale == 0:
-        raise NormalizationError("amplitudes are all zero")
+        raise ConfigError("amplitudes are all zero")
     a = (parts / scale).view(np.complex128)
     norm = float(np.linalg.norm(a))
     renormalized = abs(scale * norm - 1.0) > 1e-9  # a float product: inf, not an error, on overflow

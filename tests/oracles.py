@@ -86,7 +86,7 @@ def full_evolve(cfg: ChainConfig, psi_full: np.ndarray, t: float) -> np.ndarray:
     _check_size(cfg.N)
     evals, evecs = _full_eigh(cfg.N, cfg.J)
     coeffs = evecs.T @ np.asarray(psi_full, dtype=np.complex128)
-    return evecs @ (np.exp(-1j * (evals - cfg.e0) * t) * coeffs)
+    return evecs @ (np.exp(-1j * (evals + cfg.J * cfg.N / 4.0) * t) * coeffs)
 
 
 def full_space_oracle(cfg: ChainConfig, n1: int, n2: int, t: float) -> np.ndarray:
@@ -226,6 +226,7 @@ def equivalence_residual(phi1, phi2, psi, t: float, dynamics) -> float:
     psi = np.asarray(psi, dtype=np.complex128)
     rhos = []
     for phi in (phi1, phi2):
-        state = BipartiteState.from_amplitudes(np.outer(psi, np.asarray(phi, dtype=np.complex128)))
+        amps = np.outer(psi, np.asarray(phi, dtype=np.complex128))
+        state = BipartiteState(amps / np.linalg.norm(amps))
         rhos.append(reduced_density(dynamics(state, t)))
     return trace_distance(rhos[0], rhos[1])

@@ -22,7 +22,7 @@ from pcx.analysis import (
 from oracles import DenseEngine, exterior_state_and_partition
 from pcx.bethe import BetheEngine
 from pcx.chain import ChainConfig, SpectralEngine
-from pcx.errors import ConfigError, PeakNotFoundError, SolverError, StatsError
+from pcx.errors import ConfigError, SolverError
 from pcx.horizon import HorizonSpec, classify_pairs, two_level_entropy_bits
 from pcx.predictive import predictive_map, reduced_density, von_neumann_entropy
 
@@ -128,6 +128,28 @@ class TestSpacetimeScan:
         engine = SpectralEngine(ChainConfig(N=np.int64(16)))
         run = site_series(engine, (np.int64(3), np.int32(9)), np.int16(5), (np.int8(2),), 0.5, 5.0)
         plain = site_series(SpectralEngine(ChainConfig(N=16)), (3, 9), 5, (2,), 0.5, 5.0)
+        assert np.array_equal(run.entropy, plain.entropy)
+        assert np.array_equal(run.complexity[2], plain.complexity[2])
+        # unsigned and narrow integers too: mixed with int64 they would make float indices or overflow
+        plain_scan = spacetime_scan(SpectralEngine(ChainConfig(N=16)), (3, 9), (2,), 0.5, 5.0)
+        for kind in (np.uint64, np.uint8, np.int16):
+            engine = SpectralEngine(ChainConfig(N=kind(16)))
+            flips = (kind(3), kind(9))
+            runs = (site_series(engine, flips, kind(5), (kind(2),), 0.5, 5.0),
+                    spacetime_scan(engine, flips, (kind(2),), 0.5, 5.0))
+            for run, plain_run in zip(runs, (plain, plain_scan)):
+                assert np.array_equal(run.times, plain_run.times)
+                assert np.array_equal(run.entropy, plain_run.entropy)
+                assert list(run.complexity) == [2]
+                assert np.array_equal(run.complexity[2], plain_run.complexity[2])
+
+    def test_narrow_numpy_integers_do_not_wrap(self):
+        """In uint8, 2 r_h + 1 of radius 128 wraps to 1 and (n1 - 1) N of flip 40 on 64 sites past 255."""
+        with pytest.raises(ConfigError, match="degenerate horizon"):
+            site_series(SpectralEngine(ChainConfig(N=16)), (3, 9), 5, (np.uint8(128),), 0.5, 5.0)
+        engine = SpectralEngine(ChainConfig(N=64))
+        run = site_series(engine, (np.uint8(40), np.uint8(50)), np.uint8(45), (np.uint8(2),), 0.5, 5.0)
+        plain = site_series(engine, (40, 50), 45, (2,), 0.5, 5.0)
         assert np.array_equal(run.entropy, plain.entropy)
         assert np.array_equal(run.complexity[2], plain.complexity[2])
 
@@ -381,12 +403,12 @@ class TestEquilibriumStats:
 
     def test_window_too_short(self):
         times = np.arange(0, 50.0, 1.0)
-        with pytest.raises(StatsError, match="samples"):
+        with pytest.raises(ConfigError, match="samples"):
             equilibrium_stats(times, np.ones_like(times), (0.0, 49.0))
 
     def test_window_outside_grid(self):
         times = np.arange(0, 200.0, 1.0)
-        with pytest.raises(StatsError):
+        with pytest.raises(ConfigError):
             equilibrium_stats(times, np.ones_like(times), (100.0, 300.0))
 
     def test_window_edges_at_late_times(self):
@@ -396,7 +418,7 @@ class TestEquilibriumStats:
         stats = equilibrium_stats(times, values, (16276.7, 16385.6))
         assert stats.mean == np.mean(values[14797:14897])
         for window in [(16276.7, times[-1] + 1.1), (times[0] - 1.1, 16385.6)]:
-            with pytest.raises(StatsError, match="not contained"):
+            with pytest.raises(ConfigError, match="not contained"):
                 equilibrium_stats(times, values, window)
 
     def test_mean_stable_under_window_shift(self, recipe_series):
@@ -419,7 +441,7 @@ class TestPeaks:
         times = np.arange(0, 150.0, 1.0)
         values = times / 150.0  # strictly increasing: no interior maximum
         stats = equilibrium_stats(times, values, (0.0, 149.0))
-        with pytest.raises(PeakNotFoundError):
+        with pytest.raises(ConfigError):
             peak_ratio(times, values, 70.0, stats)
 
     def test_nearest_peak_prefers_closest(self):

@@ -35,7 +35,7 @@ from pcx.chain import (
     sector_hamiltonian,
 )
 from pcx.cli import main
-from pcx.errors import DegenerateRootError, SolverError
+from pcx.errors import SolverError
 
 # corrupt classes: the ring each is built on, and the message that refuses it
 CORRUPT_CLASSES = {
@@ -345,9 +345,9 @@ class TestBetheState:
     def test_degenerate_wavefunction_rejected(self, cfg32):
         # equal real momenta with theta = pi cancel the two terms exactly
         bogus = np.rec.array([(1.0, 1.0, pi, 0.9, "real-pair", 5, 5)], dtype=ROOT_DTYPE)
-        with pytest.raises(DegenerateRootError):
+        with pytest.raises(SolverError):
             bethe_state(bogus[0], cfg32)
-        with pytest.raises(DegenerateRootError):
+        with pytest.raises(SolverError):
             block_vectors(bogus, cfg32)
 
     def test_block_vector_off_momentum_rejected(self, cfg32):

@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from math import comb
 
 import numpy as np
@@ -74,7 +76,8 @@ class TestChainConfig:
         assert ChainConfig(N=32).dim == 496
 
     def test_reference_energy(self):
-        assert ChainConfig(N=32).e0 == -8.0
+        cfg = ChainConfig(N=32)
+        assert -cfg.J * cfg.N / 4.0 == -8.0
 
     @pytest.mark.parametrize("N", [0, 1, 3])
     def test_too_small_rejected(self, N):
@@ -90,6 +93,17 @@ class TestChainConfig:
     def test_nonfinite_coupling_rejected(self, J):
         with pytest.raises(ConfigError, match="finite"):
             ChainConfig(N=8, J=J)
+
+    @pytest.mark.parametrize("J", ["1", 1j, Decimal("0.3"), None], ids=["str", "complex", "decimal", "none"])
+    def test_non_real_coupling_rejected(self, J):
+        """A J that is not a real number is one ConfigError naming it, before any engine is built."""
+        with pytest.raises(ConfigError, match=re.escape(f"coupling J must be a real number, got J={J!r}")):
+            ChainConfig(N=8, J=J)
+
+    def test_numbers_stored_as_python_types(self):
+        cfg = ChainConfig(N=np.uint64(12), J=np.float32(0.5))
+        assert (type(cfg.N), type(cfg.J)) == (int, float)
+        assert (cfg.N, cfg.J) == (12, 0.5)
 
     def test_ring_limit(self):
         """N = 511 is the largest ring whose momentum-block stack fits the budget."""
@@ -120,13 +134,13 @@ class TestSectorHamiltonian:
         all_up = np.zeros(1 << N)
         all_up[0] = 1.0
         image = H @ all_up
-        assert np.allclose(image, cfg.e0 * all_up, atol=1e-14)
+        assert np.allclose(image, -cfg.J * cfg.N / 4.0 * all_up, atol=1e-14)
 
     def test_matches_full_space_block(self):
         """Sector matrix equals the two-flip block of the 2^N Hamiltonian."""
         cfg = ChainConfig(N=8)
         idx = sector_indices(cfg)
-        block = full_hamiltonian(cfg)[np.ix_(idx, idx)] - cfg.e0 * np.eye(cfg.dim)
+        block = full_hamiltonian(cfg)[np.ix_(idx, idx)] + cfg.J * cfg.N / 4.0 * np.eye(cfg.dim)
         assert np.max(np.abs(block - sector_hamiltonian(cfg))) < 1e-13
 
     def test_zero_momentum_dispersion_value(self):
@@ -301,6 +315,11 @@ class TestMomentumBlocks:
             SpectralEngine(ChainConfig(N=100_000))
         with pytest.raises(ConfigError, match="budget"):
             SpectralEngine(ChainConfig(N=512))
+        # 8 (N//2+1) (N//2)^2 overflows int16: 206.7 and 955 MiB
+        with pytest.raises(ConfigError, match="need 206.7 MiB"):
+            SpectralEngine(ChainConfig(N=np.int16(600)))
+        with pytest.raises(ConfigError, match="budget"):
+            SpectralEngine(ChainConfig(N=np.int16(1000)))
 
 
 class TestSiteBipartition:

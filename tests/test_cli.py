@@ -8,6 +8,7 @@ import pytest
 
 import pcx.bethe
 import pcx.cli
+import pcx.errors
 from pcx import io
 from pcx.analysis import site_series, spacetime_scan
 from pcx.chain import ChainConfig, SpectralEngine, block_levels
@@ -216,6 +217,16 @@ class TestSeriesCommand:
             mean = float(sel.mean())
             assert f"eq_mean {name} {io.fmt(mean)}" in footer
             assert f"eq_std {name} {io.fmt(np.sqrt(np.mean((sel - mean) ** 2)))}" in footer
+
+    def test_columns_follow_horizon_order(self, tmp_path):
+        """Columns follow --horizon as given, as the scan's grids do; each holds its radius' values."""
+        argv = ["series", "--sites", "12", "--flips", "2,5", "--site", "3", "--tmax", "2"]
+        assert main([*argv, "--horizon", "3,1", "--out", str(tmp_path / "31")]) == 0
+        assert main([*argv, "--horizon", "1,3", "--out", str(tmp_path / "13")]) == 0
+        _, header, rows, _ = read_csv(tmp_path / "31" / "series_site3.csv")
+        _, _, sorted_rows, _ = read_csv(tmp_path / "13" / "series_site3.csv")
+        assert header == ["t", "S_bits", "C_bits_rh3", "C_bits_rh1"]
+        assert [[t, s, c1, c3] for t, s, c3, c1 in rows] == sorted_rows
 
     def test_degenerate_horizon_exit_code(self, tmp_path):
         assert main(["series", "--sites", "8", "--flips", "1,4", "--site", "2",
@@ -645,6 +656,16 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "predictive complexity" in result.stdout
 
+    @pytest.mark.parametrize("argv", [["--help"], ["scan", "-h"]], ids=["help", "scan-h"])
+    def test_help_exit_0(self, capsys, argv):
+        """--help, the one exit through argparse, prints usage on stdout and nothing on stderr."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: pcx")
+        assert err == ""
+
     def test_usage_error_exit_code(self, run_cli):
         result = run_cli(["series", "--sites", "not-a-number"])
         assert result.returncode == 2
@@ -746,7 +767,21 @@ def test_outputs_agree_across_blas_kernels(tmp_path, run_cli, run_python):
         assert np.max(np.abs(pixels - forced_pixels)) <= 1
 
 
+# every exception type that pcx.errors defines
+ERROR_TYPES = [v for v in vars(pcx.errors).values() if isinstance(v, type) and v.__module__ == "pcx.errors"]
+
+
 class TestFailureExitCodes:
+    @pytest.mark.parametrize("error", ERROR_TYPES, ids=[e.__name__ for e in ERROR_TYPES])
+    def test_each_error_type_has_its_exit_code(self, monkeypatch, capsys, error):
+        """Raised inside a command, a ConfigError exits 2 and a SolverError 4, each with one stderr line."""
+        def failing(args):
+            raise error("refused")
+
+        monkeypatch.setattr(pcx.cli, "cmd_spectrum", failing)
+        assert main(["spectrum"]) == (4 if issubclass(error, SolverError) else 2)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.endswith(": refused\n")
     def test_io_error_exit_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

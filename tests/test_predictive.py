@@ -11,7 +11,7 @@ from oracles import (
     trace_distance,
 )
 from pcx.chain import ChainConfig
-from pcx.errors import GeometryError, NormalizationError
+from pcx.errors import ConfigError
 from pcx.predictive import (
     BipartiteState,
     EquivalencePartition,
@@ -27,7 +27,7 @@ SQ2 = np.sqrt(2.0)
 
 def random_state(rng, dim_a, dim_b):
     amps = rng.normal(size=(dim_a, dim_b)) + 1j * rng.normal(size=(dim_a, dim_b))
-    return BipartiteState.from_amplitudes(amps)
+    return BipartiteState(amps / np.linalg.norm(amps))
 
 
 def qutrit_partition():
@@ -66,7 +66,7 @@ class TestProjector:
     ], ids=["negative-index", "index-out-of-range", "singleton", "overlapping", "repeated-index",
             "non-integer-index"])
     def test_malformed_groups_rejected(self, dim_b, groups):
-        with pytest.raises(GeometryError, match="equivalence classes"):
+        with pytest.raises(ConfigError, match="equivalence classes"):
             EquivalencePartition(dim_b, groups)
 
     def test_general_subspace_remainder_orthonormal(self):
@@ -194,7 +194,7 @@ class TestPredictiveReducedDensity:
         # all in-class amplitudes equal: collapse keeps phase 1 and the
         # off-diagonal becomes sqrt(mass_1 * mass_2)
         amps = np.array([[0.5, 0.5, 0.0], [0.4, 0.4, 0.0]], dtype=complex)
-        psi = BipartiteState.from_amplitudes(amps)
+        psi = BipartiteState(amps / np.linalg.norm(amps))
         rho = reduced_density(predictive_map(psi, qutrit_partition()))
         n = np.linalg.norm(amps)
         expected = np.sqrt(0.5 * 0.32) / n**2
@@ -217,15 +217,15 @@ class TestEntropy:
         assert expected == pytest.approx(0.600876, abs=2e-6)
 
     def test_trace_validation(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(ConfigError):
             von_neumann_entropy(np.diag([0.7, 0.7]))
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(ConfigError):
             von_neumann_entropy(np.diag([1.1, -0.1]))
 
     def test_nan_matrix_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(ConfigError):
             von_neumann_entropy(np.full((2, 2), np.nan))
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10**6))
@@ -280,7 +280,8 @@ class TestEquivalenceLinearity:
         phi3 = a1 * phi1 + a2 * phi2
 
         def evolved_rho(phi):
-            state = BipartiteState.from_amplitudes(np.outer(psi, phi))
+            amps = np.outer(psi, phi)
+            state = BipartiteState(amps / np.linalg.norm(amps))
             return reduced_density(dynamics(state, 1.0))
 
         mixed = abs(a1) ** 2 * evolved_rho(phi1) + abs(a2) ** 2 * evolved_rho(phi2)
@@ -379,11 +380,11 @@ class TestWorkedExample:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_amplitude_rejected(self, bad):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(ConfigError):
             worked_qubit_qutrit_example((bad, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     def test_nan_state_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(ConfigError):
             BipartiteState(np.full((2, 3), np.nan))
 
 
