@@ -19,10 +19,10 @@ MIN_WINDOW_SAMPLES = 100
 # kernel holds (1 + len(r_h)) grids, so this bounds memory before anything
 # is built.
 MAX_TIME_POINTS = 10**6
-# Bytes of one chunk's (T, N, N-1) probability stack in the observable
+# Bytes of one chunk's (T, N, N-1) probability layout in the observable
 # kernel, which batches T = CHUNK_BYTES // (8 N (N-1)) time steps (at least
-# one).  Besides the engine's stack and its output grids, the kernel holds a
-# few arrays of this size at a time, at any N.
+# one, so 8 N (N-1) bytes above N = 181).  Besides the engine's stack and its
+# output grids, the kernel holds a few arrays of a chunk's size, per chunk.
 CHUNK_BYTES = 256 * 2**10
 # Tolerance, relative to the last time, of a grid point t = k dt: of tmax as a
 # multiple of dt and of a window edge; MAX_TIME_POINTS keeps it below 1e-3 dt.
@@ -70,21 +70,21 @@ def time_grid(dt: float, t_max: float, sites: int = 1) -> np.ndarray:
 
 
 def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_max: float,
-              site: int | None = None) -> np.ndarray:
-    """Check one run's flip pair, horizon radii, focal site and times; return the time grid.
+              site: int | None = None) -> tuple[tuple[int, int], tuple[int, ...], np.ndarray]:
+    """Check one run's flip pair, horizon radii, focal site and times.
 
-    A run without a focal site is a scan over all N sites.
+    Returns the flips and the radii as Python ints, and the time grid.  A run
+    without a focal site is a scan over all N sites.
     """
-    named = [("flip site", n) for n in flips] + [("horizon radius", r) for r in r_h_list]
-    for what, value in named + ([] if site is None else [("site", site)]):
-        integer(value, what)
-    pair_index(*map(int, flips), cfg.N)  # a narrow numpy integer would wrap in its index arithmetic
-    if site is not None and not 1 <= site <= cfg.N:
+    flips = tuple(integer(n, "flip site") for n in flips)
+    radii = tuple(integer(r, "horizon radius") for r in r_h_list)
+    pair_index(*flips, cfg.N)
+    if site is not None and not 1 <= integer(site, "site") <= cfg.N:
         raise ConfigError(f"site {site} outside chain of {cfg.N} sites")
-    for r in r_h_list:
-        HorizonSpec(j=1, r_h=int(r), N=cfg.N)  # as would a numpy radius in 2 r_h + 1
-    if len(set(r_h_list)) != len(r_h_list):
-        raise ConfigError(f"horizon radii {tuple(r_h_list)} repeat a radius")
+    for r in radii:
+        HorizonSpec(j=1, r_h=r, N=cfg.N)
+    if len(set(radii)) != len(radii):
+        raise ConfigError(f"horizon radii {radii} repeat a radius")
     times = time_grid(dt, t_max, cfg.N if site is None else 1)
     # 4|J| bounds the levels; a 4|J| tmax that overflows is past the limit too
     four_j = 4 * abs(cfg.J)
@@ -92,7 +92,7 @@ def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_m
     if t_max > limit:
         raise ConfigError(f"phase floor 4|J| tmax eps = {four_j * t_max * float_info.epsilon:.4g} "
                           f"exceeds {PHASE_FLOOR_MAX:g}: tmax must be at most {limit!r} for J={cfg.J}")
-    return times
+    return flips, radii, times
 
 
 def _layout_index(N: int) -> np.ndarray:
@@ -106,15 +106,16 @@ def _observables(engine, flips: tuple[int, int], sites: range, r_h_list,
                  times: np.ndarray) -> tuple[np.ndarray, dict]:
     """S and C(r_h) in bits, arrays of shape (len(sites), len(times)), for a range of consecutive sites.
 
-    Each time step takes one engine.pair_amplitudes call; the arithmetic
-    runs on chunks of T steps, T from CHUNK_BYTES, in arrays allocated once
-    per call.  Each chunk writes p_down and the |off-diagonals| straight into
-    the output grids, and S and C(r_h) replace them in place at the end, a
-    block of cells at a time, so the kernel holds those (1 + len(r_h)) grids
-    and a few CHUNK_BYTES-sized arrays.  The probabilities |b|^2 of a chunk
-    are gathered into P[T, x, r] on the (x, r) layout, where row j-1 lists
-    the pairs of site j by clockwise distance r.  With W_j the window of
-    radius r_h around site j:
+    flips and r_h_list are Python ints, as check_run returns them.  Each
+    time step takes one engine.pair_amplitudes call; the arithmetic runs on
+    chunks of T steps, T from CHUNK_BYTES.  Each chunk writes p_down and the
+    |off-diagonals| straight into the output grids, and S and C(r_h) replace
+    them in place at the end, a block of cells at a time, so the kernel
+    holds those (1 + len(r_h)) grids and a few arrays of a chunk's size,
+    allocated per chunk.  The probabilities |b|^2 of a chunk are gathered
+    into P[T, x, r] on the (x, r) layout, where row j-1 lists the pairs of
+    site j by clockwise distance r.  With W_j the window of radius r_h
+    around site j:
     - p_down, the probability that j is flipped, is the sum of row j-1;
     - m_focus (one flip on j, the other outside W_j) is the sum of row j-1
       over r_h < r < N - r_h;
@@ -130,10 +131,9 @@ def _observables(engine, flips: tuple[int, int], sites: range, r_h_list,
     finite value: SolverError names the earliest such time and site.
     """
     N = engine.cfg.N
-    flips = tuple(map(int, flips))  # a numpy flip or radius would mix dtypes in the index arithmetic
     rows = np.asarray(sites) - 1
     arcs = {}  # r_h -> flat (x, r) cells of the cumulative sums m_out reads
-    for r in map(int, r_h_list):
+    for r in r_h_list:
         i = np.arange(N - 2 * r - 2)  # every outside site but the last
         arcs[r] = (rows[:, None] + r + 1 + i) % N * (N - 1) + N - 2 * r - 3 - i
     # p_down and the |off-diagonal| per radius, then in place S and C(r_h) per radius
@@ -156,57 +156,44 @@ def _observables(engine, flips: tuple[int, int], sites: range, r_h_list,
 def _reduced_elements(engine, flips, focal: slice, arcs, times, out):
     """Write p_down to out[0] and the |off-diagonal| of each arc to out[1:], chunk by chunk.
 
-    out has shape (1 + len(arcs), focal's rows, len(times)); the focal rows
-    of each chunk's layout are read in place.  The chunk arrays are
-    allocated once per call, and a last, shorter chunk uses their leading
-    slices: the amplitudes, |b|^2, the (T, N, N-1) layout and its cumulative
-    sums.  im^2 is held in the cumulative sums' memory until they are
-    formed, and the cells that m_out gathers in the amplitudes' memory,
-    which is free by then.
+    out has shape (1 + len(arcs), focal's rows, len(times)).  Each chunk's
+    amplitudes are copied into one buffer allocated per call; |b|^2, its
+    (T, N, N-1) layout, the layout's cumulative sums and the cells m_out
+    reads are new arrays of each chunk.
     """
     N = engine.cfg.N
     layout = _layout_index(N)
     n_steps = min(len(times), max(1, CHUNK_BYTES // (8 * N * (N - 1))))
     amps = np.empty((n_steps, layout.size // 2), dtype=complex)
-    prob = np.empty(amps.shape)
-    layout_prob = np.empty((n_steps, N, N - 1))
-    cumulative = np.empty(layout_prob.shape)
-    free = amps.view(np.float64).reshape(-1)
     for k in range(0, len(times), n_steps):
         chunk = times[k:k + n_steps]
-        T = len(chunk)
-        for b, t in zip(amps, chunk):
-            b[...] = engine.pair_amplitudes(*flips, float(t))
-        re, im = amps[:T].real, amps[:T].imag
-        im2 = cumulative.reshape(-1)[:re.size].reshape(re.shape)
-        np.add(np.multiply(re, re, out=prob[:T]), np.multiply(im, im, out=im2), out=prob[:T])
-        # mode="clip" (every index is in range) lets np.take write straight into its out array
-        P = np.take(prob[:T], layout, axis=1, out=layout_prob[:T], mode="clip")
+        b = amps[:len(chunk)]
+        for row, t in zip(b, chunk):
+            row[...] = engine.pair_amplitudes(*flips, float(t))
+        P = np.take(b.real * b.real + b.imag * b.imag, layout, axis=1)
         mine = P[:, focal]
-        flat = np.cumsum(P, axis=2, out=cumulative[:T]).reshape(T, -1)
-        block = out[:, :, k:k + T]
+        flat = np.cumsum(P, axis=2).reshape(len(chunk), -1)
+        block = out[:, :, k:k + len(chunk)]
         block[0] = mine.sum(axis=2).T
         for m, (r, arc) in zip(block[1:], arcs.items()):
             m_focus = mine[:, :, r:N - r - 1].sum(axis=2)
-            cells = free[:T * arc.size].reshape(T, *arc.shape)
-            m_out = np.take(flat, arc, axis=1, out=cells, mode="clip").sum(axis=2)
+            m_out = np.take(flat, arc, axis=1).sum(axis=2)
             np.sqrt(m_out * m_focus, out=m.T)
 
 
 def site_series(engine, flips: tuple[int, int], j: int, r_h_list,
                 dt: float, t_max: float) -> Observables:
     """S and C(r_h) for one site over {0, dt, ..., t_max}; equals row j of the scan."""
-    r_h_list = tuple(r_h_list)
-    times = check_run(engine.cfg, flips, r_h_list, dt, t_max, site=j)
-    return Observables(times, *_observables(engine, flips, range(j, j + 1), r_h_list, times))
+    flips, radii, times = check_run(engine.cfg, flips, r_h_list, dt, t_max, site=j)
+    sites = range(1, engine.cfg.N + 1)[j - 1:j]  # a numpy j + 1 can wrap
+    return Observables(times, *_observables(engine, flips, sites, radii, times))
 
 
 def spacetime_scan(engine, flips: tuple[int, int], r_h_list,
                    dt: float, t_max: float) -> Observables:
     """S and C(r_h) for every site of the ring over {0, dt, ..., t_max}."""
-    r_h_list = tuple(r_h_list)
-    times = check_run(engine.cfg, flips, r_h_list, dt, t_max)
-    return Observables(times, *_observables(engine, flips, range(1, engine.cfg.N + 1), r_h_list, times))
+    flips, radii, times = check_run(engine.cfg, flips, r_h_list, dt, t_max)
+    return Observables(times, *_observables(engine, flips, range(1, engine.cfg.N + 1), radii, times))
 
 
 def equilibrium_stats(times: np.ndarray, values: np.ndarray,

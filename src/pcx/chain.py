@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from numbers import Real
 from sys import float_info
 
@@ -59,7 +59,11 @@ class ChainConfig:
         object.__setattr__(self, "N", integer(self.N, "N"))
         if not isinstance(self.J, Real):
             raise ConfigError(f"coupling J must be a real number, got J={self.J!r}")
-        object.__setattr__(self, "J", float(self.J))
+        try:
+            J = float(self.J)
+        except OverflowError:  # a real past the double range, refused below as infinite
+            J = inf if self.J > 0 else -inf
+        object.__setattr__(self, "J", J)
         if self.N < 4:
             raise ConfigError(f"chain needs at least 4 sites, got N={self.N}")
         # 4|J| bounds the sector levels, so it must be a finite float too
@@ -307,6 +311,7 @@ class SpectralEngine:
         transform of it is spent; the evolved blocks G go back to the pairs
         (x, r) as 2 ifft_k(e^{iKr/2} G)[x, r].
         """
+        n1, n2 = integer(n1, "flip site"), integer(n2, "flip site")
         if t == 0:
             return basis_state(self.cfg, n1, n2)
         row, phase = self._pair_tables(n1, n2)

@@ -92,7 +92,7 @@ class TestSpacetimeScan:
     def test_scan_cell_budget(self):
         """A scan counts N cells per time point; a series on the same grid counts one."""
         cfg = ChainConfig(N=323)
-        assert len(check_run(cfg, (10, 70), (1, 2, 3), 0.001, 999.0, site=1)) == 999001
+        assert len(check_run(cfg, (10, 70), (1, 2, 3), 0.001, 999.0, site=1)[2]) == 999001
         with pytest.raises(ConfigError, match="cells on 323 site"):
             check_run(cfg, (10, 70), (1, 2, 3), 0.001, 999.0)
 
@@ -142,14 +142,24 @@ class TestSpacetimeScan:
                 assert np.array_equal(run.entropy, plain_run.entropy)
                 assert list(run.complexity) == [2]
                 assert np.array_equal(run.complexity[2], plain_run.complexity[2])
+        flips, radii, _ = check_run(ChainConfig(N=16), (np.uint8(3), np.int64(9)), (np.int8(2), np.uint64(1)),
+                                    0.5, 5.0)
+        assert (flips, radii) == ((3, 9), (2, 1)) and {type(n) for n in flips + radii} == {int}
 
     def test_narrow_numpy_integers_do_not_wrap(self):
-        """In uint8, 2 r_h + 1 of radius 128 wraps to 1 and (n1 - 1) N of flip 40 on 64 sites past 255."""
+        """In uint8, 2 r_h + 1 of radius 128 wraps to 1 and (n1 - 1) N of flip 40 on 64 sites past 255;
+        in int8, j + 1 of site 127 wraps to -128."""
         with pytest.raises(ConfigError, match="degenerate horizon"):
             site_series(SpectralEngine(ChainConfig(N=16)), (3, 9), 5, (np.uint8(128),), 0.5, 5.0)
         engine = SpectralEngine(ChainConfig(N=64))
         run = site_series(engine, (np.uint8(40), np.uint8(50)), np.uint8(45), (np.uint8(2),), 0.5, 5.0)
         plain = site_series(engine, (40, 50), 45, (2,), 0.5, 5.0)
+        assert np.array_equal(run.entropy, plain.entropy)
+        assert np.array_equal(run.complexity[2], plain.complexity[2])
+        engine = SpectralEngine(ChainConfig(N=128))
+        run = site_series(engine, (3, 9), np.int8(127), (2,), 0.5, 5.0)
+        plain = site_series(engine, (3, 9), 127, (2,), 0.5, 5.0)
+        assert run.entropy.shape == (1, 11)
         assert np.array_equal(run.entropy, plain.entropy)
         assert np.array_equal(run.complexity[2], plain.complexity[2])
 
@@ -161,7 +171,7 @@ class TestSpacetimeScan:
     def test_overflowing_phases_rejected(self):
         """4|J| bounds the levels, so 4|J| t_max bounds every phase and must be finite."""
         cfg = ChainConfig(N=8, J=4e307)
-        assert len(check_run(cfg, (1, 5), (1,), 1e-300, 2e-300)) == 3
+        assert len(check_run(cfg, (1, 5), (1,), 1e-300, 2e-300)[2]) == 3
         with pytest.raises(ConfigError, match="tmax"):
             check_run(cfg, (1, 5), (1,), 0.5, 2.0)
 
@@ -170,7 +180,7 @@ class TestSpacetimeScan:
         """t_max is admitted up to a phase floor 4|J| t_max eps of PHASE_FLOOR_MAX, and no further."""
         cfg = ChainConfig(N=8, J=J)
         limit = PHASE_FLOOR_MAX / (4 * abs(J)) / 2.0**-52  # eps
-        assert len(check_run(cfg, (1, 5), (1,), limit / 4, limit)) == 5
+        assert len(check_run(cfg, (1, 5), (1,), limit / 4, limit)[2]) == 5
         above = np.nextafter(limit, np.inf)
         with pytest.raises(ConfigError, match=re.escape(f"tmax must be at most {limit!r} for J={J}")):
             check_run(cfg, (1, 5), (1,), above / 4, above)

@@ -1,5 +1,6 @@
 import re
 from decimal import Decimal
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -18,6 +19,7 @@ from oracles import (
     site_bit,
     state_trace_distance,
 )
+from pcx.bethe import BetheEngine
 from pcx.chain import (
     BATCH_BYTES,
     ChainConfig,
@@ -88,8 +90,10 @@ class TestChainConfig:
         with pytest.raises(ConfigError):
             ChainConfig(N=8, J=0.0)
 
-    # 4|J| bounds the sector levels, so it must be finite too
-    @pytest.mark.parametrize("J", [np.nan, np.inf, -np.inf, 1e308, -5e307])
+    # 4|J| bounds the sector levels, so it must be finite too; a real past the double range is infinite
+    @pytest.mark.parametrize("J", [np.nan, np.inf, -np.inf, 1e308, -5e307, pytest.param(10**400, id="int-1e400"),
+                                   pytest.param(-10**400, id="int-minus-1e400"),
+                                   pytest.param(Fraction(10**400), id="fraction-1e400")])
     def test_nonfinite_coupling_rejected(self, J):
         with pytest.raises(ConfigError, match="finite"):
             ChainConfig(N=8, J=J)
@@ -245,6 +249,30 @@ class TestSpectralEngine:
         stored = G[engine._stored]  # a named array, so `phase * stored` is never elided
         expected = np.fft.ifft(phase * stored, axis=0).ravel()[engine._cell]
         assert engine.pair_amplitudes(10, 70, 3.7).tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module", params=[SpectralEngine, BetheEngine], ids=["spectral", "bethe"])
+def engine40(request):
+    return request.param(ChainConfig(N=40))
+
+
+class TestFlipArguments:
+    """Both engines take the flips of pair_amplitudes as Python ints, whatever integer type is given."""
+
+    @pytest.mark.parametrize("kind", [np.uint8, np.int8])
+    @pytest.mark.parametrize("t", [0.0, 1.5])
+    def test_narrow_numpy_flips(self, engine40, kind, t):
+        """In uint8 or int8 the index term (n1 - 1) N = 760 of flip 20 on 40 sites would wrap."""
+        b = engine40.pair_amplitudes(kind(20), kind(30), t)
+        assert b.tobytes() == engine40.pair_amplitudes(20, 30, t).tobytes()
+        if t == 0:
+            assert np.flatnonzero(b).tolist() == [pair_index(20, 30, 40)] == [579]
+
+    @pytest.mark.parametrize("flips", [(3.0, 9), (3.5, 9), (3, 9.0)], ids=["3.0", "3.5", "9.0"])
+    def test_non_integer_flips_refused(self, engine40, flips):
+        shown = next(n for n in flips if isinstance(n, float))
+        with pytest.raises(ConfigError, match=re.escape(f"flip site must be an integer, got {shown!r}")):
+            engine40.pair_amplitudes(*flips, 1.0)
 
 
 ORACLE_RINGS = (4, 5, 8, 9, 16, 31, 32, 40)

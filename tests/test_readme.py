@@ -1,7 +1,9 @@
 """README.md's library example runs as written, its command lines parse, its flags
-table matches the parser, and its layout names only paths that exist."""
+table matches the parser, and its layout names only paths that exist; the pcx
+command lines of the CI workflow parse too."""
 
 import argparse
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 from pcx.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = README.parent / ".github/workflows/tier1.yml"
 
 
 def test_library_example_runs(capsys):
@@ -46,6 +49,18 @@ def test_command_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_workflow_command_lines_parse():
+    """The workflow's `-m pcx` shell line and its `"-m", "pcx", ...` argument list parse; nothing is run."""
+    text = WORKFLOW.read_text()
+    (line,) = re.findall(r" -m pcx (.*?) &&", text)
+    (argv,) = re.findall(r'"-m", "pcx", (.*?)\)', text, re.DOTALL)
+    parser = build_parser()
+    spectrum = parser.parse_args(shlex.split(line))
+    scan = parser.parse_args(ast.literal_eval(f"[{argv.replace('sys.argv[1]', repr('out'))}]"))
+    assert (spectrum.command, spectrum.engine, spectrum.sites) == ("spectrum", "bethe", 511)
+    assert (scan.command, scan.sites, scan.flips, scan.tmax) == ("scan", 256, (10, 70), 200.0)
 
 
 def test_layout_paths_exist():
