@@ -4,6 +4,7 @@ site over time, equilibrium statistics and collision-peak ratios."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from sys import float_info
 
 import numpy as np
@@ -53,46 +54,48 @@ class EquilibriumStats:
     std: float
 
 
-def time_grid(dt: float, t_max: float, sites: int = 1) -> np.ndarray:
-    """The grid {0, dt, ..., t_max}; dt must divide t_max.
+def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_max: float,
+              *site: int) -> tuple[tuple[int, int], tuple[int, ...], np.ndarray]:
+    """Check one run; return its flips and radii as Python ints, and its time grid {0, dt, ..., t_max}.
 
-    The grid's points on `sites` sites count as cells against MAX_TIME_POINTS.
+    A series passes its focal site last, a scan over all N sites none.  dt and t_max
+    must be finite and positive with dt dividing t_max, the grid's cells on the run's
+    sites within the cell budget MAX_TIME_POINTS, and t_max within the phase floor.
     """
+    pair = tuple(integer(n, "flip site") for n in flips) if np.iterable(flips) else ()
+    if not np.iterable(r_h_list):
+        raise ConfigError(f"horizon radii must be a sequence of integers, got {r_h_list!r}")
+    radii = tuple(integer(r, "horizon radius") for r in r_h_list)
+    if len(pair) != 2:
+        raise ConfigError(f"flips must be a pair of sites, got {flips!r}")
+    pair_index(*pair, cfg.N)
+    for j in site:
+        if not 1 <= integer(j, "site") <= cfg.N:
+            raise ConfigError(f"site {j} outside chain of {cfg.N} sites")
+    for r in radii:
+        HorizonSpec(j=1, r_h=r, N=cfg.N)
+    if len(set(radii)) != len(radii):
+        raise ConfigError(f"horizon radii {radii} repeat a radius")
+    if not (isinstance(dt, Real) and isinstance(t_max, Real)):
+        raise ConfigError(f"dt and tmax must be real numbers, got dt={dt!r} tmax={t_max!r}")
+    try:
+        dt, t_max = float(dt), float(t_max)
+    except OverflowError:  # a real past the double range
+        raise ConfigError("dt and tmax must be finite and positive, got a real past the double range") from None
     if not (np.isfinite(dt) and np.isfinite(t_max) and dt > 0 and t_max > 0):
         raise ConfigError(f"dt and tmax must be finite and positive, got dt={dt} tmax={t_max}")
-    n_steps = t_max / dt
+    n_steps, sites = t_max / dt, len(site) or cfg.N
     if not np.isfinite(n_steps) or sites * (round(n_steps) + 1) > MAX_TIME_POINTS:
         raise ConfigError(f"dt={dt} gives more than {MAX_TIME_POINTS} (site, time) cells on "
                           f"{sites} site(s) up to tmax={t_max}")
     if abs(round(n_steps) * dt - t_max) > GRID_RTOL * t_max:
         raise ConfigError(f"dt={dt} does not divide tmax={t_max}")
-    return np.arange(int(round(n_steps)) + 1) * dt
-
-
-def check_run(cfg: ChainConfig, flips: tuple[int, int], r_h_list, dt: float, t_max: float,
-              site: int | None = None) -> tuple[tuple[int, int], tuple[int, ...], np.ndarray]:
-    """Check one run's flip pair, horizon radii, focal site and times.
-
-    Returns the flips and the radii as Python ints, and the time grid.  A run
-    without a focal site is a scan over all N sites.
-    """
-    flips = tuple(integer(n, "flip site") for n in flips)
-    radii = tuple(integer(r, "horizon radius") for r in r_h_list)
-    pair_index(*flips, cfg.N)
-    if site is not None and not 1 <= integer(site, "site") <= cfg.N:
-        raise ConfigError(f"site {site} outside chain of {cfg.N} sites")
-    for r in radii:
-        HorizonSpec(j=1, r_h=r, N=cfg.N)
-    if len(set(radii)) != len(radii):
-        raise ConfigError(f"horizon radii {radii} repeat a radius")
-    times = time_grid(dt, t_max, cfg.N if site is None else 1)
-    # 4|J| bounds the levels; a 4|J| tmax that overflows is past the limit too
-    four_j = 4 * abs(cfg.J)
+    four_j = 4 * abs(cfg.J)  # bounds the levels; a 4|J| tmax that overflows is past the limit too
     limit = PHASE_FLOOR_MAX / four_j / float_info.epsilon  # the t_max of floor PHASE_FLOOR_MAX
     if t_max > limit:
         raise ConfigError(f"phase floor 4|J| tmax eps = {four_j * t_max * float_info.epsilon:.4g} "
                           f"exceeds {PHASE_FLOOR_MAX:g}: tmax must be at most {limit!r} for J={cfg.J}")
-    return flips, radii, times
+    return pair, radii, np.arange(int(round(n_steps)) + 1) * dt
 
 
 def _layout_index(N: int) -> np.ndarray:
@@ -184,7 +187,7 @@ def _reduced_elements(engine, flips, focal: slice, arcs, times, out):
 def site_series(engine, flips: tuple[int, int], j: int, r_h_list,
                 dt: float, t_max: float) -> Observables:
     """S and C(r_h) for one site over {0, dt, ..., t_max}; equals row j of the scan."""
-    flips, radii, times = check_run(engine.cfg, flips, r_h_list, dt, t_max, site=j)
+    flips, radii, times = check_run(engine.cfg, flips, r_h_list, dt, t_max, j)
     sites = range(1, engine.cfg.N + 1)[j - 1:j]  # a numpy j + 1 can wrap
     return Observables(times, *_observables(engine, flips, sites, radii, times))
 

@@ -338,19 +338,12 @@ def checked_blocks(roots: np.recarray, cfg: ChainConfig):
         k = int(np.argmax(counts != sizes))
         raise SolverError(f"Bethe basis is incomplete: {counts[k]} roots for the "
                           f"{sizes[k]} levels of momentum block k={k}")
-    offsets = np.cumsum(sizes) - sizes  # where each class starts in class order
-    members = np.split(np.argsort(classes, kind="stable"), offsets[1:])
-    levels = energies[np.lexsort((energies, classes))]  # ascending within each class
-    upper = np.arange(offsets[N // 2 + 1], len(roots))  # the levels of the classes k > N/2
-    of = np.repeat(np.arange(N), sizes)[upper]  # their classes
-    gap = np.abs(levels[upper] - levels[upper - offsets[of] + offsets[N - of]])
-    errors = np.maximum.reduceat(gap, offsets[N // 2 + 1:] - offsets[N // 2 + 1])
-    failed = ~(errors <= CLASS_MIRROR_TOL * abs(J))  # NaN fails
-    if failed.any():
-        i = int(np.argmax(failed))
-        k = N // 2 + 1 + i
-        raise SolverError(f"momentum classes k={k} and {N - k} hold different levels "
-                          f"(max difference {errors[i]:.3e})")
+    members = np.split(np.argsort(classes, kind="stable"), np.cumsum(sizes)[:-1])
+    for k in range(N // 2 + 1, N):
+        error = np.max(np.abs(np.sort(energies[members[k]]) - np.sort(energies[members[N - k]])))
+        if not error <= CLASS_MIRROR_TOL * abs(J):  # NaN fails
+            raise SolverError(f"momentum classes k={k} and {N - k} hold different levels "
+                              f"(max difference {error:.3e})")
     for ks, size in block_batches(N):
         batch = roots[np.concatenate([members[k] for k in ks])]
         phi = block_vectors(batch, cfg).reshape(len(ks), size, N - 1)

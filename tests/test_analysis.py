@@ -1,5 +1,7 @@
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from pcx.analysis import (
     peak_ratio,
     site_series,
     spacetime_scan,
-    time_grid,
 )
 from oracles import DenseEngine, exterior_state_and_partition
 from pcx.bethe import BetheEngine
@@ -85,14 +86,15 @@ class TestSpacetimeScan:
             spacetime_scan(engine, (2, 7), (1,), dt, t_max)
 
     def test_time_point_budget(self):
-        assert len(time_grid(1.0, MAX_TIME_POINTS - 1.0)) == MAX_TIME_POINTS
+        cfg = ChainConfig(N=10)
+        assert len(check_run(cfg, (2, 7), (1,), 1.0, MAX_TIME_POINTS - 1.0, 3)[2]) == MAX_TIME_POINTS
         with pytest.raises(ConfigError, match="dt=1.0 gives more than"):
-            time_grid(1.0, float(MAX_TIME_POINTS))
+            check_run(cfg, (2, 7), (1,), 1.0, float(MAX_TIME_POINTS), 3)
 
     def test_scan_cell_budget(self):
         """A scan counts N cells per time point; a series on the same grid counts one."""
         cfg = ChainConfig(N=323)
-        assert len(check_run(cfg, (10, 70), (1, 2, 3), 0.001, 999.0, site=1)[2]) == 999001
+        assert len(check_run(cfg, (10, 70), (1, 2, 3), 0.001, 999.0, 1)[2]) == 999001
         with pytest.raises(ConfigError, match="cells on 323 site"):
             check_run(cfg, (10, 70), (1, 2, 3), 0.001, 999.0)
 
@@ -123,6 +125,39 @@ class TestSpacetimeScan:
         """A size, flip, site or radius that is not an integer is one ConfigError naming it."""
         with pytest.raises(ConfigError, match=re.escape(refusal)):
             site_series(SpectralEngine(ChainConfig(N=N)), flips, site, radii, 0.5, 5.0)
+
+    @pytest.mark.parametrize("flips,site,radii,dt,t_max,refusal", [
+        ((1, 2, 3), 3, (1,), 0.5, 2.0, "flips must be a pair of sites, got (1, 2, 3)"),
+        ((5,), 3, (1,), 0.5, 2.0, "flips must be a pair of sites, got (5,)"),
+        (None, 3, (1,), 0.5, 2.0, "flips must be a pair of sites, got None"),
+        ((1, 5), 3, 1, 0.5, 2.0, "horizon radii must be a sequence of integers, got 1"),
+        ((1, 5), 3, None, 0.5, 2.0, "horizon radii must be a sequence of integers, got None"),
+        ((1, 5), None, (1,), 0.5, 2.0, "site must be an integer, got None"),
+        ((1, 5), 3, (1,), "0.5", 2.0, "dt and tmax must be real numbers, got dt='0.5' tmax=2.0"),
+        ((1, 5), 3, (1,), 0.5j, 2.0, "dt and tmax must be real numbers, got dt=0.5j tmax=2.0"),
+        ((1, 5), 3, (1,), None, 2.0, "dt and tmax must be real numbers, got dt=None tmax=2.0"),
+        ((1, 5), 3, (1,), 0.5, Decimal("2"), "dt and tmax must be real numbers, got dt=0.5 tmax=Decimal('2')"),
+        ((1, 5), 3, (1,), 0.5, 10**400, "dt and tmax must be finite and positive, got a real past the double range"),
+    ], ids=["flips-triple", "flips-single", "flips-None", "radii-int", "radii-None", "site-None",
+            "dt-str", "dt-complex", "dt-None", "tmax-Decimal", "tmax-past-double"])
+    def test_malformed_run_refused(self, flips, site, radii, dt, t_max, refusal):
+        """Flips that are not a pair, radii that are not a sequence, and a site, dt or tmax of the
+        wrong type end in one ConfigError each, in the series and in the scan."""
+        engine = SpectralEngine(ChainConfig(N=12))
+        with pytest.raises(ConfigError, match=re.escape(refusal)):
+            site_series(engine, flips, site, radii, dt, t_max)
+        if site is not None:  # a scan has no focal site
+            with pytest.raises(ConfigError, match=re.escape(refusal)):
+                spacetime_scan(engine, flips, radii, dt, t_max)
+
+    def test_rational_times_accepted(self):
+        """A real dt or tmax that is not a float, such as a Fraction, runs as its float."""
+        engine = SpectralEngine(ChainConfig(N=12))
+        run = site_series(engine, (1, 5), 3, (1,), Fraction(1, 2), Fraction(2))
+        plain = site_series(engine, (1, 5), 3, (1,), 0.5, 2.0)
+        assert run.times.tobytes() == plain.times.tobytes()
+        assert run.entropy.tobytes() == plain.entropy.tobytes()
+        assert run.complexity[1].tobytes() == plain.complexity[1].tobytes()
 
     def test_numpy_integers_accepted(self):
         engine = SpectralEngine(ChainConfig(N=np.int64(16)))

@@ -46,12 +46,12 @@ CORRUPT_CLASSES = {
 }
 
 
-def corrupt(monkeypatch, case: str):
+def corrupt(monkeypatch, case: str, shift=(5, 1e-9)):
     """Patch pcx.bethe so that one class of the ring CORRUPT_CLASSES[case] names is corrupt.
 
     duplicate-state: a class-1 row is replaced by another row of its class;
     skewed-basis: that row is tilted by 1e-8 toward the other and renormalized;
-    mirror-shift: one level of class 5 moves by 1e-9;
+    mirror-shift: the first level of class shift[0] (5) moves by shift[1] (1e-9);
     shifted-theta: theta of the class-3 real pair (1,2) moves by 1e-7.
     """
     real_vectors, real_roots = pcx.bethe.block_vectors, pcx.bethe.enumerate_roots
@@ -76,7 +76,7 @@ def corrupt(monkeypatch, case: str):
 
     def mirror_shift(cfg):
         roots = real_roots(cfg)
-        roots.energy[np.flatnonzero((roots.m1 + roots.m2) % cfg.N == 5)[0]] += 1e-9
+        roots.energy[np.flatnonzero((roots.m1 + roots.m2) % cfg.N == shift[0])[0]] += shift[1]
         return roots
 
     def shifted_theta(cfg):
@@ -486,10 +486,24 @@ class TestCompleteness:
             BetheEngine(ChainConfig(N=8))
 
     def test_mirror_class_levels_checked(self, monkeypatch):
-        """A class above N/2 builds no vectors; one level 1e-9 off its mirror class is refused."""
-        corrupt(monkeypatch, "mirror-shift")
-        with pytest.raises(SolverError, match="classes k=5 and 3 hold different levels"):
-            BetheEngine(ChainConfig(N=8))
+        """A class above N/2 builds no vectors; one level 1e-9 off its mirror class is refused.
+
+        The first and the last class above N/2 are refused on even and odd rings, a NaN
+        level too; a shift of 1e-13, below CLASS_MIRROR_TOL, passes.
+        """
+        for N, k, shift, message in [
+            (8, 5, 1e-9, "classes k=5 and 3 hold different levels"),
+            (8, 7, 1e-9, "classes k=7 and 1 hold different levels"),
+            (9, 5, 1e-9, "classes k=5 and 4 hold different levels"),
+            (9, 8, 1e-9, "classes k=8 and 1 hold different levels"),
+            (8, 7, np.nan, r"classes k=7 and 1 hold different levels \(max difference nan\)"),
+        ]:
+            corrupt(monkeypatch, "mirror-shift", (k, shift))
+            with pytest.raises(SolverError, match=message):
+                BetheEngine(ChainConfig(N=N))
+            monkeypatch.undo()
+        corrupt(monkeypatch, "mirror-shift", (5, 1e-13))
+        BetheEngine(ChainConfig(N=8))
 
     def test_shifted_theta_refused(self, monkeypatch):
         """A real pair whose theta is 1e-7 off keeps an orthonormal block; its residual refuses it."""

@@ -1,6 +1,6 @@
 """README.md's library example runs as written, its command lines parse, its flags
 table matches the parser, and its layout names only paths that exist; the pcx
-command lines of the CI workflow parse too."""
+command lines of the CI workflow parse too, and the footer keys it bounds are written."""
 
 import argparse
 import ast
@@ -8,7 +8,7 @@ import re
 import shlex
 from pathlib import Path
 
-from pcx.cli import build_parser
+from pcx.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 WORKFLOW = README.parent / ".github/workflows/tier1.yml"
@@ -61,6 +61,23 @@ def test_workflow_command_lines_parse():
     scan = parser.parse_args(ast.literal_eval(f"[{argv.replace('sys.argv[1]', repr('out'))}]"))
     assert (spectrum.command, spectrum.engine, spectrum.sites) == ("spectrum", "bethe", 511)
     assert (scan.command, scan.sites, scan.flips, scan.tmax) == ("scan", 256, (10, 70), 200.0)
+
+
+def test_workflow_footer_keys_written(tmp_path):
+    """The footer keys the workflow's ring-limit step bounds are written by the command it runs.
+
+    The step's `bounds = {...}` literal is read as written, and `spectrum --engine bethe`
+    at N = 12 runs in process: each key is in its file once, within its bound.
+    """
+    text = WORKFLOW.read_text()
+    bounds = ast.literal_eval(re.search(r"bounds = (\{.*?\});", text).group(1))
+    (name,) = re.findall(r'"\$RUNNER_TEMP/bethe511/(.*?)"', text)
+    assert main(["spectrum", "--engine", "bethe", "--sites", "12", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / name).read_text().splitlines()
+    assert len(bounds) == 2
+    for key, bound in bounds.items():
+        (value,) = [float(line[len(key):]) for line in lines if line.startswith(key)]
+        assert value <= bound, key
 
 
 def test_layout_paths_exist():

@@ -18,7 +18,9 @@ DELETED = ("pair_unindex", "BetheState", "_wavefunction", "_one_hot_columns",
            "_orthonormal_complement", "ORTHO_TOL", "SiteSeries", "SpacetimeGrid",
            # folded into ConfigError (exit 2) and SolverError (exit 4)
            "GeometryError", "NormalizationError", "StatsError", "PeakNotFoundError",
-           "DegenerateRootError")
+           "DegenerateRootError",
+           # folded into analysis.check_run, its only caller
+           "time_grid")
 # members deleted from shipped classes, as (module, class, member)
 DELETED_MEMBERS = (("horizon", "HorizonSpec", "inside_sites"),
                    ("predictive", "EquivalencePartition", "primed_dim"),
