@@ -12,13 +12,19 @@ import numpy as np
 FLOAT = "%.17g"  # the one number format of tables, footers and preambles; reads back exactly
 FIELD = "%s"  # a number's place in a write_csv template; write_csv fills it with FLOAT text
 
-# FLOAT of x in [1e-4, 1) is "0." + (-1 - E) zeros + the 17 significant digits
-# D = x 10^(16 - E), rounded half to even, less trailing zeros; E = -1 .. -4 is
-# the decimal exponent.  With x = m 2^(e - 53) from frexp (m a 53-bit integer),
-# D = m 5^(16 - E) / 2^s with s = 37 + E - e in 33 .. 49, and m 5^(16 - E) < 2^100.
-_POW5 = np.array([5**q for q in range(17, 21)], dtype=np.uint64)  # 5^(16 - E) at index -1 - E
+
+def _split(a):
+    """Veltkamp's split of doubles a = hi + lo, each half with at most 26 significant bits."""
+    t = a * (2.0**27 + 1)
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+# FLOAT of x in [1e-4, 1) is "0." + (-1 - E) zeros + D less trailing zeros; E = -1 .. -4 is the
+# decimal exponent, D = x c rounded half to even and c = 10^(16 - E) an exact double.  From
+# Dekker's x c = p + q (Numer. Math. 18, 224-242, 1971), p >= 10^16 > 2^53 is even and |q| <= 8.
+_SCALES = np.array([(c, *_split(c)) for c in map(float, (10**17, 10**18, 10**19, 10**20))]).T
 _POW10 = np.array([10**k for k in range(11)])
-_LOW32, _ONE, _32 = np.uint64(2**32 - 1), np.uint64(1), np.uint64(32)
 # each double nearest 10^E lies above it, and no smaller double rounds up to 10^E at
 # 17 digits (half a step, 5e-18 relative, is less than one ulp): E is exact from x
 _DECADES = np.array([1e-3, 1e-2, 1e-1])
@@ -44,32 +50,18 @@ def fmt(x) -> str:
     return FLOAT % float(x)
 
 
-def _half_even_shift(m, s, p):
-    """m p / 2^s rounded half to even, for m < 2^53, p < 2^47 and 33 <= s <= 49 (uint64 arrays).
-
-    The product is formed in 32-bit limbs: m p = hi 2^64 + mid 2^32 + lo with mid, lo < 2^32.
-    """
-    m_lo, m_hi = m & _LOW32, m >> _32
-    p_lo, p_hi = p & _LOW32, p >> _32
-    lo = m_lo * p_lo
-    mid = m_lo * p_hi + m_hi * p_lo + (lo >> _32)
-    hi = m_hi * p_hi + (mid >> _32)
-    mid &= _LOW32
-    lo &= _LOW32
-    t = s - _32  # 1 .. 17
-    d = (hi << (_32 - t)) | (mid >> t)
-    remainder = ((mid & ((_ONE << t) - _ONE)) << _32) | lo
-    # up when the remainder exceeds half, or equals it and d is odd
-    d += remainder + (d & _ONE) > (_ONE << (s - _ONE))
-    return d
+def _scaled(x: np.ndarray):
+    """(E, p, q) for x in [1e-4, 1): p = fl(x c), and p + q = x c exactly if no operations fuse."""
+    E = np.searchsorted(_DECADES, x, side="right") - 4
+    (c, ch, cl), (xh, xl) = np.take(_SCALES, -1 - E, axis=1), _split(x)  # c = 10^(16 - E)
+    p = x * c
+    return E, p, ((xh * ch - p) + xh * cl + xl * ch) + xl * cl
 
 
 def _fraction_texts(x: np.ndarray) -> np.ndarray:
-    """FLOAT text of every x in [1e-4, 1), computed exactly in integers."""
-    frac, exp = np.frexp(x)
-    m = (frac * 2.0**53).astype(np.uint64)
-    E = np.searchsorted(_DECADES, x, side="right") - 4
-    d = _half_even_shift(m, (37 + E - exp).astype(np.uint64), _POW5[-1 - E]).view(np.int64)
+    """FLOAT text of every x in [1e-4, 1), its digits D = p + rint(q) from Dekker's product."""
+    E, p, q = _scaled(x)
+    d = p.astype(np.int64) + np.rint(q).astype(np.int64)
     # F = d 10^(4 + E), the 20 digits after "0.", in halves of 10 digits; the second is
     # taken times 100, so that both read as three 4-digit pieces and the text ends in "00"
     split = _POW10[6 - E]
@@ -87,7 +79,7 @@ def _fraction_texts(x: np.ndarray) -> np.ndarray:
 
 
 def _texts(x: np.ndarray) -> list[bytes]:
-    """FLOAT text of every x, in order; x in [1e-4, 1) by the integer path, the rest by one `%`."""
+    """FLOAT text of every x, in order; x in [1e-4, 1) by Dekker's product, the rest by one `%`."""
     exact = (x >= 1e-4) & (x < 1.0)  # False for nan
     texts = np.empty(len(x), dtype=object)
     texts[exact] = _fraction_texts(x[exact]).tolist()

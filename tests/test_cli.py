@@ -253,6 +253,15 @@ class TestSeriesCommand:
         std = {l.split()[1]: float(l.split()[2]) for l in footer if l.startswith("eq_std ")}
         assert 1.5 <= std["S_bits"] / std["C_bits_rh1"] <= 2.5  # AC-4
 
+    def test_recipe_peak_past_the_run_is_noted(self, tmp_path):
+        """A recipe run that ends before the collision near t = 9 notes each missing peak."""
+        assert main(["series", "--site", "17", "--tmax", "8", "--dt", "0.04",
+                     "--out", str(tmp_path)]) == 0
+        _, _, _, footer = read_csv(tmp_path / "series_site17.csv")
+        assert [l for l in footer if l.startswith("peak")] == [
+            f"peak {name} not found: no local maximum within 1.0 of t=9.0"
+            for name in ("S_bits", "C_bits_rh1", "C_bits_rh2", "C_bits_rh3")]
+
     def test_peak_lines_only_for_recipe_site(self, tmp_path):
         """The recipe's flips at a site between no collision get no collision-peak lines."""
         assert main(["series", "--sites", "64", "--flips", "10,25", "--site", "3", "--tmax", "20",
@@ -431,6 +440,8 @@ class TestConfigErrors:
          "|J| a normal double, at least 2.2250738585072014e-308, got J=1e-318"),
         (["series", "--site", "5", "--coupling", "1e-320"],
          "|J| a normal double, at least 2.2250738585072014e-308, got J=1e-320"),
+        (["scan", "--horizon", "0"], "horizon radius must be >= 1"),
+        (["scan", "--horizon", "-1"], "horizon radius must be >= 1"),
     ], ids=["flips-trailing-comma", "flips-reversed", "horizon-empty-radius",
             "horizon-trailing-comma", "eq-window-one-number", "sites-not-int", "site-missing",
             "spectrum-dt", "spectrum-flips", "spectrum-horizon", "spectrum-tmax",
@@ -440,7 +451,8 @@ class TestConfigErrors:
             "coupling-nan", "dt-inf", "dt-nan", "dt-not-dividing-tmax", "repeated-radius",
             "too-many-time-points", "coupling-levels-overflow", "coupling-phases-overflow",
             "scan-repeated-radius", "spectrum-coupling-overflow", "spectrum-bethe-subnormal-coupling",
-            "series-bethe-subnormal-coupling", "series-subnormal-coupling"])
+            "series-bethe-subnormal-coupling", "series-subnormal-coupling", "scan-horizon-zero",
+            "scan-horizon-negative"])
     def test_refused_input_exit_2(self, tmp_path, capsys, monkeypatch, argv, fragment):
         """Malformed, unknown and out-of-range input all end in one error line from main."""
         monkeypatch.chdir(tmp_path)  # --out defaults to the working directory

@@ -125,6 +125,11 @@ class TestPredictiveMap:
             after = np.sum(np.abs(primed.amplitudes) ** 2, axis=1)
             assert np.allclose(before, after, atol=1e-12)
 
+    def test_partition_of_another_dim_b_rejected(self):
+        psi = BipartiteState(np.array([[0.6, 0.0, 0.0, 0.8]], dtype=complex))
+        with pytest.raises(ConfigError, match="state and partition disagree on dim_b"):
+            predictive_map(psi, qutrit_partition())
+
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_embedding_is_projection_image(self, dim_a, seed):
@@ -386,6 +391,14 @@ class TestWorkedExample:
     def test_nan_state_rejected(self):
         with pytest.raises(ConfigError):
             BipartiteState(np.full((2, 3), np.nan))
+
+    def test_one_dimensional_state_rejected(self):
+        with pytest.raises(ConfigError, match=r"amplitudes must be a 2-D \(dim_a, dim_b\) array"):
+            BipartiteState(np.array([0.6, 0.8]))
+
+    def test_five_amplitudes_rejected(self):
+        with pytest.raises(ConfigError, match="need exactly six amplitudes a1..a6"):
+            worked_qubit_qutrit_example((0.5, 0.5, 0.0, 0.5, 0.5))
 
 
 class TestTraceDistance:
